@@ -2,19 +2,21 @@
 delay-dependent noise.
 
 Symbols queue for a single server; the longer one waits, the noisier its
-channel use becomes (erasure, bit flip, or a delay-dependent permutation).
-The package pairs closed-form capacity expressions with a discrete-event
-Monte Carlo simulator and a check suite that holds the two against each
-other.
+channel use becomes: erased, or permuted by a delay-dependent noise symbol.
+The binary symmetric channel is the two-symbol permutation channel with XOR
+table and Bernoulli noise (RandomBijective.binary_symmetric). The package
+pairs closed-form capacity expressions with a discrete-event Monte Carlo
+simulator and a check suite that holds the two against each other;
+evaluate_capacity and estimate_capacity are the one evaluation path per
+channel that the command line renders.
 """
 
 from .capacity import (CapacityResult, LaplaceRouteResult, QueueChannelSpec,
-                       alpha_mg1, bijective_capacity, bsc_capacity,
-                       erasure_capacity, laplace_service,
+                       alpha_mg1, bijective_capacity, erasure_capacity, laplace_service,
                        mean_survival, mm1_capacity_closed_form,
                        mm1_capacity_exponential_premise, optimal_lambda_mg1,
                        optimal_lambda_mm1_laplace, pk_wait_transform)
-from .channels import (ERASED, BinarySymmetric, BitFlipModel, DecoherenceModel,
+from .channels import (ERASED, BitFlipModel, DecoherenceModel,
                        Erasure, RandomBijective, alphabet_size, apply_channel,
                        bernoulli_noise, binary_entropy, discrete_entropy,
                        dump_bijection, load_bijection, wait_geometric_noise,
@@ -26,21 +28,19 @@ from .numerics import (OptimizationResult, QuadratureError, as_rng,
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, InstabilityError, PoissonArrivals,
                        ServiceDistribution, Uniform, WaitSampleSet,
-                       check_stability, default_burn_in, lindley_step,
-                       lindley_waits, stationarity_diagnostic,
-                       stationary_wait_samples)
+                       check_stability, default_burn_in, lindley_waits,
+                       stationarity_diagnostic, stationary_wait_samples)
 from .simulate import (EstimateWithError, Transcript, ValidationReport,
-                       estimate_bijective_bounds, estimate_bsc_capacity,
+                       estimate_bijective_bounds, estimate_capacity,
                        estimate_erasure_capacity, estimate_expectation_over_pi,
-                       simulate_transmission, stratified_erasure_capacity,
-                       sweep_rows, validate_formula)
+                       evaluate_capacity, simulate_transmission, sweep_rows,
+                       validate_formula)
 from .validation import SUITES, CheckOutcome, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ERASED",
-    "BinarySymmetric",
     "BitFlipModel",
     "CapacityResult",
     "CheckOutcome",
@@ -74,7 +74,6 @@ __all__ = [
     "bernoulli_noise",
     "bijective_capacity",
     "binary_entropy",
-    "bsc_capacity",
     "build_spec",
     "check_stability",
     "default_burn_in",
@@ -82,12 +81,12 @@ __all__ = [
     "dump_bijection",
     "erasure_capacity",
     "estimate_bijective_bounds",
-    "estimate_bsc_capacity",
+    "estimate_capacity",
     "estimate_erasure_capacity",
     "estimate_expectation_over_pi",
+    "evaluate_capacity",
     "golden_section_extremize",
     "laplace_service",
-    "lindley_step",
     "lindley_waits",
     "load_bijection",
     "load_config",
@@ -103,7 +102,6 @@ __all__ = [
     "spawn_rngs",
     "stationarity_diagnostic",
     "stationary_wait_samples",
-    "stratified_erasure_capacity",
     "sweep_rows",
     "validate_config",
     "validate_formula",

@@ -10,8 +10,7 @@ from qcl.simulate.
 import math
 from dataclasses import dataclass, field
 
-from .channels import (BinarySymmetric, Erasure, RandomBijective,
-                       alphabet_size, binary_entropy)
+from .channels import alphabet_size
 from .numerics import OptimizationResult, golden_section_extremize
 from .queueing import DelayConvention, Exponential, check_stability
 
@@ -21,6 +20,7 @@ METHOD_GENERAL_LAPLACE = "GeneralLaplace"
 METHOD_MC = "MonteCarlo"
 METHOD_BOUND_LOWER = "Bound-Lower"
 METHOD_BOUND_UPPER = "Bound-Upper"
+METHOD_BOUNDS = "Bounds"
 
 UNPREDICTABILITY_NOTE = ("no-timing-information value assumes the queue state is "
                          "unpredictable from past noise alone")
@@ -47,14 +47,7 @@ class QueueChannelSpec:
     @property
     def decoherence(self):
         """The channel's own error model, whatever its kind."""
-        ch = self.channel
-        if isinstance(ch, Erasure):
-            return ch.decoherence
-        if isinstance(ch, BinarySymmetric):
-            return ch.flip
-        if isinstance(ch, RandomBijective):
-            return ch.noise_law
-        raise TypeError(f"unknown channel kind: {type(ch).__name__}")
+        return self.channel.error_law
 
     def check_stable(self):
         check_stability(self.lam, self.mu)
@@ -62,11 +55,16 @@ class QueueChannelSpec:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """A capacity value in bits per unit time with provenance diagnostics."""
+    """A capacity value in bits per unit time with provenance diagnostics.
+
+    When only an interval is known, bits_per_sec is None and bounds holds the
+    (lower, upper) pair as CapacityResults of their own.
+    """
 
     bits_per_sec: float
     method: str
     diagnostics: dict = field(default_factory=dict)
+    bounds: tuple = ()
 
 
 def laplace_service(service, s):
@@ -136,7 +134,7 @@ def erasure_capacity(spec, survival=None):
     stationary waits (qcl.simulate.estimate_expectation_over_pi). The result
     does not depend on receiver_knows_timing.
     """
-    if not isinstance(spec.channel, Erasure):
+    if spec.channel.kind != "erasure":
         raise TypeError("erasure_capacity needs an Erasure channel")
     spec.check_stable()
     k = alphabet_size(spec.channel)
@@ -248,40 +246,6 @@ def mm1_capacity_exponential_premise(lam, kappa):
     return lam * (1.0 - lam) / (1.0 - (1.0 - kappa) * lam)
 
 
-E_H_PHI = "E_H_phi"
-E_PHI = "E_phi"
-
-
-def bsc_capacity(spec, wait_expectations):
-    """Binary-symmetric-channel capacity from stationary-delay expectations.
-
-    With receiver timing knowledge the value is lam*(1 - E[H(phi(W))]) and
-    needs wait_expectations["E_H_phi"]; without it, lam*(1 - H(E[phi(W)]))
-    from wait_expectations["E_phi"], exact under the unpredictable-queue
-    assumption noted in the diagnostics.
-    """
-    if not isinstance(spec.channel, BinarySymmetric):
-        raise TypeError("bsc_capacity needs a BinarySymmetric channel")
-    spec.check_stable()
-    diagnostics = {"csir": spec.receiver_knows_timing}
-    if spec.receiver_knows_timing:
-        try:
-            e_h_phi = wait_expectations[E_H_PHI]
-        except (KeyError, TypeError):
-            raise ValueError("missing wait expectation 'E_H_phi'") from None
-        value = spec.lam * (1.0 - _value_of(e_h_phi))
-        diagnostics[E_H_PHI] = _value_of(e_h_phi)
-    else:
-        try:
-            e_phi = wait_expectations[E_PHI]
-        except (KeyError, TypeError):
-            raise ValueError("missing wait expectation 'E_phi'") from None
-        value = spec.lam * (1.0 - binary_entropy(_value_of(e_phi)))
-        diagnostics[E_PHI] = _value_of(e_phi)
-        diagnostics["assumption"] = UNPREDICTABILITY_NOTE
-    return CapacityResult(bits_per_sec=value, method=METHOD_MC, diagnostics=diagnostics)
-
-
 E_H_NOISE = "E_H_noise"
 H_MEAN_NOISE = "H_mean_noise"
 E_H_KERNEL_NOISE = "E_H_kernel_noise"
@@ -290,47 +254,52 @@ E_H_KERNEL_NOISE = "E_H_kernel_noise"
 def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=False):
     """Capacity of a noise-permutation channel from noise-entropy expectations.
 
-    Expectations (estimated over stationary delays, see
-    qcl.simulate.estimate_bijective_bounds):
+    Expectations (estimated over delays by
+    qcl.simulate.estimate_bijective_bounds), in bits per symbol:
       - "E_H_noise": E[H(N(W))], per-delay noise entropy;
       - "H_mean_noise": H(E[N(W)]), entropy of the delay-averaged noise law;
       - "E_H_kernel_noise": E[H(one-step-ahead averaged noise law)].
 
     Returns the exact value lam*(log2 k - E_H_noise) when the receiver knows
     the timing. Otherwise: the exact value lam*(log2 k - H_mean_noise) if the
-    caller asserts the queue is unpredictable from past noise, else the
-    (lower, upper) CapacityResult pair
+    caller asserts the queue is unpredictable from past noise, else a result
+    with bits_per_sec None and the bound pair
     lam*(log2 k - H_mean_noise) <= C <= lam*(log2 k - E_H_kernel_noise).
+    An expectation given as an estimate (with .std_error and .n) adds its
+    standard error, scaled to bits/sec and as given, and its count to the
+    diagnostics.
     """
-    if not isinstance(spec.channel, RandomBijective):
+    if spec.channel.kind != "bijective":
         raise TypeError("bijective_capacity needs a RandomBijective channel")
     spec.check_stable()
     log_k = math.log2(alphabet_size(spec.channel))
 
-    def need(key):
+    def rate(key, method, **diagnostics):
         try:
-            return _value_of(noise_entropy_expectations[key])
+            expectation = noise_entropy_expectations[key]
         except (KeyError, TypeError):
             raise ValueError(f"missing noise entropy expectation {key!r}") from None
+        h = _value_of(expectation)
+        diagnostics[key] = h
+        se = getattr(expectation, "std_error", None)
+        if se is not None:
+            diagnostics.update(std_error=spec.lam * se, expectation_std_error=se,
+                               n=expectation.n)
+        return CapacityResult(bits_per_sec=spec.lam * (log_k - h), method=method,
+                              diagnostics=diagnostics)
 
     if spec.receiver_knows_timing:
-        h = need(E_H_NOISE)
-        return CapacityResult(bits_per_sec=spec.lam * (log_k - h), method=METHOD_MC,
-                              diagnostics={"csir": True, E_H_NOISE: h})
+        return rate(E_H_NOISE, METHOD_MC, csir=True)
     if assume_unpredictable:
-        h = need(H_MEAN_NOISE)
-        return CapacityResult(bits_per_sec=spec.lam * (log_k - h), method=METHOD_MC,
-                              diagnostics={"csir": False, H_MEAN_NOISE: h,
-                                           "assumption": UNPREDICTABILITY_NOTE})
-    h_lower = need(H_MEAN_NOISE)
-    h_upper = need(E_H_KERNEL_NOISE)
-    lower = CapacityResult(bits_per_sec=spec.lam * (log_k - h_lower),
-                           method=METHOD_BOUND_LOWER,
-                           diagnostics={"csir": False, H_MEAN_NOISE: h_lower})
-    upper = CapacityResult(bits_per_sec=spec.lam * (log_k - h_upper),
-                           method=METHOD_BOUND_UPPER,
-                           diagnostics={"csir": False, E_H_KERNEL_NOISE: h_upper})
-    return lower, upper
+        return rate(H_MEAN_NOISE, METHOD_MC, csir=False,
+                    assumption=UNPREDICTABILITY_NOTE)
+    lower = rate(H_MEAN_NOISE, METHOD_BOUND_LOWER, csir=False)
+    upper = rate(E_H_KERNEL_NOISE, METHOD_BOUND_UPPER, csir=False)
+    diagnostics = {"csir": False}
+    if "n" in lower.diagnostics:
+        diagnostics["n"] = lower.diagnostics["n"]
+    return CapacityResult(bits_per_sec=None, method=METHOD_BOUNDS,
+                          diagnostics=diagnostics, bounds=(lower, upper))
 
 
 def _value_of(x):

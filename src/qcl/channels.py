@@ -1,9 +1,10 @@
 """Delay-dependent symbol channels.
 
 A symbol that waited w in the queue is degraded according to an error law
-evaluated at w: erased, bit-flipped, or permuted by a noise symbol whose
-distribution depends on w. Symbols are integer indices 0..k-1; erasure output
-uses the ERASED sentinel (rendered "?" in transcripts).
+evaluated at w: erased, or permuted by a noise symbol whose distribution
+depends on w. The binary symmetric channel is the k=2 permutation channel
+with XOR table and Bernoulli(phi(w)) noise. Symbols are integer indices
+0..k-1; erasure output uses the ERASED sentinel (rendered "?" in transcripts).
 """
 
 import json
@@ -57,7 +58,7 @@ class DecoherenceModel:
 
 @dataclass(frozen=True)
 class BitFlipModel:
-    """Wait-to-flip-probability map phi(w) for binary symmetric channels.
+    """Wait-to-flip-probability map phi(w) for the binary symmetric channel.
 
     phi must stay in [0, 0.5]; values above one half are rejected at
     evaluation rather than silently clamped, since the capacity expressions
@@ -91,17 +92,26 @@ class Erasure:
 
     decoherence: DecoherenceModel
     alphabet_size: int = 2
+    kind = "erasure"
 
     def __post_init__(self):
         if int(self.alphabet_size) < 2:
             raise ValueError("alphabet_size must be at least 2")
 
+    @property
+    def size(self):
+        return int(self.alphabet_size)
 
-@dataclass(frozen=True)
-class BinarySymmetric:
-    """Binary channel flipping the input bit with probability phi(w)."""
+    @property
+    def error_law(self):
+        return self.decoherence
 
-    flip: BitFlipModel
+    def apply(self, x, w, rng):
+        """Outputs for aligned symbol and wait arrays: x or ERASED, never a
+        wrong symbol."""
+        p = self.decoherence.error_prob(w)
+        u = rng.random(x.shape)
+        return np.where(u < p, ERASED, x)
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,7 @@ class RandomBijective:
     alphabet: tuple
     table: tuple
     noise_law: object
+    kind = "bijective"
 
     def __post_init__(self):
         alphabet = tuple(self.alphabet)
@@ -133,9 +144,23 @@ class RandomBijective:
         object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in table))
         object.__setattr__(self, "_table_arr", table)
 
+    @staticmethod
+    def binary_symmetric(flip):
+        """The binary symmetric channel: XOR table, Bernoulli(phi(w)) noise."""
+        return RandomBijective((0, 1), xor_table(2), bernoulli_noise(flip))
+
     @property
     def size(self):
         return len(self.alphabet)
+
+    @property
+    def error_law(self):
+        return self.noise_law
+
+    def apply(self, x, w, rng):
+        """Outputs for aligned symbol and wait arrays: table[x, noise]."""
+        noise = _sample_categorical(self.noise_dist(w), rng)
+        return self._table_arr[x, noise]
 
     def noise_dist(self, w):
         """Noise distribution(s) at wait(s) w, validated as a simplex vector."""
@@ -150,15 +175,15 @@ class RandomBijective:
         return np.clip(probs, 0.0, None)
 
 
+def _known(channel):
+    if not isinstance(channel, (Erasure, RandomBijective)):
+        raise TypeError(f"unknown channel kind: {type(channel).__name__}")
+    return channel
+
+
 def alphabet_size(channel):
     """Number of distinct input symbols for any channel kind."""
-    if isinstance(channel, Erasure):
-        return int(channel.alphabet_size)
-    if isinstance(channel, BinarySymmetric):
-        return 2
-    if isinstance(channel, RandomBijective):
-        return channel.size
-    raise TypeError(f"unknown channel kind: {type(channel).__name__}")
+    return _known(channel).size
 
 
 def xor_table(k=2):
@@ -167,8 +192,8 @@ def xor_table(k=2):
 
 
 def bernoulli_noise(flip):
-    """Binary noise law N ~ Bernoulli(phi(w)); with xor_table(2) this channel
-    is distributionally the binary symmetric channel."""
+    """Binary noise law N ~ Bernoulli(phi(w)); with xor_table(2) this is the
+    binary symmetric channel (RandomBijective.binary_symmetric)."""
 
     def law(w):
         q = flip.flip_prob(w)
@@ -219,21 +244,7 @@ def apply_channel(channel, x, w, rng):
     k = alphabet_size(channel)
     if np.any(xs < 0) or np.any(xs >= k):
         raise ValueError(f"input symbol outside alphabet of size {k}")
-
-    if isinstance(channel, Erasure):
-        p = channel.decoherence.error_prob(ws)
-        u = rng.random(xs.shape)
-        y = np.where(u < p, ERASED, xs)
-    elif isinstance(channel, BinarySymmetric):
-        q = channel.flip.flip_prob(ws)
-        u = rng.random(xs.shape)
-        y = np.where(u < q, 1 - xs, xs)
-    elif isinstance(channel, RandomBijective):
-        probs = channel.noise_dist(ws)
-        noise = _sample_categorical(probs, rng)
-        y = channel._table_arr[xs, noise]
-    else:
-        raise TypeError(f"unknown channel kind: {type(channel).__name__}")
+    y = channel.apply(xs, ws, rng)
     return int(y[0]) if scalar else y
 
 

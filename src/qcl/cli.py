@@ -19,8 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import capacity, simulate, validation
-from .channels import (BinarySymmetric, DecoherenceModel, Erasure,
-                       binary_entropy)
+from .channels import DecoherenceModel
 from .config import (ConfigError, build_service, build_spec, grid_values,
                      load_config)
 from .numerics import golden_section_extremize
@@ -47,14 +46,12 @@ def emit(payload, stream=None):
 
 
 def _capacity_payload(result):
-    return {"bits_per_sec": result.bits_per_sec, "method": result.method,
-            "diagnostics": dict(result.diagnostics)}
-
-
-def _need_samples(cfg, minimum=1):
-    if cfg["n"] < minimum:
-        raise ConfigError(f"this channel needs a Monte Carlo expectation; "
-                          f"set n >= {minimum}")
+    payload = {"bits_per_sec": result.bits_per_sec, "method": result.method}
+    for name, bound in zip(("lower", "upper"), result.bounds):
+        payload[name] = {"bits_per_sec": bound.bits_per_sec, "method": bound.method,
+                         "std_error": bound.diagnostics["std_error"]}
+    payload["diagnostics"] = dict(result.diagnostics)
+    return payload
 
 
 def cmd_capacity(cfg):
@@ -63,53 +60,22 @@ def cmd_capacity(cfg):
               "diagnostics": {"note": "no arrivals, no throughput"}})
         return EXIT_OK
     spec = build_spec(cfg)
-    channel = spec.channel
-    if isinstance(channel, Erasure):
-        payload = _capacity_payload(capacity.erasure_capacity(spec))
-    elif isinstance(channel, BinarySymmetric):
-        _need_samples(cfg)
-        flip = channel.flip
-        if spec.receiver_knows_timing:
-            est = simulate.estimate_expectation_over_pi(
-                lambda w: binary_entropy(flip.flip_prob(w)), spec, cfg["n"],
-                burn_in=cfg["burn_in"], seed=cfg["seed"])
-            result = capacity.bsc_capacity(spec, {capacity.E_H_PHI: est})
-        else:
-            est = simulate.estimate_expectation_over_pi(
-                flip.flip_prob, spec, cfg["n"],
-                burn_in=cfg["burn_in"], seed=cfg["seed"])
-            result = capacity.bsc_capacity(spec, {capacity.E_PHI: est})
-        payload = _capacity_payload(result)
-        payload["diagnostics"]["expectation_std_error"] = est.std_error
-        payload["diagnostics"]["n"] = est.n
-    else:
-        _need_samples(cfg, minimum=2)
-        lower, upper, csir = simulate.estimate_bijective_bounds(
+    try:
+        result = simulate.evaluate_capacity(
             spec, cfg["n"], burn_in=cfg["burn_in"], seed=cfg["seed"],
-            buckets=cfg["buckets"])
-        if spec.receiver_knows_timing:
-            payload = {"bits_per_sec": csir.value, "method": capacity.METHOD_MC,
-                       "diagnostics": {"csir": True, "std_error": csir.std_error,
-                                       "n": csir.n}}
-        elif cfg["assume_unpredictable"]:
-            payload = {"bits_per_sec": lower.value, "method": capacity.METHOD_MC,
-                       "diagnostics": {"csir": False, "std_error": lower.std_error,
-                                       "n": lower.n,
-                                       "assumption": capacity.UNPREDICTABILITY_NOTE}}
-        else:
-            payload = {"bits_per_sec": None, "method": "Bounds",
-                       "lower": {"bits_per_sec": lower.value,
-                                 "method": capacity.METHOD_BOUND_LOWER,
-                                 "std_error": lower.std_error},
-                       "upper": {"bits_per_sec": upper.value,
-                                 "method": capacity.METHOD_BOUND_UPPER,
-                                 "std_error": upper.std_error},
-                       "diagnostics": {"csir": False, "n": lower.n}}
-    emit(payload)
+            buckets=cfg["buckets"], assume_unpredictable=cfg["assume_unpredictable"])
+    except InstabilityError:
+        raise
+    except ValueError as err:  # too few samples for a Monte Carlo expectation
+        raise ConfigError(f"cannot estimate capacity: {err}") from None
+    emit(_capacity_payload(result))
     return EXIT_OK
 
 
 def cmd_optimize(cfg):
+    if cfg["channel"] != "erasure":
+        raise ConfigError(f"optimize maximizes the erasure capacity; channel "
+                          f"{cfg['channel']!r} has no optimal-rate formula")
     service = build_service(cfg["service"])
     kappa = cfg["kappa"]
     if kappa <= 0.0:
@@ -181,25 +147,11 @@ def cmd_simulate(cfg):
     out = cfg["out"] or "transcript.csv"
     transcript.to_csv(out)
     payload = {"out": out, "n": len(transcript), "seed": cfg["seed"]}
-    channel = spec.channel
-    if isinstance(channel, Erasure) and len(transcript) > 0:
-        est = simulate.estimate_erasure_capacity(transcript)
-    elif isinstance(channel, BinarySymmetric) and len(transcript) > 0:
-        est = simulate.estimate_bsc_capacity(transcript,
-                                             csir=spec.receiver_knows_timing)
-    elif len(transcript) >= 2:
-        # permutation channel: bounds come from a fresh stationary wait run
-        lower, upper, csir = simulate.estimate_bijective_bounds(
-            spec, cfg["n"], burn_in=cfg["burn_in"], seed=cfg["seed"],
-            buckets=cfg["buckets"])
-        est = csir if spec.receiver_knows_timing else lower
-        payload["bounds"] = {"lower": lower.value, "upper": upper.value,
-                             "csir_exact": csir.value}
-    else:
-        est = None
+    est, bounds = simulate.estimate_capacity(transcript, buckets=cfg["buckets"])
+    if bounds is not None:
+        payload["bounds"] = {name: b.value for name, b in bounds.items()}
     if est is not None:
-        payload["estimate"] = {"bits_per_sec": est.value,
-                               "std_error": est.std_error,
+        payload["estimate"] = {"bits_per_sec": est.value, "std_error": est.std_error,
                                "method": capacity.METHOD_MC,
                                "details": dict(est.details)}
     emit(payload)

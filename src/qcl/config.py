@@ -11,9 +11,9 @@ import math
 import os
 
 from .capacity import QueueChannelSpec
-from .channels import (BinarySymmetric, BitFlipModel, DecoherenceModel,
-                       Erasure, RandomBijective, bernoulli_noise,
-                       load_bijection, wait_geometric_noise, xor_table)
+from .channels import (BitFlipModel, DecoherenceModel, Erasure,
+                       RandomBijective, bernoulli_noise, load_bijection,
+                       wait_geometric_noise, xor_table)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, PoissonArrivals, Uniform)
 
@@ -100,6 +100,9 @@ def validate_config(doc):
         raise ConfigError("receiver_knows_timing must be true or false")
     if not isinstance(cfg["assume_unpredictable"], bool):
         raise ConfigError("assume_unpredictable must be true or false")
+    if cfg["channel"] == "bsc":
+        # h(E phi(W)) is the binary symmetric channel's no-timing capacity
+        cfg["assume_unpredictable"] = True
     cfg["n"] = _require_int(cfg, "n", minimum=0)
     if cfg["burn_in"] is not None:
         cfg["burn_in"] = _require_int(cfg, "burn_in", minimum=0)
@@ -199,7 +202,7 @@ def build_channel(cfg):
         if kind == "erasure":
             return Erasure(DecoherenceModel.exponential(kappa), cfg["alphabet_size"])
         if kind == "bsc":
-            return BinarySymmetric(BitFlipModel.exponential(kappa))
+            return RandomBijective.binary_symmetric(BitFlipModel.exponential(kappa))
         if cfg["bijection"] is None:
             alphabet = tuple(range(cfg["alphabet_size"]))
             table = xor_table(cfg["alphabet_size"])

@@ -205,23 +205,6 @@ class Empirical(ServiceDistribution):
         return float(-np.expm1(-s * self._data).mean())
 
 
-def sample_interarrival(arrival, rng, size=None):
-    """Draw interarrival gap(s) from the arrival process."""
-    return arrival.sample_interarrival(rng, size=size)
-
-
-def sample_service(service, rng, size=None):
-    """Draw service time(s) from the service distribution."""
-    return service.sample(rng, size=size)
-
-
-def lindley_step(w, s, t_next):
-    """One step of the FIFO waiting-time recursion: max(0, w + s - t_next)."""
-    if w < 0 or s < 0 or t_next < 0:
-        raise ValueError("waiting, service, and interarrival times must be nonnegative")
-    return max(0.0, w + s - t_next)
-
-
 def lindley_waits(services, interarrivals, w0=0.0):
     """Vectorized Lindley recursion over aligned arrays.
 
@@ -260,9 +243,6 @@ class WaitSampleSet:
     samples: np.ndarray
     convention: DelayConvention
     burn_in: int
-    seed: object = None
-    lam: float = float("nan")
-    mu: float = float("nan")
 
     def __len__(self):
         return self.samples.size
@@ -299,8 +279,7 @@ def stationary_wait_samples(arrival, service, n, burn_in=None, seed=None,
         out = wq[burn_in:] + s[burn_in:]
     else:
         out = wq[burn_in:].copy()
-    return WaitSampleSet(samples=out, convention=convention, burn_in=burn_in,
-                         seed=seed, lam=lam, mu=mu)
+    return WaitSampleSet(samples=out, convention=convention, burn_in=burn_in)
 
 
 def stationarity_diagnostic(sample_set):

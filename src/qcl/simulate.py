@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import QueueChannelSpec, erasure_capacity
-from .channels import (ERASED, BinarySymmetric, DecoherenceModel, Erasure,
-                       RandomBijective, alphabet_size, apply_channel,
-                       binary_entropy, discrete_entropy)
+from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
+                       QueueChannelSpec, bijective_capacity, erasure_capacity)
+from .channels import (ERASED, DecoherenceModel, Erasure, alphabet_size,
+                       apply_channel, discrete_entropy)
 from .numerics import batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, PoissonArrivals,
                        lindley_waits, stationary_wait_samples)
@@ -122,7 +122,7 @@ def estimate_erasure_capacity(transcript):
     The standard error is batch-means (the erased indicators inherit the
     delay autocorrelation); the i.i.d. binomial error is kept in details.
     """
-    if not isinstance(transcript.spec.channel, Erasure):
+    if transcript.spec.channel.kind != "erasure":
         raise TypeError("estimate_erasure_capacity needs an erasure transcript")
     n = len(transcript)
     if n == 0:
@@ -138,34 +138,6 @@ def estimate_erasure_capacity(transcript):
                                       "batches": m})
 
 
-def stratified_erasure_capacity(transcript, buckets=64):
-    """Erasure capacity re-estimated with per-delay-bucket erasure fractions.
-
-    Conditions on the realized delays (quantile buckets), then reassembles
-    sum over buckets of lam*log2(k)*(1 - p_hat(bucket))*freq(bucket). The sum
-    telescopes to the plain erased-count estimate, which is exactly the point:
-    knowing the delays does not move the erasure capacity estimate.
-    """
-    if not isinstance(transcript.spec.channel, Erasure):
-        raise TypeError("needs an erasure transcript")
-    n = len(transcript)
-    if n == 0:
-        raise ValueError("empty transcript")
-    idx = _quantile_buckets(transcript.w, buckets)
-    survived = (transcript.y != ERASED).astype(float)
-    counts = np.bincount(idx, minlength=buckets).astype(float)
-    ok = np.bincount(idx, weights=survived, minlength=buckets)
-    occupied = counts > 0
-    surv_frac = np.zeros_like(counts)
-    surv_frac[occupied] = ok[occupied] / counts[occupied]
-    freq = counts / n
-    scale = transcript.lam * math.log2(alphabet_size(transcript.spec.channel))
-    value = scale * float((surv_frac * freq).sum())
-    _, se, _ = batch_means(survived)
-    return EstimateWithError(value=value, std_error=scale * se, n=n,
-                             details={"buckets": int(occupied.sum())})
-
-
 def estimate_expectation_over_pi(f, spec, n, burn_in=None, seed=None):
     """Batch-means estimate of E[f(W)] over the stationary delay law."""
     waits = stationary_wait_samples(spec.arrival, spec.service, n,
@@ -179,106 +151,123 @@ def estimate_expectation_over_pi(f, spec, n, burn_in=None, seed=None):
                              details={"batches": m, "burn_in": waits.burn_in})
 
 
-def estimate_bsc_capacity(transcript, csir):
-    """Plug-in binary-symmetric capacity from the transcript's delays.
-
-    Reads the flip law at the realized delays (not the realized flips, whose
-    extra randomness the plug-in integrates out). csir=True gives
-    lam*(1 - mean H(phi(w_j))); csir=False gives lam*(1 - H(mean phi(w_j)))
-    with a delta-method standard error through the entropy slope.
-    """
-    if not isinstance(transcript.spec.channel, BinarySymmetric):
-        raise TypeError("estimate_bsc_capacity needs a binary symmetric transcript")
-    n = len(transcript)
-    if n == 0:
-        raise ValueError("empty transcript")
-    lam = transcript.lam
-    phi = transcript.spec.channel.flip.flip_prob(transcript.w)
-    if csir:
-        mean_h, se_h, m = batch_means(binary_entropy(phi))
-        return EstimateWithError(value=lam * (1.0 - mean_h), std_error=lam * se_h,
-                                 n=n, details={"batches": m})
-    mean_phi, se_phi, m = batch_means(phi)
-    if 0.0 < mean_phi < 1.0:
-        slope = abs(math.log2((1.0 - mean_phi) / mean_phi))
-    else:
-        slope = 0.0
-    return EstimateWithError(value=lam * (1.0 - binary_entropy(mean_phi)),
-                             std_error=lam * slope * se_phi, n=n,
-                             details={"batches": m, "mean_flip": mean_phi})
-
-
 def _quantile_buckets(w, buckets):
     """Assign each delay to one of `buckets` near-equal-count bins."""
     edges = np.quantile(w, np.linspace(0.0, 1.0, buckets + 1)[1:-1])
     return np.searchsorted(edges, w, side="right")
 
 
-def estimate_bijective_bounds(spec, n, burn_in=None, seed=None, buckets=64):
-    """Estimate the no-timing capacity bounds and the exact timing-aware value
-    for a noise-permutation channel.
+def estimate_bijective_bounds(spec, w, buckets=64,
+                              keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE)):
+    """Estimate, from the delays w in time order, the noise-entropy
+    expectations that qcl.capacity.bijective_capacity turns into the
+    timing-aware value, the unpredictable-queue value and the no-timing bounds.
 
-    Returns (lower, upper, csir_exact) as EstimateWithError:
-      - csir_exact: lam*(log2 k - mean of per-delay noise entropies);
-      - lower: lam*(log2 k - H(delay-averaged noise law));
-      - upper: lam*(log2 k - mean entropy of one-step-ahead averaged noise),
-        where the one-step kernel is estimated from consecutive Lindley delay
+    w may be stationary samples or a transcript's delay column. Returns a dict
+    mapping each requested key to an EstimateWithError in bits per symbol:
+      - E_H_noise: mean of the per-delay noise entropies;
+      - H_mean_noise: entropy of the delay-averaged noise law;
+      - E_H_kernel_noise: mean entropy of the one-step-ahead averaged noise
+        law, where the one-step kernel is estimated from consecutive delay
         pairs bucketed into delay quantiles.
 
-    By entropy concavity lower <= upper holds sample-by-sample, not just in
-    expectation.
+    When E_H_kernel_noise is requested, H_mean_noise averages over the same
+    successor delays w[1:], so by entropy concavity the lower bound stays
+    below the upper bound sample by sample, not just in expectation.
     """
-    if not isinstance(spec.channel, RandomBijective):
+    if spec.channel.kind != "bijective":
         raise TypeError("estimate_bijective_bounds needs a RandomBijective channel")
     spec.check_stable()
-    if n < 2:
-        raise ValueError("need at least two samples for the one-step kernel")
+    w = np.asarray(w, dtype=float)
+    kernel = E_H_KERNEL_NOISE in keys
+    need = 2 if kernel else 1
+    if w.size < need:
+        raise ValueError(f"need at least {need} delays, got {w.size}")
+    probs = spec.channel.noise_dist(w)
+    out = {}
+
+    if E_H_NOISE in keys:
+        mean_h, se_h, _ = batch_means(discrete_entropy(probs))
+        out[E_H_NOISE] = EstimateWithError(value=mean_h, std_error=se_h, n=w.size)
+
+    # beside the kernel, only the successors W_1..W_{n-1} it averages over
+    mixed = probs[1:] if kernel else probs
+    if H_MEAN_NOISE in keys:
+        h_mean = discrete_entropy(mixed.mean(axis=0))
+        m = max(2, int(math.isqrt(mixed.shape[0])))
+        nb = mixed.shape[0] // m
+        if nb >= 2:
+            batch_dists = mixed[: nb * m].reshape(nb, m, -1).mean(axis=1)
+            se_mean = float(discrete_entropy(batch_dists).std(ddof=1) / math.sqrt(nb))
+        else:
+            se_mean = 0.0
+        out[H_MEAN_NOISE] = EstimateWithError(value=h_mean, std_error=se_mean,
+                                              n=mixed.shape[0])
+
+    if kernel:
+        # one-step kernel: average successor noise laws within delay buckets
+        idx = _quantile_buckets(w[:-1], buckets)
+        counts = np.bincount(idx, minlength=buckets).astype(float)
+        sums = np.stack([np.bincount(idx, weights=mixed[:, j], minlength=buckets)
+                         for j in range(probs.shape[1])], axis=1)
+        occupied = counts > 0
+        kernel_dists = np.zeros_like(sums)
+        kernel_dists[occupied] = sums[occupied] / counts[occupied, None]
+        h_bucket = np.zeros(buckets)
+        h_bucket[occupied] = discrete_entropy(kernel_dists[occupied])
+        mean_hk, se_hk, _ = batch_means(h_bucket[idx])
+        out[E_H_KERNEL_NOISE] = EstimateWithError(
+            value=mean_hk, std_error=se_hk, n=w.size - 1,
+            details={"buckets": int(occupied.sum())})
+    return out
+
+
+def evaluate_capacity(spec, n=0, burn_in=None, seed=None, buckets=64,
+                      assume_unpredictable=False):
+    """The capacity of spec's channel as a CapacityResult.
+
+    An erasure channel has a transform closed form and draws nothing. A
+    noise-permutation channel is estimated over n stationary delays (see
+    stationary_wait_samples for burn_in and seed), computing only the
+    expectations bijective_capacity reads for this spec.
+    """
+    if spec.channel.kind == "erasure":
+        return erasure_capacity(spec)
+    if spec.receiver_knows_timing:
+        keys = (E_H_NOISE,)
+    elif assume_unpredictable:
+        keys = (H_MEAN_NOISE,)
+    else:
+        keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
     waits = stationary_wait_samples(spec.arrival, spec.service, n,
                                     burn_in=burn_in, seed=seed,
                                     convention=spec.delay_convention)
-    w = waits.samples
-    lam = spec.lam
-    log_k = math.log2(alphabet_size(spec.channel))
-    probs = spec.channel.noise_dist(w)
+    expectations = estimate_bijective_bounds(spec, waits.samples, buckets, keys)
+    return bijective_capacity(spec, expectations, assume_unpredictable)
 
-    def capacity_estimate(entropies_or_value, se, count, extra=None):
-        return EstimateWithError(value=lam * (log_k - entropies_or_value),
-                                 std_error=lam * se, n=count,
-                                 details=extra or {})
 
-    # timing-aware: average the per-delay noise entropies
-    h_each = discrete_entropy(probs)
-    mean_h, se_h, _ = batch_means(h_each)
-    csir_exact = capacity_estimate(mean_h, se_h, n)
+def estimate_capacity(transcript, buckets=64):
+    """Capacity estimated from one transcript, as (estimate, bounds).
 
-    # successors: noise laws at W_1..W_{n-1}, used by both remaining estimators
-    succ = probs[1:]
-    mean_dist = succ.mean(axis=0)
-    h_lower = discrete_entropy(mean_dist)
-    m = max(2, int(math.isqrt(succ.shape[0])))
-    nb = succ.shape[0] // m
-    if nb >= 2:
-        batch_dists = succ[: nb * m].reshape(nb, m, -1).mean(axis=1)
-        se_lower = float(discrete_entropy(batch_dists).std(ddof=1) / math.sqrt(nb))
-    else:
-        se_lower = 0.0
-    lower = capacity_estimate(h_lower, se_lower, n - 1)
-
-    # one-step kernel: average successor noise laws within delay buckets
-    idx = _quantile_buckets(w[:-1], buckets)
-    counts = np.bincount(idx, minlength=buckets).astype(float)
-    sums = np.stack([np.bincount(idx, weights=succ[:, j], minlength=buckets)
-                     for j in range(probs.shape[1])], axis=1)
-    occupied = counts > 0
-    kernel_dists = np.zeros_like(sums)
-    kernel_dists[occupied] = sums[occupied] / counts[occupied, None]
-    h_bucket = np.zeros(buckets)
-    h_bucket[occupied] = discrete_entropy(kernel_dists[occupied])
-    h_kernel_each = h_bucket[idx]
-    mean_hk, se_hk, _ = batch_means(h_kernel_each)
-    upper = capacity_estimate(mean_hk, se_hk, n - 1,
-                              extra={"buckets": int(occupied.sum())})
-    return lower, upper, csir_exact
+    An erasure transcript is scored by its erased fraction and has no bounds.
+    A noise-permutation transcript is scored from its own delay column: bounds
+    maps lower, upper and csir_exact to bits/sec estimates, and the estimate
+    is csir_exact when the receiver knows the timing, else lower. Both are
+    None when the transcript is too short to estimate from.
+    """
+    spec = transcript.spec
+    if spec.channel.kind == "erasure":
+        return (estimate_erasure_capacity(transcript) if len(transcript) else None), None
+    if len(transcript) < 2:
+        return None, None
+    lam, log_k = spec.lam, math.log2(alphabet_size(spec.channel))
+    h = estimate_bijective_bounds(spec, transcript.w, buckets)
+    bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),
+                                      std_error=lam * h[key].std_error,
+                                      n=h[key].n)
+              for name, key in (("lower", H_MEAN_NOISE), ("upper", E_H_KERNEL_NOISE),
+                                ("csir_exact", E_H_NOISE))}
+    return bounds["csir_exact" if spec.receiver_knows_timing else "lower"], bounds
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,14 @@ acceptance tests both run these.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaincinv
 
 from . import capacity, simulate
-from .channels import (BinarySymmetric, BitFlipModel, DecoherenceModel,
-                       Erasure, RandomBijective, bernoulli_noise,
-                       binary_entropy, wait_geometric_noise, xor_table)
+from .channels import (BitFlipModel, DecoherenceModel, Erasure,
+                       RandomBijective, binary_entropy, wait_geometric_noise)
 from .numerics import golden_section_extremize, quadrature_laplace
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, InstabilityError, PoissonArrivals, Uniform,
@@ -65,9 +64,19 @@ def _bsc_spec(lam, kappa, service=None, convention=DelayConvention.WAITING_BEFOR
     return capacity.QueueChannelSpec(
         arrival=PoissonArrivals(lam),
         service=service if service is not None else Exponential(1.0),
-        channel=BinarySymmetric(BitFlipModel.exponential(kappa)),
+        channel=RandomBijective.binary_symmetric(BitFlipModel.exponential(kappa)),
         delay_convention=convention,
         receiver_knows_timing=csir)
+
+
+def _bsc_pair(spec, w):
+    """Timing-aware and unpredictable-queue capacities of a binary symmetric
+    spec, both estimated over the same delays w."""
+    h = simulate.estimate_bijective_bounds(
+        spec, w, keys=(capacity.E_H_NOISE, capacity.H_MEAN_NOISE))
+    with_t = capacity.bijective_capacity(replace(spec, receiver_knows_timing=True), h)
+    without = capacity.bijective_capacity(spec, h, assume_unpredictable=True)
+    return with_t, without
 
 
 def _alt_services():
@@ -225,13 +234,8 @@ def check_csir_ordering(seed=None):
         waits = simulate.stationary_wait_samples(
             spec.arrival, spec.service, 200_000, seed=int(rng.integers(2 ** 63)),
             convention=convention)
-        phi = spec.channel.flip.flip_prob(waits.samples)
-        c_csir = capacity.bsc_capacity(
-            _bsc_spec(lam, kappa, service, convention, csir=True),
-            {capacity.E_H_PHI: float(binary_entropy(phi).mean())}).bits_per_sec
-        c_blind = capacity.bsc_capacity(
-            spec, {capacity.E_PHI: float(phi.mean())}).bits_per_sec
-        gap = c_csir - c_blind
+        with_t, without = _bsc_pair(spec, waits.samples)
+        gap = with_t.bits_per_sec - without.bits_per_sec
         min_gap = min(min_gap, gap)
         ok = ok and gap >= -1e-12
     out.note(ok, f"20 randomized specs: timing-aware >= blind every time "
@@ -240,10 +244,10 @@ def check_csir_ordering(seed=None):
     # time as lam -> 0, where the concavity gap vanishes
     spec = _bsc_spec(1e-4, 1.0, Deterministic(1.0), DelayConvention.SOJOURN)
     tr = simulate.simulate_transmission(spec, N_DEFAULT, seed=_seed_for(seed, 66))
-    with_t = simulate.estimate_bsc_capacity(tr, csir=True)
-    without = simulate.estimate_bsc_capacity(tr, csir=False)
-    joint = math.hypot(with_t.std_error, without.std_error)
-    diff = abs(with_t.value - without.value)
+    with_t, without = _bsc_pair(spec, tr.w)
+    joint = math.hypot(with_t.diagnostics["std_error"],
+                       without.diagnostics["std_error"])
+    diff = abs(with_t.bits_per_sec - without.bits_per_sec)
     out.note(diff <= SIGMA_GATE * joint,
              f"deterministic service, lam=1e-4, sojourn: |csir - blind| = {diff:.2e}"
              f" = {diff / joint:.2f} joint sigma" if joint > 0 else "degenerate")
@@ -252,7 +256,8 @@ def check_csir_ordering(seed=None):
 
 def check_bijective_bounds(seed=None):
     """No-timing capacity bounds sandwich the unpredictable-queue value, and
-    the XOR/Bernoulli instance reduces to the flip-channel estimator."""
+    for the XOR/Bernoulli (binary symmetric) instance the stationary-sample
+    and transcript routes agree."""
     out = CheckOutcome("bijective-bound-sandwich")
     rng = np.random.default_rng(_seed_for(seed, 7))
     services = (Exponential(1.0), Deterministic(1.0), Gamma(2.0, 0.5), Uniform(0.5, 1.5))
@@ -266,40 +271,32 @@ def check_bijective_bounds(seed=None):
         channel = RandomBijective(tuple(range(k)), table, wait_geometric_noise(kappa, k))
         spec = capacity.QueueChannelSpec(arrival=PoissonArrivals(lam), service=service,
                                          channel=channel)
-        lower, upper, _ = simulate.estimate_bijective_bounds(
-            spec, n, seed=int(rng.integers(2 ** 63)))
-        lower_b, _, _ = simulate.estimate_bijective_bounds(
-            spec, n, seed=int(rng.integers(2 ** 63)))
-        # route the independent replicate through the exact-value formula
-        h_mean = math.log2(k) - lower_b.value / lam
-        exact = capacity.bijective_capacity(
-            spec, {capacity.H_MEAN_NOISE: h_mean}, assume_unpredictable=True)
-        ordered = lower.value <= upper.value + 1e-12
-        lo_gap = (exact.bits_per_sec - lower.value) / math.hypot(lower.std_error,
-                                                                 lower_b.std_error)
-        hi_gap = (upper.value - exact.bits_per_sec) / math.hypot(upper.std_error,
-                                                                 lower_b.std_error)
+        lower, upper = simulate.evaluate_capacity(
+            spec, n, seed=int(rng.integers(2 ** 63))).bounds
+        # an independent replicate of the exact unpredictable-queue value
+        exact = simulate.evaluate_capacity(
+            spec, n, seed=int(rng.integers(2 ** 63)), assume_unpredictable=True)
+        se_lower, se_upper, se_exact = (r.diagnostics["std_error"]
+                                        for r in (lower, upper, exact))
+        ordered = lower.bits_per_sec <= upper.bits_per_sec + 1e-12
+        lo_gap = (exact.bits_per_sec - lower.bits_per_sec) / math.hypot(se_lower,
+                                                                         se_exact)
+        hi_gap = (upper.bits_per_sec - exact.bits_per_sec) / math.hypot(se_upper,
+                                                                         se_exact)
         ok = ordered and lo_gap >= -SIGMA_GATE and hi_gap >= -SIGMA_GATE
         out.note(ok, f"spec {i}: k={k} lam={lam:.3f} kappa={kappa:.3f} "
-                     f"{service.kind}: lower {lower.value:.4f} <= exact "
-                     f"{exact.bits_per_sec:.4f} <= upper {upper.value:.4f} "
+                     f"{service.kind}: lower {lower.bits_per_sec:.4f} <= exact "
+                     f"{exact.bits_per_sec:.4f} <= upper {upper.bits_per_sec:.4f} "
                      f"(slacks {lo_gap:+.1f}, {hi_gap:+.1f} sigma)")
-    # XOR/Bernoulli reduction
-    lam, kappa = 0.5, 1.0
-    flip = BitFlipModel.exponential(kappa)
-    xor_spec = capacity.QueueChannelSpec(
-        arrival=PoissonArrivals(lam), service=Exponential(1.0),
-        channel=RandomBijective((0, 1), xor_table(2), bernoulli_noise(flip)),
-        receiver_knows_timing=True)
-    _, _, csir_exact = simulate.estimate_bijective_bounds(
-        spec=xor_spec, n=n, seed=_seed_for(seed, 77))
-    tr = simulate.simulate_transmission(_bsc_spec(lam, kappa, csir=True), n,
-                                        seed=_seed_for(seed, 78))
-    bsc_est = simulate.estimate_bsc_capacity(tr, csir=True)
-    joint = math.hypot(csir_exact.std_error, bsc_est.std_error)
-    diff = abs(csir_exact.value - bsc_est.value)
+    # XOR/Bernoulli: stationary samples against an independent transcript
+    xor_spec = _bsc_spec(0.5, 1.0, csir=True)
+    stationary = simulate.evaluate_capacity(xor_spec, n, seed=_seed_for(seed, 77))
+    transcript, _ = simulate.estimate_capacity(
+        simulate.simulate_transmission(xor_spec, n, seed=_seed_for(seed, 78)))
+    joint = math.hypot(stationary.diagnostics["std_error"], transcript.std_error)
+    diff = abs(stationary.bits_per_sec - transcript.value)
     out.note(diff <= SIGMA_GATE * joint,
-             f"XOR/Bernoulli vs flip-channel estimator: |diff| = {diff:.2e} "
+             f"XOR/Bernoulli stationary vs transcript route: |diff| = {diff:.2e} "
              f"= {diff / joint:.2f} joint sigma")
     return out
 
@@ -343,11 +340,7 @@ def check_noiseless_and_instability(seed=None):
                  f"deterministic-service lam={lam:g}: capacity {c_det:.6f} within 1e-3")
     lam = 1.2
     spec = _erasure_spec(lam, 1.0)
-    bspec = _bsc_spec(lam, 1.0)
-    jspec = capacity.QueueChannelSpec(
-        arrival=PoissonArrivals(lam), service=Exponential(1.0),
-        channel=RandomBijective((0, 1), xor_table(2),
-                                bernoulli_noise(BitFlipModel.exponential(1.0))))
+    jspec = _bsc_spec(lam, 1.0)
     entry_points = [
         ("stationary_wait_samples",
          lambda: simulate.stationary_wait_samples(spec.arrival, spec.service, 10)),
@@ -356,8 +349,8 @@ def check_noiseless_and_instability(seed=None):
         ("erasure_capacity", lambda: capacity.erasure_capacity(spec)),
         ("mm1_capacity_closed_form",
          lambda: capacity.mm1_capacity_closed_form(lam, 1.0)),
-        ("bsc_capacity",
-         lambda: capacity.bsc_capacity(bspec, {capacity.E_PHI: 0.1})),
+        ("evaluate_capacity",
+         lambda: simulate.evaluate_capacity(jspec, 10, seed=0)),
         ("bijective_capacity",
          lambda: capacity.bijective_capacity(jspec, {capacity.H_MEAN_NOISE: 0.1},
                                              assume_unpredictable=True)),
@@ -366,7 +359,7 @@ def check_noiseless_and_instability(seed=None):
         ("estimate_expectation_over_pi",
          lambda: simulate.estimate_expectation_over_pi(lambda w: w, spec, 10)),
         ("estimate_bijective_bounds",
-         lambda: simulate.estimate_bijective_bounds(jspec, 10, seed=0)),
+         lambda: simulate.estimate_bijective_bounds(jspec, np.zeros(10))),
     ]
     for label, fn in entry_points:
         out.expect_raises(InstabilityError, fn, f"lam=1.2: {label}")

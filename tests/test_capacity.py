@@ -7,15 +7,15 @@ import pytest
 
 from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           METHOD_CLOSED_FORM_MM1, METHOD_GENERAL_LAPLACE,
-                          METHOD_MC, METHOD_PK, E_H_NOISE, E_H_PHI, E_PHI,
+                          METHOD_BOUNDS, METHOD_MC, METHOD_PK, E_H_NOISE,
                           H_MEAN_NOISE, E_H_KERNEL_NOISE, QueueChannelSpec,
-                          alpha_mg1, bijective_capacity, bsc_capacity,
-                          erasure_capacity, laplace_service, mean_survival,
+                          alpha_mg1, bijective_capacity, erasure_capacity, laplace_service, mean_survival,
                           mm1_capacity_closed_form,
                           mm1_capacity_exponential_premise, optimal_lambda_mg1,
                           optimal_lambda_mm1_laplace, pk_wait_transform)
-from qcl.channels import (BinarySymmetric, BitFlipModel, DecoherenceModel,
-                          Erasure, RandomBijective, bernoulli_noise, xor_table)
+from qcl.channels import (BitFlipModel, DecoherenceModel, Erasure,
+                          RandomBijective, bernoulli_noise, binary_entropy,
+                          xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential, Gamma,
                           InstabilityError, PoissonArrivals, Uniform)
 from qcl.simulate import EstimateWithError
@@ -34,10 +34,13 @@ def test_spec_properties_and_decoherence_routing():
     assert spec.lam == 0.5
     assert spec.mu == 1.0
     assert spec.decoherence.kappa == 1.0
-    bsc = QueueChannelSpec(arrival=PoissonArrivals(0.5),
-                           service=Exponential(1.0),
-                           channel=BinarySymmetric(BitFlipModel.exponential(2.0)))
-    assert bsc.decoherence.kappa == 2.0
+    bsc = QueueChannelSpec(
+        arrival=PoissonArrivals(0.5), service=Exponential(1.0),
+        channel=RandomBijective.binary_symmetric(BitFlipModel.exponential(2.0)))
+    assert bsc.decoherence is bsc.channel.noise_law
+    # Bernoulli(phi(w)) noise with phi(w) = (1 - exp(-2w))/2
+    assert bsc.decoherence(0.5) == pytest.approx([0.5 + 0.5 * math.exp(-1.0),
+                                                  0.5 - 0.5 * math.exp(-1.0)])
     with pytest.raises(InstabilityError):
         _erasure_spec(1.5, 1.0).check_stable()
 
@@ -115,11 +118,8 @@ def test_erasure_capacity_accepts_monte_carlo_survival():
 
 
 def test_erasure_capacity_rejects_wrong_channel():
-    bsc = QueueChannelSpec(arrival=PoissonArrivals(0.5),
-                           service=Exponential(1.0),
-                           channel=BinarySymmetric(BitFlipModel.exponential(1.0)))
     with pytest.raises(TypeError):
-        erasure_capacity(bsc)
+        erasure_capacity(_bsc_spec(0.5))
 
 
 def test_mm1_closed_form_values_and_guards():
@@ -198,34 +198,44 @@ def test_exponential_premise_capacity():
 
 
 def _bsc_spec(lam, csir=False):
-    return QueueChannelSpec(arrival=PoissonArrivals(lam),
-                            service=Exponential(1.0),
-                            channel=BinarySymmetric(BitFlipModel.exponential(1.0)),
-                            receiver_knows_timing=csir)
+    return QueueChannelSpec(
+        arrival=PoissonArrivals(lam), service=Exponential(1.0),
+        channel=RandomBijective.binary_symmetric(BitFlipModel.exponential(1.0)),
+        receiver_knows_timing=csir)
 
 
 def test_bsc_capacity_routes_on_timing_knowledge():
-    with_timing = bsc_capacity(_bsc_spec(0.5, csir=True), {E_H_PHI: 0.65})
+    # the binary symmetric channel is the k=2 bijective channel:
+    # H(N(W)) = h(phi(W)) and H(E N(W)) = h(E phi(W))
+    with_timing = bijective_capacity(_bsc_spec(0.5, csir=True), {E_H_NOISE: 0.65})
     assert with_timing.bits_per_sec == pytest.approx(0.5 * 0.35)
     assert with_timing.diagnostics["csir"] is True
     # E[phi(W)] = (1 - E[e^-W])/2 = 1/6 at lam=0.5, kappa=1
-    blind = bsc_capacity(_bsc_spec(0.5), {E_PHI: 1.0 / 6.0})
+    blind = bijective_capacity(_bsc_spec(0.5),
+                               {H_MEAN_NOISE: binary_entropy(1.0 / 6.0)},
+                               assume_unpredictable=True)
     assert blind.bits_per_sec == pytest.approx(0.17498878917582289, abs=1e-12)
     assert "assumption" in blind.diagnostics
 
 
 def test_bsc_capacity_accepts_estimates_and_checks_keys():
-    est = EstimateWithError(value=1.0 / 6.0, std_error=1e-4, n=100)
-    blind = bsc_capacity(_bsc_spec(0.5), {E_PHI: est})
+    est = EstimateWithError(value=binary_entropy(1.0 / 6.0), std_error=1e-4, n=100)
+    blind = bijective_capacity(_bsc_spec(0.5), {H_MEAN_NOISE: est},
+                               assume_unpredictable=True)
     assert blind.bits_per_sec == pytest.approx(0.17498878917582289, abs=1e-12)
-    with pytest.raises(ValueError, match="E_H_phi"):
-        bsc_capacity(_bsc_spec(0.5, csir=True), {E_PHI: 0.1})
-    with pytest.raises(ValueError, match="E_phi"):
-        bsc_capacity(_bsc_spec(0.5), {E_H_PHI: 0.1})
+    assert blind.diagnostics["std_error"] == pytest.approx(0.5 * 1e-4)
+    assert blind.diagnostics["expectation_std_error"] == 1e-4
+    assert blind.diagnostics["n"] == 100
+    with pytest.raises(ValueError, match="E_H_noise"):
+        bijective_capacity(_bsc_spec(0.5, csir=True), {H_MEAN_NOISE: 0.1})
+    with pytest.raises(ValueError, match="H_mean_noise"):
+        bijective_capacity(_bsc_spec(0.5), {E_H_NOISE: 0.1},
+                           assume_unpredictable=True)
     with pytest.raises(TypeError):
-        bsc_capacity(_erasure_spec(0.5, 1.0), {E_PHI: 0.1})
+        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: 0.1})
     with pytest.raises(InstabilityError):
-        bsc_capacity(_bsc_spec(1.2), {E_PHI: 0.1})
+        bijective_capacity(_bsc_spec(1.2), {H_MEAN_NOISE: 0.1},
+                           assume_unpredictable=True)
 
 
 def _bijective_spec(lam, csir=False):
@@ -251,8 +261,11 @@ def test_bijective_capacity_unpredictable_route():
 
 
 def test_bijective_capacity_bound_pair():
-    lower, upper = bijective_capacity(
+    result = bijective_capacity(
         _bijective_spec(0.5), {H_MEAN_NOISE: 0.9, E_H_KERNEL_NOISE: 0.7})
+    assert result.bits_per_sec is None
+    assert result.method == METHOD_BOUNDS
+    lower, upper = result.bounds
     assert lower.method == METHOD_BOUND_LOWER
     assert upper.method == METHOD_BOUND_UPPER
     assert lower.bits_per_sec == pytest.approx(0.5 * 0.1)
@@ -264,7 +277,7 @@ def test_bijective_capacity_checks_inputs():
     with pytest.raises(ValueError, match="H_mean_noise"):
         bijective_capacity(_bijective_spec(0.5), {E_H_KERNEL_NOISE: 0.7})
     with pytest.raises(TypeError):
-        bijective_capacity(_bsc_spec(0.5), {H_MEAN_NOISE: 0.5})
+        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: 0.5})
     with pytest.raises(InstabilityError):
         bijective_capacity(_bijective_spec(1.2), {H_MEAN_NOISE: 0.5},
                            assume_unpredictable=True)

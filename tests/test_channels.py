@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qcl.channels import (ERASED, BinarySymmetric, BitFlipModel,
+from qcl.channels import (ERASED, BitFlipModel,
                           DecoherenceModel, Erasure, RandomBijective,
                           alphabet_size, apply_channel, bernoulli_noise,
                           binary_entropy, discrete_entropy, dump_bijection,
@@ -52,7 +52,8 @@ def test_channel_constructors_validate():
     with pytest.raises(ValueError):
         Erasure(DecoherenceModel.exponential(1.0), alphabet_size=1)
     assert alphabet_size(Erasure(DecoherenceModel.exponential(1.0), 4)) == 4
-    assert alphabet_size(BinarySymmetric(BitFlipModel.exponential(1.0))) == 2
+    assert alphabet_size(
+        RandomBijective.binary_symmetric(BitFlipModel.exponential(1.0))) == 2
 
 
 def test_random_bijective_table_validation():
@@ -142,7 +143,7 @@ def test_erasure_fraction_tracks_error_probability():
 
 
 def test_bsc_flips_track_flip_probability():
-    ch = BinarySymmetric(BitFlipModel.exponential(1.0))
+    ch = RandomBijective.binary_symmetric(BitFlipModel.exponential(1.0))
     rng = np.random.default_rng(57)
     n = 200_000
     x = rng.integers(0, 2, size=n)
@@ -155,19 +156,19 @@ def test_bsc_flips_track_flip_probability():
 
 
 def test_xor_bernoulli_matches_bsc_distribution():
-    # the XOR table driven by Bernoulli(phi(w)) noise IS the flip channel
+    # the XOR table driven by Bernoulli(phi(w)) noise IS the flip channel:
+    # it flips with probability phi(w) at every delay, so over W ~ Exp(1)
+    # the flip rate is E[(1 - exp(-W))/2] = 1/4
+    flip = BitFlipModel.exponential(1.0)
+    bsc = RandomBijective.binary_symmetric(flip)
+    assert bsc.table == xor_table(2)
+    assert np.allclose(bsc.noise_dist(1.5), bernoulli_noise(flip)(1.5))
     rng_w = np.random.default_rng(58)
     w = rng_w.exponential(1.0, size=200_000)
     x = rng_w.integers(0, 2, size=200_000)
-    y_bsc = apply_channel(BinarySymmetric(BitFlipModel.exponential(1.0)),
-                          x, w, np.random.default_rng(1))
-    y_xor = apply_channel(
-        RandomBijective((0, 1), xor_table(2),
-                        bernoulli_noise(BitFlipModel.exponential(1.0))),
-        x, w, np.random.default_rng(2))
-    f1, f2 = (y_bsc != x).mean(), (y_xor != x).mean()
-    se = math.sqrt(2 * 0.25 / x.size)
-    assert f1 == pytest.approx(f2, abs=4 * se)
+    y = apply_channel(bsc, x, w, np.random.default_rng(2))
+    se = math.sqrt(0.25 * 0.75 / x.size)
+    assert (y != x).mean() == pytest.approx(0.25, abs=4 * se)
 
 
 def test_apply_channel_scalar_round_trip():

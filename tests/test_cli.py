@@ -1,14 +1,18 @@
 """Tests for the experiment configuration layer and the qcl command line."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
-from qcl.channels import BinarySymmetric, Erasure, RandomBijective
+from qcl.capacity import bijective_capacity
+from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
 from qcl.config import (ConfigError, build_channel, build_service, build_spec,
                         grid_values, load_config, validate_config)
 from qcl.queueing import Deterministic, Exponential, Gamma, Uniform
+from qcl.simulate import estimate_bijective_bounds
 
 
 def _cfg(**over):
@@ -117,7 +121,9 @@ def test_build_service_kinds():
 
 def test_build_channel_kinds():
     assert isinstance(build_channel(_cfg()), Erasure)
-    assert isinstance(build_channel(_cfg(channel="bsc")), BinarySymmetric)
+    bsc = build_channel(_cfg(channel="bsc"))
+    assert isinstance(bsc, RandomBijective) and bsc.table == xor_table(2)
+    assert load_config(None, {"channel": "bsc"})["assume_unpredictable"] is True
     bij = build_channel(_cfg(channel="bijective"))
     assert isinstance(bij, RandomBijective)
     wide = build_channel(_cfg(channel="bijective", alphabet_size=4,
@@ -246,6 +252,17 @@ def test_cli_optimize_rejects_zero_kappa(capsys):
     assert _payload(out)["error"] == "config"
 
 
+@pytest.mark.parametrize("channel", ["bsc", "bijective"])
+def test_cli_optimize_rejects_non_erasure_channel(capsys, tmp_path, channel):
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"channel": channel}))
+    code, out, _ = _run(capsys, "optimize", "--config", str(cfg))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "erasure" in payload["message"]
+
+
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -299,6 +316,34 @@ def test_cli_simulate_empty_transcript(capsys, tmp_path):
     assert payload["n"] == 0
     assert "estimate" not in payload
     assert out1.read_text().splitlines() == ["index,x,a,d,s,w,y"]
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_cli_simulate_bijective_scores_its_own_transcript(capsys, tmp_path, timing):
+    doc = {"channel": "bijective", "alphabet_size": 4, "lambda": 0.6,
+           "noise": {"kind": "wait_geometric"}, "receiver_knows_timing": timing}
+    cfg = tmp_path / "bij.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    code, text, _ = _run(capsys, "simulate", "--config", str(cfg), "--n", "3000",
+                         "--seed", "5", "--out", str(out))
+    assert code == 0
+    payload = _payload(text)
+    with open(out, newline="") as fh:
+        w = np.array([float(row["w"]) for row in csv.DictReader(fh)])
+    assert w.size == 3000
+    spec = build_spec(load_config(cfg, {}))
+    h = estimate_bijective_bounds(spec, w)
+    lower, upper = bijective_capacity(
+        build_spec(load_config(cfg, {"receiver_knows_timing": False})), h).bounds
+    exact = bijective_capacity(
+        build_spec(load_config(cfg, {"receiver_knows_timing": True})), h)
+    assert payload["bounds"] == {"lower": lower.bits_per_sec,
+                                 "upper": upper.bits_per_sec,
+                                 "csir_exact": exact.bits_per_sec}
+    scored = exact if timing else lower
+    assert payload["estimate"]["bits_per_sec"] == scored.bits_per_sec
+    assert payload["estimate"]["std_error"] == scored.diagnostics["std_error"]
 
 
 def test_cli_env_seed(capsys, tmp_path, monkeypatch):

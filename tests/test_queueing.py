@@ -10,8 +10,7 @@ from qcl.numerics import batch_means
 from qcl.queueing import (DelayConvention, Deterministic, Empirical,
                           Exponential, Gamma, InstabilityError,
                           PoissonArrivals, Uniform, check_stability,
-                          default_burn_in, lindley_step, lindley_waits,
-                          sample_interarrival, sample_service,
+                          default_burn_in, lindley_waits,
                           stationarity_diagnostic, stationary_wait_samples)
 
 
@@ -111,20 +110,6 @@ def test_service_parameter_validation():
         Empirical(())
     with pytest.raises(ValueError):
         Empirical((1.0, -2.0))
-
-
-def test_free_function_samplers_dispatch():
-    rng = np.random.default_rng(4)
-    gaps = sample_interarrival(PoissonArrivals(1.0), rng, size=10)
-    assert gaps.shape == (10,)
-    s = sample_service(Deterministic(2.0), rng, size=3)
-    assert np.array_equal(s, [2.0, 2.0, 2.0])
-
-
-def test_lindley_step_cases():
-    assert lindley_step(1.0, 2.0, 0.5) == pytest.approx(2.5)
-    assert lindley_step(0.5, 1.0, 4.0) == 0.0  # long gap empties the queue
-    assert lindley_step(0.0, 1.0, 1.0) == 0.0
 
 
 def test_lindley_waits_matches_scalar_recursion():

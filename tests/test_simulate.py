@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 
 from qcl.capacity import QueueChannelSpec, erasure_capacity
-from qcl.channels import (ERASED, BinarySymmetric, BitFlipModel,
-                          DecoherenceModel, Erasure, RandomBijective,
-                          bernoulli_noise, xor_table)
+from qcl.channels import (ERASED, BitFlipModel, DecoherenceModel, Erasure,
+                          RandomBijective, bernoulli_noise, xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, PoissonArrivals)
 from qcl.simulate import (EstimateWithError, estimate_bijective_bounds,
-                          estimate_bsc_capacity, estimate_erasure_capacity,
-                          estimate_expectation_over_pi, simulate_transmission,
-                          stratified_erasure_capacity, sweep_rows,
-                          validate_formula)
+                          estimate_capacity, estimate_erasure_capacity,
+                          estimate_expectation_over_pi, evaluate_capacity,
+                          simulate_transmission, sweep_rows, validate_formula)
 
 
 def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
@@ -30,8 +28,8 @@ def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
 
 
 def _bsc_spec(lam=0.5, kappa=1.0, **kw):
-    return _spec(lam, channel=BinarySymmetric(BitFlipModel.exponential(kappa)),
-                 **kw)
+    return _spec(lam, channel=RandomBijective.binary_symmetric(
+        BitFlipModel.exponential(kappa)), **kw)
 
 
 def _bijective_spec(lam=0.5, kappa=1.0):
@@ -102,16 +100,6 @@ def test_erasure_estimator_input_checks():
     bsc_t = simulate_transmission(_bsc_spec(), 100, seed=1)
     with pytest.raises(TypeError):
         estimate_erasure_capacity(bsc_t)
-    with pytest.raises(TypeError):
-        stratified_erasure_capacity(bsc_t)
-
-
-def test_stratified_estimate_telescopes_to_plain():
-    t = simulate_transmission(_spec(0.6, 0.5), 50_000, seed=9)
-    plain = estimate_erasure_capacity(t)
-    strat = stratified_erasure_capacity(t, buckets=32)
-    assert strat.value == pytest.approx(plain.value, abs=1e-12)
-    assert strat.details["buckets"] <= 32
 
 
 def test_expectation_over_pi_mean_wait():
@@ -129,27 +117,30 @@ def test_expectation_over_pi_rejects_non_elementwise():
 
 def test_bsc_estimates_and_timing_gain():
     t = simulate_transmission(_bsc_spec(0.5), 200_000, seed=17)
-    blind = estimate_bsc_capacity(t, csir=False)
-    aware = estimate_bsc_capacity(t, csir=True)
-    # concavity of entropy makes the timing-aware plug-in >= blind pointwise
+    est, bounds = estimate_capacity(t)
+    blind, aware = bounds["lower"], bounds["csir_exact"]
+    assert est is blind
+    # concavity of entropy makes the timing-aware plug-in >= blind
     assert aware.value >= blind.value - 1e-12
     assert abs(blind.value - 0.17498878917582289) <= 4.0 * blind.std_error
-    assert 0.0 < blind.details["mean_flip"] < 0.5
-    with pytest.raises(TypeError):
-        estimate_bsc_capacity(simulate_transmission(_spec(), 100, seed=1),
-                              csir=False)
+    assert estimate_capacity(simulate_transmission(
+        _bsc_spec(0.5, csir=True), 1000, seed=1))[0] is not None
+    assert estimate_capacity(simulate_transmission(_bsc_spec(), 1, seed=1)) == \
+        (None, None)
 
 
 def test_bijective_bounds_bracket_and_order():
     for seed in range(5):
-        lower, upper, csir = estimate_bijective_bounds(_bijective_spec(),
-                                                       20_000, seed=seed)
-        assert lower.value <= upper.value + 1e-12
-        assert isinstance(csir, EstimateWithError)
+        lower, upper = evaluate_capacity(_bijective_spec(), 20_000,
+                                         seed=seed).bounds
+        assert lower.bits_per_sec <= upper.bits_per_sec + 1e-12
+    w = np.random.default_rng(0).exponential(1.0, 1000)
+    estimates = estimate_bijective_bounds(_bijective_spec(), w)
+    assert all(isinstance(e, EstimateWithError) for e in estimates.values())
     with pytest.raises(ValueError):
-        estimate_bijective_bounds(_bijective_spec(), 1, seed=0)
+        evaluate_capacity(_bijective_spec(), 1, seed=0)
     with pytest.raises(TypeError):
-        estimate_bijective_bounds(_bsc_spec(), 100, seed=0)
+        estimate_bijective_bounds(_spec(), w)
 
 
 def test_validate_formula_reports():
