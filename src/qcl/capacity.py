@@ -177,9 +177,14 @@ def optimal_lambda_mg1(service, kappa):
 
     Closed form: with a = mu*(1 - F(kappa))/kappa, the maximizing load is
     rho* = 1/(1 + sqrt(1-a)) and lam* = mu * rho*. The flat-capacity degenerate
-    case cannot arise here since a > 0 for kappa > 0.
+    case cannot arise here since a > 0 for kappa > 0. Raises ValueError when
+    kappa is so small that a rounds to 1, which would put the optimum at the
+    stability limit rho* = 1.
     """
     a = _alpha_normalized(service, kappa)
+    if a == 1.0:
+        raise ValueError(f"kappa={kappa:g} is too small to resolve: alpha rounds "
+                         f"to 1, so the optimal load rounds to rho = 1")
     mu = 1.0 / service.mean
     rho_star = 1.0 / (1.0 + math.sqrt(1.0 - a))
     return mu * rho_star

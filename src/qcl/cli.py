@@ -82,7 +82,10 @@ def cmd_optimize(cfg):
         raise ConfigError("optimize needs kappa > 0; a noiseless channel has "
                           "no interior optimum (capacity grows with lambda)")
     scale = math.log2(cfg["alphabet_size"])
-    lam_star = capacity.optimal_lambda_mg1(service, kappa)
+    try:
+        lam_star = capacity.optimal_lambda_mg1(service, kappa)
+    except ValueError as err:  # alpha rounds to 1 or to 0 at extreme kappa
+        raise ConfigError(f"cannot optimize: {err}") from None
 
     def objective(lam):
         return lam * scale * capacity.pk_wait_transform(lam, service, kappa)

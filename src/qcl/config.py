@@ -180,18 +180,25 @@ def build_service(doc):
         raise ConfigError(f"unknown {kind} service keys: {', '.join(extra)}")
     try:
         if kind == "exponential":
-            return Exponential(float(doc.get("rate", 1.0)))
-        if kind == "deterministic":
-            return Deterministic(float(doc.get("value", 1.0)))
-        if kind == "gamma":
-            return Gamma(float(doc["shape"]), float(doc["scale"]))
-        if kind == "uniform":
-            return Uniform(float(doc["low"]), float(doc["high"]))
-        return Empirical(tuple(float(v) for v in doc["samples"]))
+            service = Exponential(float(doc.get("rate", 1.0)))
+        elif kind == "deterministic":
+            service = Deterministic(float(doc.get("value", 1.0)))
+        elif kind == "gamma":
+            service = Gamma(float(doc["shape"]), float(doc["scale"]))
+        elif kind == "uniform":
+            service = Uniform(float(doc["low"]), float(doc["high"]))
+        else:
+            service = Empirical(tuple(float(v) for v in doc["samples"]))
     except KeyError as missing:
         raise ConfigError(f"{kind} service needs key {missing}") from None
     except (TypeError, ValueError) as bad:
         raise ConfigError(f"bad {kind} service parameters: {bad}") from None
+    # every formula divides by the mean, so mu = 1/mean must be finite too
+    mean = service.mean
+    if not (mean > 0.0 and math.isfinite(mean) and math.isfinite(1.0 / mean)):
+        raise ConfigError(f"{kind} service needs a positive finite mean with a "
+                          f"finite rate, got mean {mean!r}")
+    return service
 
 
 def build_channel(cfg):

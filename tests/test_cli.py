@@ -252,6 +252,30 @@ def test_cli_optimize_rejects_zero_kappa(capsys):
     assert _payload(out)["error"] == "config"
 
 
+def test_cli_optimize_rejects_alpha_underflow(capsys):
+    # alpha = (1 - F(kappa)) / kappa rounds to 1, which would put the optimum
+    # at rho = 1; that is a config problem, not an unstable queue
+    code, out, _ = _run(capsys, "optimize", "--kappa", "1e-300")
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "alpha" in payload["message"]
+
+
+@pytest.mark.parametrize("service", [
+    {"kind": "empirical", "samples": [0, 0]},
+    {"kind": "uniform", "low": 0, "high": 5e-324},
+])
+def test_cli_rejects_zero_mean_service(capsys, tmp_path, service):
+    cfg = tmp_path / "service.json"
+    cfg.write_text(json.dumps({"service": service}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "mean" in payload["message"]
+
+
 @pytest.mark.parametrize("channel", ["bsc", "bijective"])
 def test_cli_optimize_rejects_non_erasure_channel(capsys, tmp_path, channel):
     cfg = tmp_path / "opt.json"

@@ -8,10 +8,11 @@ import pytest
 
 from qcl.capacity import QueueChannelSpec, erasure_capacity
 from qcl.channels import (ERASED, BitFlipModel, DecoherenceModel, Erasure,
-                          RandomBijective, bernoulli_noise, xor_table)
+                          RandomBijective, bernoulli_noise, wait_geometric_noise,
+                          xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, PoissonArrivals)
-from qcl.simulate import (EstimateWithError, estimate_bijective_bounds,
+from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, estimate_erasure_capacity,
                           estimate_expectation_over_pi, evaluate_capacity,
                           simulate_transmission, sweep_rows, validate_formula)
@@ -204,6 +205,34 @@ def test_to_csv_format_and_determinism(tmp_path):
     t.to_csv(p1)
     simulate_transmission(_spec(0.8, kappa=2.0), 500, seed=5).to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Delays at 0, below 1e-4 and at 1e16, where repr switches to exponent form.
+_CSV_TIMES = {"a": [0.5, 1.75, 2.0000001, 4.0, 1e-07],
+              "s": [1.0, 0.25, 3e-05, 2.0, 0.1],
+              "w": [0.0, 5e-05, 1.5e-10, 123456789.0, 1e16]}
+_CSV_ROWS = ["0.5,1.5,1.0,0.0", "1.75,2.00005,0.25,5e-05",
+             "2.0000001,2.00003010015,3e-05,1.5e-10",
+             "4.0,123456795.0,2.0,123456789.0", "1e-07,1e+16,0.1,1e+16"]
+
+
+@pytest.mark.parametrize("spec, x, y, y_text", [
+    (_spec(), [0, 1, 1, 0, 1], [0, ERASED, 1, ERASED, 1], ["0", "?", "1", "?", "1"]),
+    (_bsc_spec(), [0, 1, 1, 0, 1], [1, 0, 0, 1, 1], ["1", "0", "0", "1", "1"]),
+    (_spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
+                                   wait_geometric_noise(1.0, 8))),
+     [0, 7, 3, 6, 2], [7, 0, 3, 5, 2], ["7", "0", "3", "5", "2"]),
+], ids=["erasure", "bsc", "bijective"])
+def test_to_csv_bytes_pinned(tmp_path, spec, x, y, y_text):
+    a, s, w = (np.array(_CSV_TIMES[k]) for k in "asw")
+    t = Transcript(x=np.array(x), a=a, d=a + w + s, s=s, w=w,
+                   y=np.asarray(y, dtype=int), spec=spec)
+    path = tmp_path / "t.csv"
+    t.to_csv(path)
+    expected = "index,x,a,d,s,w,y\r\n" + "".join(
+        f"{i},{xi},{row},{yi}\r\n"
+        for i, (xi, row, yi) in enumerate(zip(x, _CSV_ROWS, y_text)))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_estimate_with_error_validation():
