@@ -18,6 +18,7 @@ from qcl.cli import main
 
 GAMMA = {"kind": "gamma", "shape": 2.0, "scale": 0.5}
 K8 = {"channel": "bijective", "alphabet_size": 8, "noise": {"kind": "wait_geometric"}}
+BERNOULLI = {"channel": "bijective", "noise": {"kind": "bernoulli", "kappa": 0.3}}
 
 # name -> (argv, config document or None, writes an output file,
 #          diagnostics may gain keys)
@@ -32,6 +33,10 @@ CASES = {
     "capacity-bijective-k8-timing": (["capacity", "--n", "5000", "--seed", "11"],
                                      {**K8, "receiver_knows_timing": True},
                                      False, True),
+    "capacity-bsc-blind": (["capacity", "--n", "5000", "--seed", "11"],
+                           {"channel": "bsc"}, False, True),
+    "capacity-bijective-bernoulli-bounds": (["capacity", "--n", "5000", "--seed", "11"],
+                                            BERNOULLI, False, True),
     "optimize-exponential": (["optimize", "--kappa", "1.0"], None, False, False),
     "optimize-gamma": (["optimize"], {"service": GAMMA}, False, False),
     "sweep-n0": (["sweep", "--n", "0"], None, True, False),
@@ -40,6 +45,9 @@ CASES = {
                      "kappas": [0.1, 1.0]}, True, False),
     "simulate-erasure": (["simulate", "--n", "500", "--seed", "3"], None, True,
                          False),
+    "simulate-bsc-timing": (["simulate", "--n", "500", "--seed", "5"],
+                            {"channel": "bsc", "receiver_knows_timing": True}, True,
+                            False),
 }
 
 PREMISE_CAVEAT = (
@@ -100,6 +108,41 @@ GOLDEN = {
                 "csir": True,
                 "std_error": 0.01608301110070556,
                 "n": 5000
+            }
+        }
+    },
+    "capacity-bsc-blind": {
+        "stdout": {
+            "bits_per_sec": 0.17816894252679116,
+            "method": "MonteCarlo",
+            "diagnostics": {
+                "csir": False,
+                "assumption": "no-timing-information value assumes the queue "
+                              "state is unpredictable from past noise alone",
+                "H_mean_noise": 0.6436621149464177,
+                "std_error": 0.006492664263312615,
+                "expectation_std_error": 0.01298532852662523,
+                "n": 5000
+            }
+        }
+    },
+    "capacity-bijective-bernoulli-bounds": {
+        "stdout": {
+            "bits_per_sec": None,
+            "method": "Bounds",
+            "lower": {
+                "bits_per_sec": 0.2785056816409128,
+                "method": "Bound-Lower",
+                "std_error": 0.006571532834247991
+            },
+            "upper": {
+                "bits_per_sec": 0.30582087796034285,
+                "method": "Bound-Upper",
+                "std_error": 0.0033436708800658878
+            },
+            "diagnostics": {
+                "csir": False,
+                "n": 4999
             }
         }
     },
@@ -169,6 +212,25 @@ GOLDEN = {
             }
         },
         "sha256": "dd1a6a95a3aa082643979d0dfe4fa7fcbfbc7887f5595e3480cf4809c77108bc"
+    },
+    "simulate-bsc-timing": {
+        "stdout": {
+            "out": "<out>",
+            "n": 500,
+            "seed": 5,
+            "bounds": {
+                "lower": 0.1292257451775708,
+                "upper": 0.18044113151540508,
+                "csir_exact": 0.25071234587141233
+            },
+            "estimate": {
+                "bits_per_sec": 0.25071234587141233,
+                "std_error": 0.021869737120763334,
+                "method": "MonteCarlo",
+                "details": {}
+            }
+        },
+        "sha256": "b930ca0cd09e4bc22fd6ab59a36a744b207a30b3fbf621679491193d7bf9a536"
     }
 }
 
