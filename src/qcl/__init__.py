@@ -3,24 +3,25 @@ delay-dependent noise.
 
 Symbols queue for a single server; the longer one waits, the noisier its
 channel use becomes: erased, or permuted by a delay-dependent noise symbol.
-The binary symmetric channel is the two-symbol permutation channel with XOR
-table and Bernoulli noise (RandomBijective.binary_symmetric). The package
-pairs closed-form capacity expressions with a discrete-event Monte Carlo
-simulator and a check suite that holds the two against each other;
-evaluate_capacity and estimate_capacity are the one evaluation path per
-channel that the command line renders.
+One DecoherenceModel p(w) drives both kinds: the erasure channel erases with
+probability p(w), and the binary symmetric channel, the two-symbol
+permutation channel with XOR table (RandomBijective.binary_symmetric), flips
+with probability p(w)/2, the depolarizing flip. The package pairs
+closed-form capacity expressions with a discrete-event Monte Carlo simulator
+and a check suite that holds the two against each other; evaluate_capacity
+and estimate_capacity are the one evaluation path per channel that the
+command line renders.
 """
 
 from .capacity import (CapacityResult, LaplaceRouteResult, QueueChannelSpec,
                        alpha_mg1, bijective_capacity, erasure_capacity, laplace_service,
                        mean_survival, mm1_capacity_closed_form,
-                       mm1_capacity_exponential_premise, optimal_lambda_mg1,
-                       optimal_lambda_mm1_laplace, pk_wait_transform)
-from .channels import (ERASED, BitFlipModel, DecoherenceModel,
-                       Erasure, RandomBijective, alphabet_size, apply_channel,
-                       bernoulli_noise, binary_entropy, discrete_entropy,
-                       dump_bijection, load_bijection, wait_geometric_noise,
-                       xor_table)
+                       optimal_lambda_mg1, optimal_lambda_mm1_laplace,
+                       pk_wait_transform)
+from .channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
+                       apply_channel, bernoulli_noise, binary_entropy,
+                       discrete_entropy, dump_bijection, load_bijection,
+                       wait_geometric_noise, xor_table)
 from .config import ConfigError, build_spec, load_config, validate_config
 from .numerics import (OptimizationResult, QuadratureError, as_rng,
                        batch_means, golden_section_extremize,
@@ -30,18 +31,16 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        ServiceDistribution, Uniform, WaitSampleSet,
                        check_stability, default_burn_in, lindley_waits,
                        stationarity_diagnostic, stationary_wait_samples)
-from .simulate import (EstimateWithError, Transcript, ValidationReport,
-                       estimate_bijective_bounds, estimate_capacity,
-                       estimate_erasure_capacity, estimate_expectation_over_pi,
-                       evaluate_capacity, simulate_transmission, sweep_rows,
-                       validate_formula)
-from .validation import SUITES, CheckOutcome, run_suite
+from .simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
+                       estimate_capacity, estimate_erasure_capacity,
+                       estimate_expectation_over_pi, evaluate_capacity,
+                       simulate_transmission, sweep_rows)
+from .validation import SUITES, CheckOutcome, ValidationReport, validate_formula
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ERASED",
-    "BitFlipModel",
     "CapacityResult",
     "CheckOutcome",
     "ConfigError",
@@ -67,7 +66,6 @@ __all__ = [
     "ValidationReport",
     "WaitSampleSet",
     "alpha_mg1",
-    "alphabet_size",
     "apply_channel",
     "as_rng",
     "batch_means",
@@ -92,12 +90,10 @@ __all__ = [
     "load_config",
     "mean_survival",
     "mm1_capacity_closed_form",
-    "mm1_capacity_exponential_premise",
     "optimal_lambda_mg1",
     "optimal_lambda_mm1_laplace",
     "pk_wait_transform",
     "quadrature_laplace",
-    "run_suite",
     "simulate_transmission",
     "spawn_rngs",
     "stationarity_diagnostic",

@@ -10,7 +10,6 @@ from qcl.simulate.
 import math
 from dataclasses import dataclass, field
 
-from .channels import alphabet_size
 from .numerics import OptimizationResult, golden_section_extremize
 from .queueing import DelayConvention, Exponential, check_stability
 
@@ -43,11 +42,6 @@ class QueueChannelSpec:
     @property
     def mu(self):
         return 1.0 / self.service.mean
-
-    @property
-    def decoherence(self):
-        """The channel's own error model, whatever its kind."""
-        return self.channel.error_law
 
     def check_stable(self):
         check_stability(self.lam, self.mu)
@@ -110,11 +104,11 @@ def mean_survival(spec):
     """E[exp(-kappa*W)] under the spec's delay convention, exponential family.
 
     This is the per-symbol survival probability 1 - E[p(W)] for the erasure
-    family p(w) = 1 - exp(-kappa*w). Requires the channel's error model to
-    carry a kappa; SOJOURN multiplies in the service transform F(kappa).
+    family p(w) = 1 - exp(-kappa*w). Requires an erasure channel whose
+    DecoherenceModel carries a kappa; SOJOURN multiplies in the service
+    transform F(kappa).
     """
-    model = spec.decoherence
-    kappa = getattr(model, "kappa", None)
+    kappa = spec.channel.decoherence.kappa
     if kappa is None:
         raise ValueError("error model has no kappa; use a Monte Carlo expectation")
     spec.check_stable()
@@ -137,14 +131,14 @@ def erasure_capacity(spec, survival=None):
     if spec.channel.kind != "erasure":
         raise TypeError("erasure_capacity needs an Erasure channel")
     spec.check_stable()
-    k = alphabet_size(spec.channel)
+    k = spec.channel.size
     diagnostics = {"alphabet_size": k, "receiver_knows_timing_irrelevant": True}
     if survival is None:
         surv = mean_survival(spec)
         is_mm1 = (isinstance(spec.service, Exponential)
                   and spec.delay_convention is DelayConvention.WAITING_BEFORE_SERVICE)
         method = METHOD_CLOSED_FORM_MM1 if is_mm1 else METHOD_PK
-        kappa = spec.decoherence.kappa
+        kappa = spec.channel.decoherence.kappa
         if kappa and kappa > 0:
             diagnostics["alpha"] = alpha_mg1(spec.service, kappa)
     else:
@@ -240,17 +234,6 @@ def optimal_lambda_mm1_laplace(laplace_p, tol=1e-8):
                               caveat=LAPLACE_ROUTE_CAVEAT)
 
 
-def mm1_capacity_exponential_premise(lam, kappa):
-    """Capacity implied by the exponential-delay premise for the saturating
-    erasure family: lam*(1-lam)/(1-(1-kappa)*lam). Kept for diagnostics and
-    for comparing the two optimal-rate routes; not the transform-exact value.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    check_stability(lam, 1.0)
-    return lam * (1.0 - lam) / (1.0 - (1.0 - kappa) * lam)
-
-
 E_H_NOISE = "E_H_noise"
 H_MEAN_NOISE = "H_mean_noise"
 E_H_KERNEL_NOISE = "E_H_kernel_noise"
@@ -277,7 +260,7 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
     if spec.channel.kind != "bijective":
         raise TypeError("bijective_capacity needs a RandomBijective channel")
     spec.check_stable()
-    log_k = math.log2(alphabet_size(spec.channel))
+    log_k = math.log2(spec.channel.size)
 
     def rate(key, method, **diagnostics):
         try:

@@ -1,10 +1,12 @@
 """Delay-dependent symbol channels.
 
-A symbol that waited w in the queue is degraded according to an error law
-evaluated at w: erased, or permuted by a noise symbol whose distribution
-depends on w. The binary symmetric channel is the k=2 permutation channel
-with XOR table and Bernoulli(phi(w)) noise. Symbols are integer indices
-0..k-1; erasure output uses the ERASED sentinel (rendered "?" in transcripts).
+A symbol that waited w in the queue is degraded according to a
+DecoherenceModel p(w), the probability that it depolarized: erased with
+probability p(w), or permuted by a noise symbol whose distribution depends
+on w. The binary symmetric channel is the k=2 permutation channel with XOR
+table and Bernoulli(p(w)/2) noise, the depolarizing flip. Symbols are
+integer indices 0..k-1; erasure output uses the ERASED sentinel (rendered
+"?" in transcripts).
 """
 
 import json
@@ -21,7 +23,8 @@ _PROB_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DecoherenceModel:
-    """Wait-to-error-probability map p(w) for erasure channels.
+    """Wait-to-error-probability map p(w): the erasure probability, and
+    twice the flip probability of Bernoulli noise.
 
     kappa and laplace are set for the built-in exponential family
     p(w) = 1 - exp(-kappa*w), whose transform integral exp(-u*w) p(w) dw is
@@ -57,36 +60,6 @@ class DecoherenceModel:
 
 
 @dataclass(frozen=True)
-class BitFlipModel:
-    """Wait-to-flip-probability map phi(w) for the binary symmetric channel.
-
-    phi must stay in [0, 0.5]; values above one half are rejected at
-    evaluation rather than silently clamped, since the capacity expressions
-    assume the sub-half regime.
-    """
-
-    phi: object
-    kappa: float = None
-
-    @staticmethod
-    def exponential(kappa):
-        """phi(w) = (1 - exp(-kappa*w)) / 2, saturating at one half."""
-        if kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-
-        def phi(w):
-            return -0.5 * np.expm1(-kappa * np.asarray(w, dtype=float))
-
-        return BitFlipModel(phi=phi, kappa=kappa)
-
-    def flip_prob(self, w):
-        v = np.asarray(self.phi(w), dtype=float)
-        if np.any(v < -_PROB_SLACK) or np.any(v > 0.5 + _PROB_SLACK):
-            raise ValueError("flip probability must stay within [0, 0.5]")
-        return np.clip(v, 0.0, 0.5)
-
-
-@dataclass(frozen=True)
 class Erasure:
     """Erasure channel: input survives intact or is replaced by ERASED."""
 
@@ -101,10 +74,6 @@ class Erasure:
     @property
     def size(self):
         return int(self.alphabet_size)
-
-    @property
-    def error_law(self):
-        return self.decoherence
 
     def apply(self, x, w, rng):
         """Outputs for aligned symbol and wait arrays: x or ERASED, never a
@@ -145,17 +114,13 @@ class RandomBijective:
         object.__setattr__(self, "_table_arr", table)
 
     @staticmethod
-    def binary_symmetric(flip):
-        """The binary symmetric channel: XOR table, Bernoulli(phi(w)) noise."""
-        return RandomBijective((0, 1), xor_table(2), bernoulli_noise(flip))
+    def binary_symmetric(decoherence):
+        """The binary symmetric channel: XOR table, Bernoulli(p(w)/2) noise."""
+        return RandomBijective((0, 1), xor_table(2), bernoulli_noise(decoherence))
 
     @property
     def size(self):
         return len(self.alphabet)
-
-    @property
-    def error_law(self):
-        return self.noise_law
 
     def apply(self, x, w, rng):
         """Outputs for aligned symbol and wait arrays: table[x, noise]."""
@@ -175,28 +140,19 @@ class RandomBijective:
         return np.clip(probs, 0.0, None)
 
 
-def _known(channel):
-    if not isinstance(channel, (Erasure, RandomBijective)):
-        raise TypeError(f"unknown channel kind: {type(channel).__name__}")
-    return channel
-
-
-def alphabet_size(channel):
-    """Number of distinct input symbols for any channel kind."""
-    return _known(channel).size
-
-
 def xor_table(k=2):
     """The modular-shift table g(x, n) = (x + n) mod k; XOR for k=2."""
     return tuple(tuple((x + n) % k for n in range(k)) for x in range(k))
 
 
-def bernoulli_noise(flip):
-    """Binary noise law N ~ Bernoulli(phi(w)); with xor_table(2) this is the
-    binary symmetric channel (RandomBijective.binary_symmetric)."""
+def bernoulli_noise(decoherence):
+    """Binary noise law N ~ Bernoulli(p(w)/2) for a DecoherenceModel p: the
+    depolarizing flip, whose value saturates at one half. With xor_table(2)
+    this is the binary symmetric channel (RandomBijective.binary_symmetric)."""
 
     def law(w):
-        q = flip.flip_prob(w)
+        q = decoherence.error_prob(w)
+        q *= 0.5
         return np.stack([1.0 - q, q], axis=-1)
 
     return law
@@ -241,7 +197,9 @@ def apply_channel(channel, x, w, rng):
     ws = np.broadcast_to(np.asarray(w, dtype=float), xs.shape)
     if np.any(ws < 0):
         raise ValueError("waits must be nonnegative")
-    k = alphabet_size(channel)
+    if not isinstance(channel, (Erasure, RandomBijective)):
+        raise TypeError(f"unknown channel kind: {type(channel).__name__}")
+    k = channel.size
     if np.any(xs < 0) or np.any(xs >= k):
         raise ValueError(f"input symbol outside alphabet of size {k}")
     y = channel.apply(xs, ws, rng)

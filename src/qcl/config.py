@@ -11,13 +11,14 @@ import math
 import os
 
 from .capacity import QueueChannelSpec
-from .channels import (BitFlipModel, DecoherenceModel, Erasure,
-                       RandomBijective, bernoulli_noise, load_bijection,
-                       wait_geometric_noise, xor_table)
+from .channels import (DecoherenceModel, Erasure, RandomBijective,
+                       bernoulli_noise, load_bijection, wait_geometric_noise,
+                       xor_table)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, PoissonArrivals, Uniform)
 
 SEED_ENV_VAR = "QCL_SEED"
+MAX_GRID_POINTS = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -39,7 +40,6 @@ DEFAULTS = {
     "kappas": [0.01, 0.1, 1.0],
     "out": None,
     "buckets": 64,
-    "tolerance_sigma": 4.0,
     "suite": "all",
     "bijection": None,
     "noise": None,
@@ -58,11 +58,22 @@ _SERVICE_KEYS = {
 _NOISE_KINDS = ("bernoulli", "wait_geometric")
 
 
+def _finite(v):
+    """v as a finite float, or None when it is not a finite real number
+    (bools, strings, NaN, infinities and ints too large for a float)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _require_number(doc, key, minimum=None, positive=False):
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{key} must be a finite number, got {v!r}")
-    v = float(v)
+    v = _finite(doc[key])
+    if v is None:
+        raise ConfigError(f"{key} must be a finite number, got {doc[key]!r}")
     if positive and v <= 0:
         raise ConfigError(f"{key} must be positive, got {v:g}")
     if minimum is not None and v < minimum:
@@ -109,15 +120,14 @@ def validate_config(doc):
     if cfg["seed"] is not None:
         cfg["seed"] = _require_int(cfg, "seed", minimum=0)
     grid_values(cfg["grid"])
-    if (not isinstance(cfg["kappas"], list) or not cfg["kappas"]
-            or any(isinstance(k, bool) or not isinstance(k, (int, float)) or k <= 0
-                   for k in cfg["kappas"])):
-        raise ConfigError("kappas must be a nonempty list of positive numbers")
-    cfg["kappas"] = [float(k) for k in cfg["kappas"]]
+    kappas = cfg["kappas"]
+    kappas = [_finite(k) for k in kappas] if isinstance(kappas, list) else []
+    if not kappas or any(k is None or k <= 0 for k in kappas):
+        raise ConfigError("kappas must be a nonempty list of positive finite numbers")
+    cfg["kappas"] = kappas
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("out must be a path string")
     cfg["buckets"] = _require_int(cfg, "buckets", minimum=2)
-    cfg["tolerance_sigma"] = _require_number(cfg, "tolerance_sigma", positive=True)
     if not isinstance(cfg["suite"], str):
         raise ConfigError("suite must be a string")
     if cfg["bijection"] is not None and not isinstance(cfg["bijection"], (str, dict)):
@@ -191,7 +201,7 @@ def build_service(doc):
             service = Empirical(tuple(float(v) for v in doc["samples"]))
     except KeyError as missing:
         raise ConfigError(f"{kind} service needs key {missing}") from None
-    except (TypeError, ValueError) as bad:
+    except (TypeError, ValueError, OverflowError) as bad:
         raise ConfigError(f"bad {kind} service parameters: {bad}") from None
     # every formula divides by the mean, so mu = 1/mean must be finite too
     mean = service.mean
@@ -209,7 +219,7 @@ def build_channel(cfg):
         if kind == "erasure":
             return Erasure(DecoherenceModel.exponential(kappa), cfg["alphabet_size"])
         if kind == "bsc":
-            return RandomBijective.binary_symmetric(BitFlipModel.exponential(kappa))
+            return RandomBijective.binary_symmetric(DecoherenceModel.exponential(kappa))
         if cfg["bijection"] is None:
             alphabet = tuple(range(cfg["alphabet_size"]))
             table = xor_table(cfg["alphabet_size"])
@@ -220,7 +230,7 @@ def build_channel(cfg):
         if noise["kind"] == "bernoulli":
             if len(alphabet) != 2:
                 raise ConfigError("bernoulli noise needs a binary alphabet")
-            law = bernoulli_noise(BitFlipModel.exponential(noise_kappa))
+            law = bernoulli_noise(DecoherenceModel.exponential(noise_kappa))
         else:
             law = wait_geometric_noise(noise_kappa, len(alphabet))
         return RandomBijective(tuple(alphabet), table, law)
@@ -246,11 +256,13 @@ def build_spec(cfg):
 
 
 def grid_values(grid):
-    """Arrival-rate grid: an explicit list or {"start", "stop", "step"}."""
+    """Arrival-rate grid: an explicit list or {"start", "stop", "step"}; the
+    range form may expand to at most MAX_GRID_POINTS rates."""
     if isinstance(grid, list):
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in grid):
-            raise ConfigError("grid list entries must be numbers")
-        return [float(v) for v in grid]
+        values = [_finite(v) for v in grid]
+        if None in values:
+            raise ConfigError("grid list entries must be finite numbers")
+        return values
     if isinstance(grid, dict):
         extra = sorted(set(grid) - {"start", "stop", "step"})
         if extra:
@@ -264,6 +276,9 @@ def grid_values(grid):
             raise ConfigError("grid step must be positive")
         if stop < start:
             raise ConfigError("grid stop must be >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_GRID_POINTS:  # also an infinite count
+            raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points")
+        count = int(steps) + 1
         return [round(start + i * step, 12) for i in range(count)]
     raise ConfigError("grid must be a list of rates or {start, stop, step}")

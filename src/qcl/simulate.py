@@ -15,8 +15,8 @@ import numpy as np
 
 from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
                        QueueChannelSpec, bijective_capacity, erasure_capacity)
-from .channels import (ERASED, DecoherenceModel, Erasure, alphabet_size,
-                       apply_channel, discrete_entropy)
+from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
+                       discrete_entropy)
 from .numerics import batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, PoissonArrivals,
                        lindley_waits, stationary_wait_samples)
@@ -96,7 +96,7 @@ def simulate_transmission(spec, n, seed=None):
     if n < 0:
         raise ValueError("n must be nonnegative")
     queue_rng, input_rng, noise_rng = spawn_rngs(seed, 3)
-    k = alphabet_size(spec.channel)
+    k = spec.channel.size
     if n == 0:
         empty = np.empty(0)
         return Transcript(x=np.empty(0, dtype=int), a=empty, d=empty, s=empty,
@@ -129,7 +129,7 @@ def estimate_erasure_capacity(transcript):
         raise ValueError("empty transcript")
     survived = (transcript.y != ERASED).astype(float)
     mean, se, m = batch_means(survived)
-    scale = transcript.lam * math.log2(alphabet_size(transcript.spec.channel))
+    scale = transcript.lam * math.log2(transcript.spec.channel.size)
     frac = survived.mean()
     binomial_se = scale * math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
     return EstimateWithError(value=scale * mean, std_error=scale * se, n=n,
@@ -260,7 +260,7 @@ def estimate_capacity(transcript, buckets=64):
         return (estimate_erasure_capacity(transcript) if len(transcript) else None), None
     if len(transcript) < 2:
         return None, None
-    lam, log_k = spec.lam, math.log2(alphabet_size(spec.channel))
+    lam, log_k = spec.lam, math.log2(spec.channel.size)
     h = estimate_bijective_bounds(spec, transcript.w, buckets)
     bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),
                                       std_error=lam * h[key].std_error,
@@ -268,44 +268,6 @@ def estimate_capacity(transcript, buckets=64):
               for name, key in (("lower", H_MEAN_NOISE), ("upper", E_H_KERNEL_NOISE),
                                 ("csir_exact", E_H_NOISE))}
     return bounds["csir_exact" if spec.receiver_knows_timing else "lower"], bounds
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of one formula-versus-simulation comparison."""
-
-    formula_value: float
-    estimate: float
-    std_error: float
-    sigma_distance: float
-    tolerance_sigma: float
-    passed: bool
-
-    def __str__(self):
-        mark = "pass" if self.passed else "FAIL"
-        return (f"{mark}: formula {self.formula_value:.6g} vs estimate "
-                f"{self.estimate:.6g} +/- {self.std_error:.2g} "
-                f"({self.sigma_distance:.2f} sigma, gate {self.tolerance_sigma:g})")
-
-
-def validate_formula(formula_value, estimate, tolerance_sigma=4.0):
-    """Compare a closed-form value against a Monte Carlo estimate.
-
-    Passes when |estimate - formula| <= tolerance_sigma * std_error; a
-    zero-variance estimate must match exactly.
-    """
-    value = float(getattr(estimate, "value", estimate))
-    se = float(getattr(estimate, "std_error", 0.0))
-    diff = abs(value - formula_value)
-    if se == 0.0:
-        passed = diff == 0.0
-        sigma = 0.0 if passed else math.inf
-    else:
-        sigma = diff / se
-        passed = sigma <= tolerance_sigma
-    return ValidationReport(formula_value=float(formula_value), estimate=value,
-                            std_error=se, sigma_distance=sigma,
-                            tolerance_sigma=tolerance_sigma, passed=passed)
 
 
 def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,

@@ -10,12 +10,10 @@ from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           METHOD_BOUNDS, METHOD_MC, METHOD_PK, E_H_NOISE,
                           H_MEAN_NOISE, E_H_KERNEL_NOISE, QueueChannelSpec,
                           alpha_mg1, bijective_capacity, erasure_capacity, laplace_service, mean_survival,
-                          mm1_capacity_closed_form,
-                          mm1_capacity_exponential_premise, optimal_lambda_mg1,
+                          mm1_capacity_closed_form, optimal_lambda_mg1,
                           optimal_lambda_mm1_laplace, pk_wait_transform)
-from qcl.channels import (BitFlipModel, DecoherenceModel, Erasure,
-                          RandomBijective, bernoulli_noise, binary_entropy,
-                          xor_table)
+from qcl.channels import (DecoherenceModel, Erasure, RandomBijective,
+                          bernoulli_noise, binary_entropy, xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential, Gamma,
                           InstabilityError, PoissonArrivals, Uniform)
 from qcl.simulate import EstimateWithError
@@ -33,14 +31,13 @@ def test_spec_properties_and_decoherence_routing():
     spec = _erasure_spec(0.5, 1.0)
     assert spec.lam == 0.5
     assert spec.mu == 1.0
-    assert spec.decoherence.kappa == 1.0
+    assert spec.channel.decoherence.kappa == 1.0
     bsc = QueueChannelSpec(
         arrival=PoissonArrivals(0.5), service=Exponential(1.0),
-        channel=RandomBijective.binary_symmetric(BitFlipModel.exponential(2.0)))
-    assert bsc.decoherence is bsc.channel.noise_law
-    # Bernoulli(phi(w)) noise with phi(w) = (1 - exp(-2w))/2
-    assert bsc.decoherence(0.5) == pytest.approx([0.5 + 0.5 * math.exp(-1.0),
-                                                  0.5 - 0.5 * math.exp(-1.0)])
+        channel=RandomBijective.binary_symmetric(DecoherenceModel.exponential(2.0)))
+    # Bernoulli(p(w)/2) noise with p(w) = 1 - exp(-2w)
+    assert bsc.channel.noise_law(0.5) == pytest.approx([0.5 + 0.5 * math.exp(-1.0),
+                                                        0.5 - 0.5 * math.exp(-1.0)])
     with pytest.raises(InstabilityError):
         _erasure_spec(1.5, 1.0).check_stable()
 
@@ -182,25 +179,10 @@ def test_laplace_route_degenerate_flat_objective():
     assert route.lam_star == pytest.approx(0.0, abs=1e-8)
 
 
-def test_exponential_premise_capacity():
-    # at kappa=1 the premise formula collapses to lam*(1-lam)
-    assert mm1_capacity_exponential_premise(0.5, 1.0) == pytest.approx(0.25)
-    # it disagrees with the transform-exact value except in the kappa->0 limit
-    exact = mm1_capacity_closed_form(0.5, 1.0).bits_per_sec
-    assert abs(mm1_capacity_exponential_premise(0.5, 1.0) - exact) > 0.08
-    tiny = 1e-6
-    assert mm1_capacity_exponential_premise(0.5, tiny) == pytest.approx(
-        mm1_capacity_closed_form(0.5, tiny).bits_per_sec, abs=1e-6)
-    with pytest.raises(ValueError):
-        mm1_capacity_exponential_premise(-0.5, 1.0)
-    with pytest.raises(InstabilityError):
-        mm1_capacity_exponential_premise(1.2, 1.0)
-
-
 def _bsc_spec(lam, csir=False):
     return QueueChannelSpec(
         arrival=PoissonArrivals(lam), service=Exponential(1.0),
-        channel=RandomBijective.binary_symmetric(BitFlipModel.exponential(1.0)),
+        channel=RandomBijective.binary_symmetric(DecoherenceModel.exponential(1.0)),
         receiver_knows_timing=csir)
 
 
@@ -240,7 +222,7 @@ def test_bsc_capacity_accepts_estimates_and_checks_keys():
 
 def _bijective_spec(lam, csir=False):
     channel = RandomBijective((0, 1), xor_table(2),
-                              bernoulli_noise(BitFlipModel.exponential(1.0)))
+                              bernoulli_noise(DecoherenceModel.exponential(1.0)))
     return QueueChannelSpec(arrival=PoissonArrivals(lam),
                             service=Exponential(1.0), channel=channel,
                             receiver_knows_timing=csir)

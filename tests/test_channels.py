@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from qcl.channels import (ERASED, BitFlipModel,
-                          DecoherenceModel, Erasure, RandomBijective,
-                          alphabet_size, apply_channel, bernoulli_noise,
-                          binary_entropy, discrete_entropy, dump_bijection,
-                          load_bijection, wait_geometric_noise, xor_table)
+from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
+                          apply_channel, bernoulli_noise, binary_entropy,
+                          discrete_entropy, dump_bijection, load_bijection,
+                          wait_geometric_noise, xor_table)
 
 
 def test_decoherence_exponential_family_shape():
@@ -39,25 +38,26 @@ def test_decoherence_rejects_out_of_range_probability():
 
 
 def test_bit_flip_stays_below_one_half():
-    flip = BitFlipModel.exponential(2.0)
-    assert flip.flip_prob(0.0) == 0.0
-    assert flip.flip_prob(100.0) == pytest.approx(0.5)
-    assert np.all(flip.flip_prob(np.linspace(0, 10, 50)) <= 0.5)
-    broken = BitFlipModel(phi=lambda w: np.full_like(np.asarray(w, float), 0.7))
+    # Bernoulli noise flips with probability p(w)/2, saturating at one half
+    law = bernoulli_noise(DecoherenceModel.exponential(2.0))
+    assert law(0.0)[1] == 0.0
+    assert law(100.0)[1] == pytest.approx(0.5)
+    assert np.all(law(np.linspace(0, 10, 50))[:, 1] <= 0.5)
+    # a p above one, which would flip more than half the time, is rejected
+    broken = DecoherenceModel(p=lambda w: np.full_like(np.asarray(w, float), 1.4))
     with pytest.raises(ValueError):
-        broken.flip_prob(1.0)
+        bernoulli_noise(broken)(1.0)
 
 
 def test_channel_constructors_validate():
     with pytest.raises(ValueError):
         Erasure(DecoherenceModel.exponential(1.0), alphabet_size=1)
-    assert alphabet_size(Erasure(DecoherenceModel.exponential(1.0), 4)) == 4
-    assert alphabet_size(
-        RandomBijective.binary_symmetric(BitFlipModel.exponential(1.0))) == 2
+    assert Erasure(DecoherenceModel.exponential(1.0), 4).size == 4
+    assert RandomBijective.binary_symmetric(DecoherenceModel.exponential(1.0)).size == 2
 
 
 def test_random_bijective_table_validation():
-    noise = bernoulli_noise(BitFlipModel.exponential(1.0))
+    noise = bernoulli_noise(DecoherenceModel.exponential(1.0))
     ch = RandomBijective((0, 1), ((0, 1), (1, 0)), noise)
     assert ch.size == 2
     with pytest.raises(ValueError):  # row is not a permutation
@@ -72,7 +72,7 @@ def test_random_bijective_table_validation():
 
 def test_noise_dist_is_validated_simplex():
     ch = RandomBijective((0, 1), xor_table(2),
-                         bernoulli_noise(BitFlipModel.exponential(1.0)))
+                         bernoulli_noise(DecoherenceModel.exponential(1.0)))
     probs = ch.noise_dist(np.array([0.0, 1.0, 10.0]))
     assert probs.shape == (3, 2)
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -95,7 +95,7 @@ def test_xor_table_is_group_table():
 
 
 def test_bernoulli_noise_law():
-    law = bernoulli_noise(BitFlipModel.exponential(1.0))
+    law = bernoulli_noise(DecoherenceModel.exponential(1.0))
     assert np.allclose(law(0.0), [1.0, 0.0])
     q = -0.5 * math.expm1(-2.0)
     assert np.allclose(law(2.0), [1.0 - q, q])
@@ -143,7 +143,7 @@ def test_erasure_fraction_tracks_error_probability():
 
 
 def test_bsc_flips_track_flip_probability():
-    ch = RandomBijective.binary_symmetric(BitFlipModel.exponential(1.0))
+    ch = RandomBijective.binary_symmetric(DecoherenceModel.exponential(1.0))
     rng = np.random.default_rng(57)
     n = 200_000
     x = rng.integers(0, 2, size=n)
@@ -156,10 +156,10 @@ def test_bsc_flips_track_flip_probability():
 
 
 def test_xor_bernoulli_matches_bsc_distribution():
-    # the XOR table driven by Bernoulli(phi(w)) noise IS the flip channel:
-    # it flips with probability phi(w) at every delay, so over W ~ Exp(1)
+    # the XOR table driven by Bernoulli(p(w)/2) noise IS the flip channel:
+    # it flips with probability p(w)/2 at every delay, so over W ~ Exp(1)
     # the flip rate is E[(1 - exp(-W))/2] = 1/4
-    flip = BitFlipModel.exponential(1.0)
+    flip = DecoherenceModel.exponential(1.0)
     bsc = RandomBijective.binary_symmetric(flip)
     assert bsc.table == xor_table(2)
     assert np.allclose(bsc.noise_dist(1.5), bernoulli_noise(flip)(1.5))
@@ -176,7 +176,7 @@ def test_apply_channel_scalar_round_trip():
     y = apply_channel(ch, 1, 0.0, np.random.default_rng(0))
     assert isinstance(y, int) and y == 1
     ch2 = RandomBijective((0, 1), xor_table(2),
-                          bernoulli_noise(BitFlipModel.exponential(1.0)))
+                          bernoulli_noise(DecoherenceModel.exponential(1.0)))
     assert apply_channel(ch2, 0, 0.0, np.random.default_rng(0)) == 0
 
 

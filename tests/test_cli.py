@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
@@ -72,6 +74,84 @@ def test_grid_expansion():
         grid_values([0.1, True])
     with pytest.raises(ConfigError):
         grid_values("0.1:0.9")
+
+
+@pytest.mark.parametrize("step", [1e-320, 1e-9])
+def test_cli_rejects_oversized_grid(capsys, tmp_path, step):
+    # 1e-320 is subnormal: the point count overflows to infinity; 1e-9 over
+    # [0, 1e9] asks for 1e18 points
+    cfg = tmp_path / "grid.json"
+    stop = 1.0 if step == 1e-320 else 1e9
+    cfg.write_text(json.dumps({"grid": {"start": 0, "stop": stop, "step": step}}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    assert code == 2
+    assert _payload(out) == {"error": "config",
+                             "message": "grid has more than 100000 points"}
+
+
+def test_grid_size_cap_boundary():
+    assert len(grid_values({"start": 0, "stop": 1, "step": 1.00001e-5})) == 10 ** 5
+    with pytest.raises(ConfigError, match="100000"):
+        grid_values({"start": 0, "stop": 1, "step": 1e-5})  # 100001 points
+
+
+@pytest.mark.parametrize("doc", [{"kappas": [0.1, float("nan")]},
+                                 {"kappas": [float("inf")]},
+                                 {"grid": [0.5, float("nan")]},
+                                 {"lambda": 10 ** 400},
+                                 {"service": {"kind": "exponential", "rate": 10 ** 400}}])
+def test_non_finite_numbers_rejected(doc):
+    # 10**400 is a valid JSON integer that overflows a float
+    with pytest.raises(ConfigError):
+        validate_config(doc)
+
+
+_NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 4, 10 ** 4),
+                     st.sampled_from([5e-324, 1e-320, -0.0, 1e308, 10 ** 400]))
+_VALUES = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=4))
+_SERVICES = st.one_of(_VALUES, st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(["exponential", "deterministic", "gamma",
+                                        "uniform", "empirical"]), _VALUES)},
+    optional={key: _VALUES for key in ("rate", "value", "shape", "scale", "low",
+                                       "high")}
+    | {"samples": st.one_of(_VALUES, st.lists(_VALUES, max_size=4))}))
+_GRIDS = st.one_of(_VALUES, st.lists(_VALUES, max_size=4), st.fixed_dictionaries(
+    {}, optional={"start": _NUMBERS, "stop": _NUMBERS, "step": _NUMBERS}))
+_NOISES = st.one_of(_VALUES, st.fixed_dictionaries(
+    {}, optional={"kind": st.one_of(st.sampled_from(["bernoulli", "wait_geometric"]),
+                                    _VALUES),
+                  "kappa": _VALUES}))
+_DOCUMENTS = st.fixed_dictionaries({}, optional={
+    "channel": st.one_of(st.sampled_from(["erasure", "bsc", "bijective"]), _VALUES),
+    "lambda": _VALUES,
+    "kappa": _VALUES,
+    "service": _SERVICES,
+    # drawn small: a bijective alphabet has no upper bound yet, and
+    # build_channel builds its k x k table, so a huge one would not return
+    "alphabet_size": st.one_of(st.integers(-1, 40), st.floats(), st.none(),
+                               st.booleans(), st.text(max_size=4)),
+    "delay_convention": st.one_of(st.sampled_from(["waiting", "sojourn"]), _VALUES),
+    "receiver_knows_timing": _VALUES,
+    "assume_unpredictable": _VALUES,
+    "n": _VALUES,
+    "burn_in": _VALUES,
+    "seed": _VALUES,
+    "buckets": _VALUES,
+    "grid": _GRIDS,
+    "kappas": st.one_of(_VALUES, st.lists(_VALUES, max_size=4)),
+    "noise": _NOISES,
+})
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_DOCUMENTS)
+def test_config_documents_validate_or_raise_config_error(doc):
+    try:
+        cfg = validate_config(doc)
+        if cfg["lambda"] > 0.0:
+            build_spec(cfg)
+    except ConfigError:
+        pass
 
 
 def test_load_config_precedence(tmp_path, monkeypatch):

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from qcl.capacity import QueueChannelSpec, erasure_capacity
-from qcl.channels import (ERASED, BitFlipModel, DecoherenceModel, Erasure,
-                          RandomBijective, bernoulli_noise, wait_geometric_noise,
-                          xor_table)
+from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
+                          bernoulli_noise, wait_geometric_noise, xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, PoissonArrivals)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, estimate_erasure_capacity,
                           estimate_expectation_over_pi, evaluate_capacity,
-                          simulate_transmission, sweep_rows, validate_formula)
+                          simulate_transmission, sweep_rows)
+from qcl.validation import validate_formula
 
 
 def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
@@ -30,12 +30,12 @@ def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
 
 def _bsc_spec(lam=0.5, kappa=1.0, **kw):
     return _spec(lam, channel=RandomBijective.binary_symmetric(
-        BitFlipModel.exponential(kappa)), **kw)
+        DecoherenceModel.exponential(kappa)), **kw)
 
 
 def _bijective_spec(lam=0.5, kappa=1.0):
     channel = RandomBijective((0, 1), xor_table(2),
-                              bernoulli_noise(BitFlipModel.exponential(kappa)))
+                              bernoulli_noise(DecoherenceModel.exponential(kappa)))
     return _spec(lam, channel=channel)
 
 
