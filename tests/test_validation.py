@@ -16,6 +16,19 @@ def test_bsc_dominance_fails_when_an_alternative_ties(monkeypatch):
     assert all(line.startswith("FAIL: ") for line in analytic)
 
 
+def test_dominance_analytic_lines_pinned(monkeypatch):
+    # seed-independent: both checks evaluate their 27-point grid in closed form
+    monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
+    erasure = validation.check_erasure_service_dominance(seed=0).lines
+    bsc = validation.check_bsc_service_dominance(seed=0).lines[:2]
+    assert erasure == [
+        "pass: kappa=0.1: strict at all 27 grid points (thinnest margin 4.143e-05)",
+        "pass: kappa=1: strict at all 27 grid points (thinnest margin 1.589e-04)"]
+    assert bsc == [
+        "pass: kappa=0.1: strict at all 27 grid points (thinnest margin 1.759e-04)",
+        "pass: kappa=1: strict at all 27 grid points (thinnest margin 4.459e-04)"]
+
+
 def test_bsc_dominance_shares_one_queue_path_per_witness_rate(monkeypatch):
     monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
     calls = []
