@@ -14,13 +14,13 @@ command line renders.
 """
 
 from .capacity import (CapacityResult, LaplaceRouteResult, QueueChannelSpec,
-                       alpha_mg1, bijective_capacity, erasure_capacity, laplace_service,
+                       alpha_mg1, bijective_capacity, erasure_capacity,
                        mean_survival, mm1_capacity_closed_form,
                        optimal_lambda_mg1, optimal_lambda_mm1_laplace,
                        pk_wait_transform)
 from .channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                        apply_channel, bernoulli_noise, binary_entropy,
-                       discrete_entropy, dump_bijection, load_bijection,
+                       discrete_entropy, load_bijection,
                        wait_geometric_noise, xor_table)
 from .config import ConfigError, build_spec, load_config, validate_config
 from .numerics import (OptimizationResult, QuadratureError, as_rng,
@@ -30,11 +30,10 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, InstabilityError, PoissonArrivals,
                        ServiceDistribution, Uniform, WaitSampleSet,
                        check_stability, default_burn_in, lindley_waits,
-                       stationarity_diagnostic, stationary_wait_samples)
+                       stationary_wait_samples)
 from .simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                        estimate_capacity, estimate_erasure_capacity,
-                       estimate_expectation_over_pi, evaluate_capacity,
-                       simulate_transmission, sweep_rows)
+                       evaluate_capacity, simulate_transmission, sweep_rows)
 from .validation import SUITES, CheckOutcome, ValidationReport, validate_formula
 
 __version__ = "0.1.0"
@@ -76,15 +75,12 @@ __all__ = [
     "check_stability",
     "default_burn_in",
     "discrete_entropy",
-    "dump_bijection",
     "erasure_capacity",
     "estimate_bijective_bounds",
     "estimate_capacity",
     "estimate_erasure_capacity",
-    "estimate_expectation_over_pi",
     "evaluate_capacity",
     "golden_section_extremize",
-    "laplace_service",
     "lindley_waits",
     "load_bijection",
     "load_config",
@@ -96,7 +92,6 @@ __all__ = [
     "quadrature_laplace",
     "simulate_transmission",
     "spawn_rngs",
-    "stationarity_diagnostic",
     "stationary_wait_samples",
     "sweep_rows",
     "validate_config",

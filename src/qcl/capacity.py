@@ -61,13 +61,6 @@ class CapacityResult:
     bounds: tuple = ()
 
 
-def laplace_service(service, s):
-    """Service-time Laplace transform E[exp(-s*S)] at s >= 0."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return float(service.laplace(s))
-
-
 def alpha_mg1(service, kappa):
     """The load-independent factor (1 - F(kappa)) / kappa for unit-mean service.
 
@@ -116,40 +109,32 @@ def mean_survival(spec):
         return 1.0
     value = pk_wait_transform(spec.lam, spec.service, kappa)
     if spec.delay_convention is DelayConvention.SOJOURN:
-        value *= laplace_service(spec.service, kappa)
+        value *= spec.service.laplace(kappa)
     return value
 
 
-def erasure_capacity(spec, survival=None):
+def erasure_capacity(spec):
     """Erasure-channel capacity lam * log2(k) * E[1 - p(W)] in bits/sec.
 
-    E[1 - p(W)] comes from the transform closed form for the exponential
-    decoherence family; for a general p, pass `survival` estimated over
-    stationary waits (qcl.simulate.estimate_expectation_over_pi). The result
-    does not depend on receiver_knows_timing.
+    E[1 - p(W)] is mean_survival, the transform closed form of the
+    exponential decoherence family. The result does not depend on
+    receiver_knows_timing.
     """
     if spec.channel.kind != "erasure":
         raise TypeError("erasure_capacity needs an Erasure channel")
     spec.check_stable()
     k = spec.channel.size
     diagnostics = {"alphabet_size": k, "receiver_knows_timing_irrelevant": True}
-    if survival is None:
-        surv = mean_survival(spec)
-        is_mm1 = (isinstance(spec.service, Exponential)
-                  and spec.delay_convention is DelayConvention.WAITING_BEFORE_SERVICE)
-        method = METHOD_CLOSED_FORM_MM1 if is_mm1 else METHOD_PK
-        kappa = spec.channel.decoherence.kappa
-        if kappa and kappa > 0:
-            diagnostics["alpha"] = alpha_mg1(spec.service, kappa)
-    else:
-        surv = getattr(survival, "value", survival)
-        se = getattr(survival, "std_error", None)
-        if se is not None:
-            diagnostics["std_error"] = spec.lam * math.log2(k) * se
-        method = METHOD_MC
+    surv = mean_survival(spec)
+    is_mm1 = (isinstance(spec.service, Exponential)
+              and spec.delay_convention is DelayConvention.WAITING_BEFORE_SERVICE)
+    kappa = spec.channel.decoherence.kappa
+    if kappa > 0:
+        diagnostics["alpha"] = alpha_mg1(spec.service, kappa)
     diagnostics["mean_survival"] = surv
-    value = spec.lam * math.log2(k) * surv
-    return CapacityResult(bits_per_sec=value, method=method, diagnostics=diagnostics)
+    return CapacityResult(bits_per_sec=spec.lam * math.log2(k) * surv,
+                          method=METHOD_CLOSED_FORM_MM1 if is_mm1 else METHOD_PK,
+                          diagnostics=diagnostics)
 
 
 def mm1_capacity_closed_form(lam, kappa):
@@ -204,7 +189,7 @@ LAPLACE_ROUTE_CAVEAT = (
 )
 
 
-def optimal_lambda_mm1_laplace(laplace_p, tol=1e-8):
+def optimal_lambda_mm1_laplace(laplace_p):
     """Optimal arrival rate from the Laplace transform of a general error law,
     for exponential unit-rate service.
 
@@ -220,7 +205,7 @@ def optimal_lambda_mm1_laplace(laplace_p, tol=1e-8):
         return u * (1.0 + laplace_p(u / (1.0 - u)))
 
     lo, hi = 1e-9, 1.0 - 1e-9
-    res = golden_section_extremize(objective, lo, hi, tol=tol, mode="min")
+    res = golden_section_extremize(objective, lo, hi, tol=1e-8, mode="min")
     probes = [lo + (hi - lo) * i / 32.0 for i in range(33)]
     values = [objective(u) for u in probes]
     degenerate = (max(values) - min(values)) < 1e-9

@@ -252,6 +252,10 @@ def load_bijection(source):
         g = doc["g"]
     except (KeyError, TypeError) as exc:
         raise ValueError("bijection document needs 'alphabet' and 'g' keys") from exc
+    if not all(isinstance(sym, (str, int, float)) for sym in alphabet):
+        raise ValueError("alphabet symbols must be strings or numbers")
+    if not (isinstance(g, dict) and all(isinstance(row, list) for row in g.values())):
+        raise ValueError("'g' must map each alphabet symbol to a list of outputs")
     index = {str(sym): i for i, sym in enumerate(alphabet)}
     if len(index) != len(alphabet):
         raise ValueError("alphabet symbols must be distinct")
@@ -268,11 +272,3 @@ def load_bijection(source):
             raise ValueError(f"row for {key!r} contains a symbol outside the alphabet") from exc
     # permutation validity is re-checked by the channel constructor
     return alphabet, tuple(tuple(int(v) for v in row) for row in table)
-
-
-def dump_bijection(alphabet, table):
-    """Inverse of load_bijection: build the JSON-ready document."""
-    return {
-        "alphabet": list(alphabet),
-        "g": {str(sym): [alphabet[j] for j in row] for sym, row in zip(alphabet, table)},
-    }

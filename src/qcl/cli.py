@@ -8,6 +8,7 @@ machine-readable error object and exit 2 (bad config), 3 (unstable queue), or
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -45,6 +46,15 @@ def emit(payload, stream=None):
     stream.write("\n")
 
 
+@contextlib.contextmanager
+def _writing(out):
+    """Report an output path that cannot be opened or written as a config error."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write output: {err}") from None
+
+
 def _capacity_payload(result):
     payload = {"bits_per_sec": result.bits_per_sec, "method": result.method}
     for name, bound in zip(("lower", "upper"), result.bounds):
@@ -63,7 +73,7 @@ def cmd_capacity(cfg):
     try:
         result = simulate.evaluate_capacity(
             spec, cfg["n"], burn_in=cfg["burn_in"], seed=cfg["seed"],
-            buckets=cfg["buckets"], assume_unpredictable=cfg["assume_unpredictable"])
+            assume_unpredictable=cfg["assume_unpredictable"])
     except InstabilityError:
         raise
     except ValueError as err:  # too few samples for a Monte Carlo expectation
@@ -125,12 +135,11 @@ def cmd_sweep(cfg):
         rows = simulate.sweep_rows(
             lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
             service=build_service(cfg["service"]), alphabet=cfg["alphabet_size"],
-            convention=DelayConvention(cfg["delay_convention"]),
-            jobs=os.cpu_count())
+            convention=DelayConvention(cfg["delay_convention"]))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     out = cfg["out"] or "sweep.csv"
-    with open(out, "w", newline="") as fh:
+    with _writing(out), open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "kappa", "capacity_analytic", "capacity_mc",
                          "mc_stderr"])
@@ -148,9 +157,10 @@ def cmd_simulate(cfg):
     spec = build_spec(cfg)
     transcript = simulate.simulate_transmission(spec, cfg["n"], seed=cfg["seed"])
     out = cfg["out"] or "transcript.csv"
-    transcript.to_csv(out)
+    with _writing(out):
+        transcript.to_csv(out)
     payload = {"out": out, "n": len(transcript), "seed": cfg["seed"]}
-    est, bounds = simulate.estimate_capacity(transcript, buckets=cfg["buckets"])
+    est, bounds = simulate.estimate_capacity(transcript)
     if bounds is not None:
         payload["bounds"] = {name: b.value for name, b in bounds.items()}
     if est is not None:

@@ -19,6 +19,7 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
 
 SEED_ENV_VAR = "QCL_SEED"
 MAX_GRID_POINTS = 10 ** 5
+MAX_ALPHABET = 256  # build_channel's XOR table costs k^2 Python steps
 
 
 class ConfigError(ValueError):
@@ -39,7 +40,6 @@ DEFAULTS = {
     "grid": {"start": 0.01, "stop": 0.99, "step": 0.01},
     "kappas": [0.01, 0.1, 1.0],
     "out": None,
-    "buckets": 64,
     "suite": "all",
     "bijection": None,
     "noise": None,
@@ -105,6 +105,8 @@ def validate_config(doc):
     cfg["kappa"] = _require_number(cfg, "kappa", minimum=0.0)
     build_service(cfg["service"])  # raises ConfigError on bad sub-schema
     cfg["alphabet_size"] = _require_int(cfg, "alphabet_size", minimum=2)
+    if cfg["channel"] == "bijective" and cfg["alphabet_size"] > MAX_ALPHABET:
+        raise ConfigError(f"a bijective alphabet_size must be at most {MAX_ALPHABET}")
     if cfg["delay_convention"] not in _CONVENTIONS:
         raise ConfigError(f"delay_convention must be one of {_CONVENTIONS}")
     if not isinstance(cfg["receiver_knows_timing"], bool):
@@ -127,7 +129,6 @@ def validate_config(doc):
     cfg["kappas"] = kappas
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("out must be a path string")
-    cfg["buckets"] = _require_int(cfg, "buckets", minimum=2)
     if not isinstance(cfg["suite"], str):
         raise ConfigError("suite must be a string")
     if cfg["bijection"] is not None and not isinstance(cfg["bijection"], (str, dict)):

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import integrate
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio, the section step
+QUAD_TARGET = 1e-9  # absolute error target of quadrature_laplace
 
 
 class QuadratureError(RuntimeError):
@@ -41,7 +42,7 @@ def spawn_rngs(seed, k):
     return [np.random.default_rng(child) for child in ss.spawn(k)]
 
 
-def batch_means(x, batch_size=None):
+def batch_means(x):
     """Mean and standard error of a correlated series via batch means.
 
     Splits x into batches of ceil(sqrt(n)) so batch averages decorrelate for
@@ -54,8 +55,7 @@ def batch_means(x, batch_size=None):
         raise ValueError("batch_means needs at least one sample")
     if np.ptp(x) == 0.0:
         return float(x[0]), 0.0, 1
-    if batch_size is None:
-        batch_size = math.ceil(math.sqrt(n))
+    batch_size = math.ceil(math.sqrt(n))
     m = n // batch_size
     if m < 2:
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -133,13 +133,13 @@ def golden_section_extremize(f, lo, hi, tol=1e-8, mode="max"):
     )
 
 
-def quadrature_laplace(p, u, target=1e-9):
+def quadrature_laplace(p, u):
     """Laplace transform of p: integral of exp(-u*x) p(x) over x in [0, inf).
 
     Substitutes t = exp(-u*x), turning the improper integral into
     (1/u) * integral over (0, 1] of p(-ln(t)/u) dt, which handles the tail
     without truncation. Raises QuadratureError (carrying the achieved error
-    estimate) if the absolute error target cannot be met.
+    estimate) if the absolute error target QUAD_TARGET cannot be met.
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -149,12 +149,13 @@ def quadrature_laplace(p, u, target=1e-9):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        raw, raw_err = integrate.quad(g, 0.0, 1.0, epsabs=target / 10.0, epsrel=1e-12, limit=200)
+        raw, raw_err = integrate.quad(g, 0.0, 1.0, epsabs=QUAD_TARGET / 10.0,
+                                      epsrel=1e-12, limit=200)
     value = raw / u
     err = raw_err / u
-    if not math.isfinite(value) or err > target:
+    if not math.isfinite(value) or err > QUAD_TARGET:
         raise QuadratureError(
-            f"quadrature stalled at error estimate {err:.3e} (target {target:.1e})",
+            f"quadrature stalled at error estimate {err:.3e} (target {QUAD_TARGET:.1e})",
             value=value,
             error_estimate=err,
         )

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import as_rng, batch_means
+from .numerics import as_rng
 
 
 class InstabilityError(ValueError):
@@ -205,14 +205,14 @@ class Empirical(ServiceDistribution):
         return float(-np.expm1(-s * self._data).mean())
 
 
-def lindley_waits(services, interarrivals, w0=0.0):
-    """Vectorized Lindley recursion over aligned arrays.
+def lindley_waits(services, interarrivals):
+    """Vectorized Lindley recursion over aligned arrays, from an empty queue.
 
     services[j] is customer j's service time; interarrivals[j] is the gap
     between arrivals j-1 and j (entry 0 is the first arrival epoch and does not
     influence waits). Returns the waiting-before-service times, using the
-    prefix-sum identity W_j = max(0, w0 + P_j, P_j - min_k<=j P_k) with
-    P_j = sum of (services - interarrivals) increments.
+    prefix-sum identity W_j = max(P_j, P_j - min_k<=j P_k) with P_j = sum of
+    (services - interarrivals) increments; the larger term is never negative.
     """
     s = np.asarray(services, dtype=float)
     t = np.asarray(interarrivals, dtype=float)
@@ -222,12 +222,9 @@ def lindley_waits(services, interarrivals, w0=0.0):
     w = np.empty(n)
     if n == 0:
         return w
-    w[0] = w0
-    if n == 1:
-        return w
+    w[0] = 0.0
     p = np.cumsum(s[:-1] - t[1:])
-    np.maximum(w0 + p, p - np.minimum.accumulate(p), out=w[1:])
-    np.maximum(w[1:], 0.0, out=w[1:])
+    np.maximum(p, p - np.minimum.accumulate(p), out=w[1:])
     return w
 
 
@@ -280,19 +277,3 @@ def stationary_wait_samples(arrival, service, n, burn_in=None, seed=None,
     else:
         out = wq[burn_in:].copy()
     return WaitSampleSet(samples=out, convention=convention, burn_in=burn_in)
-
-
-def stationarity_diagnostic(sample_set):
-    """Compare first-half and second-half means in joint batch-means errors.
-
-    Returns (difference, joint_std_error, ok) where ok means the halves agree
-    within 3 joint standard errors; a cheap check that burn-in was enough.
-    """
-    x = sample_set.samples
-    half = x.size // 2
-    m1, se1, _ = batch_means(x[:half])
-    m2, se2, _ = batch_means(x[half:])
-    joint = math.hypot(se1, se2)
-    diff = m2 - m1
-    ok = abs(diff) <= 3.0 * joint if joint > 0 else diff == 0.0
-    return diff, joint, ok

@@ -8,7 +8,9 @@ the ground truth every closed form in qcl.capacity is checked against.
 
 import csv
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,8 @@ from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
 from .numerics import batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, PoissonArrivals,
                        lindley_waits, stationary_wait_samples)
+
+BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 
 
 @dataclass(frozen=True)
@@ -138,27 +142,13 @@ def estimate_erasure_capacity(transcript):
                                       "batches": m})
 
 
-def estimate_expectation_over_pi(f, spec, n, burn_in=None, seed=None):
-    """Batch-means estimate of E[f(W)] over the stationary delay law."""
-    waits = stationary_wait_samples(spec.arrival, spec.service, n,
-                                    burn_in=burn_in, seed=seed,
-                                    convention=spec.delay_convention)
-    values = np.asarray(f(waits.samples), dtype=float)
-    if values.shape != waits.samples.shape:
-        raise ValueError("f must map the wait array elementwise")
-    mean, se, m = batch_means(values)
-    return EstimateWithError(value=mean, std_error=se, n=int(values.size),
-                             details={"batches": m, "burn_in": waits.burn_in})
-
-
-def _quantile_buckets(w, buckets):
-    """Assign each delay to one of `buckets` near-equal-count bins."""
-    edges = np.quantile(w, np.linspace(0.0, 1.0, buckets + 1)[1:-1])
+def _quantile_buckets(w):
+    """Assign each delay to one of BUCKETS near-equal-count bins."""
+    edges = np.quantile(w, np.linspace(0.0, 1.0, BUCKETS + 1)[1:-1])
     return np.searchsorted(edges, w, side="right")
 
 
-def estimate_bijective_bounds(spec, w, buckets=64,
-                              keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE)):
+def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE)):
     """Estimate, from the delays w in time order, the noise-entropy
     expectations that qcl.capacity.bijective_capacity turns into the
     timing-aware value, the unpredictable-queue value and the no-timing bounds.
@@ -169,7 +159,7 @@ def estimate_bijective_bounds(spec, w, buckets=64,
       - H_mean_noise: entropy of the delay-averaged noise law;
       - E_H_kernel_noise: mean entropy of the one-step-ahead averaged noise
         law, where the one-step kernel is estimated from consecutive delay
-        pairs bucketed into delay quantiles.
+        pairs bucketed into BUCKETS delay quantiles.
 
     When E_H_kernel_noise is requested, H_mean_noise averages over the same
     successor delays w[1:], so by entropy concavity the lower bound stays
@@ -206,14 +196,14 @@ def estimate_bijective_bounds(spec, w, buckets=64,
 
     if kernel:
         # one-step kernel: average successor noise laws within delay buckets
-        idx = _quantile_buckets(w[:-1], buckets)
-        counts = np.bincount(idx, minlength=buckets).astype(float)
-        sums = np.stack([np.bincount(idx, weights=mixed[:, j], minlength=buckets)
+        idx = _quantile_buckets(w[:-1])
+        counts = np.bincount(idx, minlength=BUCKETS).astype(float)
+        sums = np.stack([np.bincount(idx, weights=mixed[:, j], minlength=BUCKETS)
                          for j in range(probs.shape[1])], axis=1)
         occupied = counts > 0
         kernel_dists = np.zeros_like(sums)
         kernel_dists[occupied] = sums[occupied] / counts[occupied, None]
-        h_bucket = np.zeros(buckets)
+        h_bucket = np.zeros(BUCKETS)
         h_bucket[occupied] = discrete_entropy(kernel_dists[occupied])
         mean_hk, se_hk, _ = batch_means(h_bucket[idx])
         out[E_H_KERNEL_NOISE] = EstimateWithError(
@@ -222,8 +212,7 @@ def estimate_bijective_bounds(spec, w, buckets=64,
     return out
 
 
-def evaluate_capacity(spec, n=0, burn_in=None, seed=None, buckets=64,
-                      assume_unpredictable=False):
+def evaluate_capacity(spec, n=0, burn_in=None, seed=None, assume_unpredictable=False):
     """The capacity of spec's channel as a CapacityResult.
 
     An erasure channel has a transform closed form and draws nothing. A
@@ -242,11 +231,11 @@ def evaluate_capacity(spec, n=0, burn_in=None, seed=None, buckets=64,
     waits = stationary_wait_samples(spec.arrival, spec.service, n,
                                     burn_in=burn_in, seed=seed,
                                     convention=spec.delay_convention)
-    expectations = estimate_bijective_bounds(spec, waits.samples, buckets, keys)
+    expectations = estimate_bijective_bounds(spec, waits.samples, keys)
     return bijective_capacity(spec, expectations, assume_unpredictable)
 
 
-def estimate_capacity(transcript, buckets=64):
+def estimate_capacity(transcript):
     """Capacity estimated from one transcript, as (estimate, bounds).
 
     An erasure transcript is scored by its erased fraction and has no bounds.
@@ -261,7 +250,7 @@ def estimate_capacity(transcript, buckets=64):
     if len(transcript) < 2:
         return None, None
     lam, log_k = spec.lam, math.log2(spec.channel.size)
-    h = estimate_bijective_bounds(spec, transcript.w, buckets)
+    h = estimate_bijective_bounds(spec, transcript.w)
     bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),
                                       std_error=lam * h[key].std_error,
                                       n=h[key].n)
@@ -271,7 +260,7 @@ def estimate_capacity(transcript, buckets=64):
 
 
 def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
-               convention=DelayConvention.WAITING_BEFORE_SERVICE, jobs=None):
+               convention=DelayConvention.WAITING_BEFORE_SERVICE):
     """Capacity grid for the exponential-decoherence erasure family.
 
     Returns one dict per stable (kappa, lambda) grid point with keys
@@ -279,8 +268,8 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     Monte Carlo cells stay None when n == 0. Arrival rates at or past the
     stability boundary are dropped with a warning. Rows iterate kappas outer
     and lambdas inner, both in the order given. Each Monte Carlo cell has its
-    own child seed keyed to its grid index, so cells can be evaluated on a
-    thread pool (jobs > 1) with results identical to the serial order.
+    own child seed keyed to its grid index, so the cells run on a thread pool
+    of os.cpu_count() workers with results independent of their order.
     """
     service = Exponential(1.0) if service is None else service
     mu = 1.0 / service.mean
@@ -316,12 +305,8 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
                 simulate_transmission(specs[i], n, seed=children[i]))
             return est.value, est.std_error
 
-        if jobs is not None and jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                cells = list(pool.map(mc_cell, range(len(rows))))
-        else:
-            cells = [mc_cell(i) for i in range(len(rows))]
+        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+            cells = list(pool.map(mc_cell, range(len(rows))))
         for row, (value, stderr) in zip(rows, cells):
             row["capacity_mc"], row["mc_stderr"] = value, stderr
     return rows

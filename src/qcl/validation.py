@@ -15,10 +15,10 @@ from scipy.special import gammaincinv
 from . import capacity, simulate
 from .channels import (DecoherenceModel, Erasure, RandomBijective,
                        binary_entropy, wait_geometric_noise)
-from .numerics import golden_section_extremize, quadrature_laplace
+from .numerics import batch_means, golden_section_extremize, quadrature_laplace
 from .queueing import (DelayConvention, Deterministic, Exponential, Gamma,
                        InstabilityError, PoissonArrivals, Uniform,
-                       default_burn_in, lindley_waits)
+                       default_burn_in, lindley_waits, stationary_wait_samples)
 
 N_DEFAULT = 10 ** 6
 SIGMA_GATE = 4.0
@@ -42,11 +42,11 @@ class ValidationReport:
                 f"({self.sigma_distance:.2f} sigma, gate {self.gate:g})")
 
 
-def validate_formula(formula_value, estimate, gate=SIGMA_GATE):
+def validate_formula(formula_value, estimate):
     """Compare a closed-form value against a Monte Carlo estimate.
 
-    Passes when |estimate - formula| <= gate * std_error; a zero-variance
-    estimate must match exactly.
+    Passes when |estimate - formula| <= SIGMA_GATE * std_error; a
+    zero-variance estimate must match exactly.
     """
     value = float(getattr(estimate, "value", estimate))
     se = float(getattr(estimate, "std_error", 0.0))
@@ -56,9 +56,9 @@ def validate_formula(formula_value, estimate, gate=SIGMA_GATE):
         sigma = 0.0 if passed else math.inf
     else:
         sigma = diff / se
-        passed = sigma <= gate
+        passed = sigma <= SIGMA_GATE
     return ValidationReport(formula_value=float(formula_value), estimate=value,
-                            std_error=se, sigma_distance=sigma, gate=gate,
+                            std_error=se, sigma_distance=sigma, gate=SIGMA_GATE,
                             passed=passed)
 
 
@@ -89,10 +89,9 @@ def _seed_for(base, index):
     return np.random.SeedSequence([0 if base is None else int(base), index])
 
 
-def _erasure_spec(lam, kappa, service=None):
+def _erasure_spec(lam, kappa):
     return capacity.QueueChannelSpec(
-        arrival=PoissonArrivals(lam),
-        service=service if service is not None else Exponential(1.0),
+        arrival=PoissonArrivals(lam), service=Exponential(1.0),
         channel=Erasure(DecoherenceModel.exponential(kappa), alphabet_size=2))
 
 
@@ -117,10 +116,26 @@ def _bsc_pair(spec, w):
 
 
 _DOMINANCE_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+_DOMINANCE_KAPPAS = (0.1, 1.0)
 
 
 def _alt_services():
     return (Exponential(1.0), Gamma(2.0, 0.5), Uniform(0.5, 1.5))
+
+
+def _note_dominance(out, margin):
+    """Note, per kappa, whether deterministic service is strictly best at
+    every grid rate; margin(lam, kappa, alt) is its capacity lead over the
+    alternative alt. Returns the margins keyed by (lam, kappa, alt)."""
+    margins = {(lam, kappa, alt): margin(lam, kappa, alt)
+               for kappa in _DOMINANCE_KAPPAS for lam in _DOMINANCE_GRID
+               for alt in _alt_services()}
+    for kappa in _DOMINANCE_KAPPAS:
+        values = [v for (_, k, _), v in margins.items() if k == kappa]
+        out.note(all(v > 0.0 for v in values),
+                 f"kappa={kappa:g}: strict at all {len(values)} grid points "
+                 f"(thinnest margin {min(values):.3e})")
+    return margins
 
 
 def _service_quantile(service, u):
@@ -161,11 +176,11 @@ def check_wait_transform(seed=None):
         for lam in (0.3, 0.7):
             for kappa in (0.1, 1.0):
                 formula = capacity.pk_wait_transform(lam, service, kappa)
-                est = simulate.estimate_expectation_over_pi(
-                    lambda w, k=kappa: np.exp(-k * w),
-                    _erasure_spec(lam, kappa, service), N_DEFAULT,
-                    seed=next(children))
-                rep = validate_formula(formula, est)
+                waits = stationary_wait_samples(PoissonArrivals(lam), service,
+                                                N_DEFAULT, seed=next(children))
+                mean, se, _ = batch_means(np.exp(-kappa * waits.samples))
+                rep = validate_formula(formula, simulate.EstimateWithError(
+                    mean, se, N_DEFAULT))
                 out.note(rep.passed,
                          f"{service.kind} lam={lam:g} kappa={kappa:g}: {rep}")
     return out
@@ -197,17 +212,9 @@ def check_erasure_service_dominance(seed=None):
     """Deterministic service beats the same-mean alternatives, analytically."""
     out = CheckOutcome("erasure-deterministic-service-dominance")
     det = Deterministic(1.0)
-    for kappa in (0.1, 1.0):
-        worst = math.inf
-        ok = True
-        for lam in _DOMINANCE_GRID:
-            cap_det = lam * capacity.pk_wait_transform(lam, det, kappa)
-            for alt in _alt_services():
-                margin = cap_det - lam * capacity.pk_wait_transform(lam, alt, kappa)
-                worst = min(worst, margin)
-                ok = ok and margin > 0.0
-        out.note(ok, f"kappa={kappa:g}: strict at all 27 grid points "
-                     f"(thinnest margin {worst:.3e})")
+    _note_dominance(out, lambda lam, kappa, alt: (
+        lam * capacity.pk_wait_transform(lam, det, kappa)
+        - lam * capacity.pk_wait_transform(lam, alt, kappa)))
     return out
 
 
@@ -231,18 +238,8 @@ def check_bsc_service_dominance(seed=None):
     """
     out = CheckOutcome("bsc-deterministic-service-dominance")
     services = (Deterministic(1.0),) + _alt_services()
-    kappas = (0.1, 1.0)
-    # closed-form capacity margin of deterministic service over alternative i
-    closed = {}
-    for kappa in kappas:
-        for lam in _DOMINANCE_GRID:
-            h_det = _flip_entropy(lam, services[0], kappa)
-            for i, alt in enumerate(services[1:], start=1):
-                closed[lam, kappa, i] = lam * (_flip_entropy(lam, alt, kappa) - h_det)
-        margins = [v for (_, k, _), v in closed.items() if k == kappa]
-        out.note(all(v > 0.0 for v in margins),
-                 f"kappa={kappa:g}: strict at all {len(margins)} grid points "
-                 f"(thinnest margin {min(margins):.3e})")
+    closed = _note_dominance(out, lambda lam, kappa, alt: lam * (
+        _flip_entropy(lam, alt, kappa) - _flip_entropy(lam, services[0], kappa)))
     witness = (0.5, 0.9)
     children = iter(_seed_for(seed, 5).spawn(len(witness)))
     n = N_DEFAULT
@@ -257,10 +254,10 @@ def check_bsc_service_dominance(seed=None):
         phi = {}
         for i, service in enumerate(services):
             wq = lindley_waits(_service_quantile(service, u_service), gaps)[burn:]
-            for kappa in kappas:
+            for kappa in _DOMINANCE_KAPPAS:
                 p = -0.5 * np.expm1(-kappa * wq)
                 phi[i, kappa] = p.mean(), p[: m * b].reshape(m, b).mean(axis=1)
-        for kappa in kappas:
+        for kappa in _DOMINANCE_KAPPAS:
             h_det = binary_entropy(phi[0, kappa][0])
             hb_det = binary_entropy(phi[0, kappa][1])
             sigmas = []
@@ -271,7 +268,7 @@ def check_bsc_service_dominance(seed=None):
                 se = paired.std(ddof=1) / math.sqrt(m)
                 sigmas.append(f"{alt.kind} {margin / se if se > 0 else math.inf:.1f}")
                 ok = ok and margin > SIGMA_GATE * se
-                rep = validate_formula(closed[lam, kappa, i],
+                rep = validate_formula(closed[lam, kappa, alt],
                                        simulate.EstimateWithError(margin, se, m))
                 out.note(rep.passed, f"witness lam={lam:g} kappa={kappa:g} {alt.kind} "
                                      f"margin: {rep}")
@@ -298,7 +295,7 @@ def check_csir_ordering(seed=None):
         spec = _bsc_spec(lam, kappa, service, convention)
         # both expectations over one shared wait sample set, so the ordering
         # is the concavity gap itself, not a Monte Carlo race
-        waits = simulate.stationary_wait_samples(
+        waits = stationary_wait_samples(
             spec.arrival, spec.service, 200_000, seed=int(rng.integers(2 ** 63)),
             convention=convention)
         with_t, without = _bsc_pair(spec, waits.samples)
@@ -410,7 +407,7 @@ def check_noiseless_and_instability(seed=None):
     jspec = _bsc_spec(lam, 1.0)
     entry_points = [
         ("stationary_wait_samples",
-         lambda: simulate.stationary_wait_samples(spec.arrival, spec.service, 10)),
+         lambda: stationary_wait_samples(spec.arrival, spec.service, 10)),
         ("pk_wait_transform",
          lambda: capacity.pk_wait_transform(lam, Exponential(1.0), 1.0)),
         ("erasure_capacity", lambda: capacity.erasure_capacity(spec)),
@@ -423,8 +420,6 @@ def check_noiseless_and_instability(seed=None):
                                              assume_unpredictable=True)),
         ("simulate_transmission",
          lambda: simulate.simulate_transmission(spec, 10, seed=0)),
-        ("estimate_expectation_over_pi",
-         lambda: simulate.estimate_expectation_over_pi(lambda w: w, spec, 10)),
         ("estimate_bijective_bounds",
          lambda: simulate.estimate_bijective_bounds(jspec, np.zeros(10))),
     ]

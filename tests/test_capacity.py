@@ -9,7 +9,7 @@ from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           METHOD_CLOSED_FORM_MM1, METHOD_GENERAL_LAPLACE,
                           METHOD_BOUNDS, METHOD_MC, METHOD_PK, E_H_NOISE,
                           H_MEAN_NOISE, E_H_KERNEL_NOISE, QueueChannelSpec,
-                          alpha_mg1, bijective_capacity, erasure_capacity, laplace_service, mean_survival,
+                          alpha_mg1, bijective_capacity, erasure_capacity, mean_survival,
                           mm1_capacity_closed_form, optimal_lambda_mg1,
                           optimal_lambda_mm1_laplace, pk_wait_transform)
 from qcl.channels import (DecoherenceModel, Erasure, RandomBijective,
@@ -40,12 +40,6 @@ def test_spec_properties_and_decoherence_routing():
                                                         0.5 - 0.5 * math.exp(-1.0)])
     with pytest.raises(InstabilityError):
         _erasure_spec(1.5, 1.0).check_stable()
-
-
-def test_laplace_service_wrapper():
-    assert laplace_service(Exponential(1.0), 1.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        laplace_service(Exponential(1.0), -1.0)
 
 
 def test_alpha_values():
@@ -104,14 +98,6 @@ def test_erasure_capacity_scales_with_alphabet():
     two = erasure_capacity(_erasure_spec(0.5, 1.0, k=2))
     four = erasure_capacity(_erasure_spec(0.5, 1.0, k=4))
     assert four.bits_per_sec == pytest.approx(2.0 * two.bits_per_sec)
-
-
-def test_erasure_capacity_accepts_monte_carlo_survival():
-    est = EstimateWithError(value=0.66, std_error=0.001, n=1000)
-    result = erasure_capacity(_erasure_spec(0.5, 1.0), survival=est)
-    assert result.bits_per_sec == pytest.approx(0.5 * 0.66)
-    assert result.method == METHOD_MC
-    assert result.diagnostics["std_error"] == pytest.approx(0.5 * 0.001)
 
 
 def test_erasure_capacity_rejects_wrong_channel():

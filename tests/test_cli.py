@@ -126,17 +126,17 @@ _DOCUMENTS = st.fixed_dictionaries({}, optional={
     "lambda": _VALUES,
     "kappa": _VALUES,
     "service": _SERVICES,
-    # drawn small: a bijective alphabet has no upper bound yet, and
-    # build_channel builds its k x k table, so a huge one would not return
-    "alphabet_size": st.one_of(st.integers(-1, 40), st.floats(), st.none(),
-                               st.booleans(), st.text(max_size=4)),
+    # around the bijective cap and far beyond it, where a k x k table
+    # would not finish building
+    "alphabet_size": st.one_of(st.integers(-1, 300), st.integers(),
+                               st.sampled_from([10 ** 6, 10 ** 400]), st.floats(),
+                               st.none(), st.booleans(), st.text(max_size=4)),
     "delay_convention": st.one_of(st.sampled_from(["waiting", "sojourn"]), _VALUES),
     "receiver_knows_timing": _VALUES,
     "assume_unpredictable": _VALUES,
     "n": _VALUES,
     "burn_in": _VALUES,
     "seed": _VALUES,
-    "buckets": _VALUES,
     "grid": _GRIDS,
     "kappas": st.one_of(_VALUES, st.lists(_VALUES, max_size=4)),
     "noise": _NOISES,
@@ -220,6 +220,30 @@ def test_build_channel_inline_bijection(tmp_path):
     channel = build_channel(_cfg(channel="bijective", bijection=str(path),
                                  noise={"kind": "wait_geometric", "kappa": 0.5}))
     assert channel.alphabet == ("a", "b")
+
+
+@pytest.mark.parametrize("bijection", [
+    {"alphabet": [0, 1], "g": 5},
+    {"alphabet": [0, 1], "g": ["0", "1"]},
+    {"alphabet": [0, 1], "g": {"0": 5, "1": [1, 0]}},
+    {"alphabet": [[0], [1]], "g": {"[0]": [[0], [1]], "[1]": [[1], [0]]}},
+])
+def test_build_spec_rejects_malformed_bijection(bijection):
+    cfg = validate_config({"channel": "bijective", "bijection": bijection})
+    with pytest.raises(ConfigError, match="cannot build bijective channel"):
+        build_spec(cfg)
+
+
+def test_bijective_alphabet_cap_boundary(capsys, tmp_path):
+    doc = {"channel": "bijective", "alphabet_size": 256,
+           "noise": {"kind": "wait_geometric"}}
+    assert build_spec(validate_config(doc)).channel.size == 256
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({**doc, "alphabet_size": 257}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    assert code == 2
+    assert _payload(out) == {"error": "config",
+                             "message": "a bijective alphabet_size must be at most 256"}
 
 
 def test_build_spec_requires_positive_rate():
@@ -365,6 +389,28 @@ def test_cli_optimize_rejects_non_erasure_channel(capsys, tmp_path, channel):
     payload = _payload(out)
     assert payload["error"] == "config"
     assert "erasure" in payload["message"]
+
+
+def test_cli_malformed_bijection_exit(capsys, tmp_path):
+    cfg = tmp_path / "bij.json"
+    cfg.write_text(json.dumps({"channel": "bijective",
+                               "bijection": {"alphabet": [0, 1], "g": 5}}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "'g' must map" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_cli_unwritable_out_exit(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, _ = _run(capsys, command, "--n", "0", "--out", str(target))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert payload["message"].startswith("cannot write output: ")
+    assert str(target) in payload["message"]
 
 
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):

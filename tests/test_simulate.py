@@ -13,8 +13,7 @@ from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, PoissonArrivals)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, estimate_erasure_capacity,
-                          estimate_expectation_over_pi, evaluate_capacity,
-                          simulate_transmission, sweep_rows)
+                          evaluate_capacity, simulate_transmission, sweep_rows)
 from qcl.validation import validate_formula
 
 
@@ -103,19 +102,6 @@ def test_erasure_estimator_input_checks():
         estimate_erasure_capacity(bsc_t)
 
 
-def test_expectation_over_pi_mean_wait():
-    # M/M/1 at lam=0.5: E[Wq] = rho/(mu - lam) = 1.0
-    est = estimate_expectation_over_pi(lambda w: w, _spec(0.5), 200_000, seed=13)
-    assert abs(est.value - 1.0) <= 4.0 * est.std_error
-    assert est.details["burn_in"] > 0
-
-
-def test_expectation_over_pi_rejects_non_elementwise():
-    with pytest.raises(ValueError):
-        estimate_expectation_over_pi(lambda w: np.mean(w), _spec(0.5), 1000,
-                                     seed=1)
-
-
 def test_bsc_estimates_and_timing_gain():
     t = simulate_transmission(_bsc_spec(0.5), 200_000, seed=17)
     est, bounds = estimate_capacity(t)
@@ -176,11 +162,13 @@ def test_sweep_rows_drops_unstable_rates_with_warning():
 
 
 def test_sweep_rows_threaded_matches_serial():
-    grid = dict(lambdas=[0.2, 0.5, 0.8], kappas=[1.0], n=2000, seed=21)
-    serial = sweep_rows(jobs=1, **grid)
-    threaded = sweep_rows(jobs=4, **grid)
-    assert serial == threaded
-    for row in serial:
+    lambdas = [0.2, 0.5, 0.8]
+    rows = sweep_rows(lambdas, [1.0], n=2000, seed=21)
+    # each pool cell equals its cell recomputed alone from the same child seed
+    children = np.random.SeedSequence(21).spawn(len(lambdas))
+    for row, lam, child in zip(rows, lambdas, children):
+        est = estimate_erasure_capacity(simulate_transmission(_spec(lam), 2000, seed=child))
+        assert (row["capacity_mc"], row["mc_stderr"]) == (est.value, est.std_error)
         assert row["mc_stderr"] > 0.0
         assert abs(row["capacity_mc"] - row["capacity_analytic"]) <= \
             6.0 * row["mc_stderr"]
