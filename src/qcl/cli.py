@@ -11,11 +11,11 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .channels import DecoherenceModel
 from .config import (ConfigError, build_service, build_spec, grid_values,
                      load_config)
 from .numerics import golden_section_extremize
-from .queueing import DelayConvention, Exponential, InstabilityError
+from .queueing import (DelayConvention, Exponential, InstabilityError,
+                       PoissonArrivals)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,7 +73,7 @@ def cmd_capacity(cfg):
     spec = build_spec(cfg)
     try:
         result = simulate.evaluate_capacity(
-            spec, cfg["n"], burn_in=cfg["burn_in"], seed=cfg["seed"],
+            spec, cfg["n"], seed=cfg["seed"],
             assume_unpredictable=cfg["assume_unpredictable"])
     except InstabilityError:
         raise
@@ -82,32 +83,37 @@ def cmd_capacity(cfg):
     return EXIT_OK
 
 
-def cmd_optimize(cfg):
+def _require_erasure(cfg, command):
+    """Reject any channel but the erasure channel, the one with a closed form."""
     if cfg["channel"] != "erasure":
-        raise ConfigError(f"optimize maximizes the erasure capacity; channel "
-                          f"{cfg['channel']!r} has no optimal-rate formula")
+        raise ConfigError(f"{command} evaluates the erasure capacity only, "
+                          f"not channel {cfg['channel']!r}")
+
+
+def cmd_optimize(cfg):
+    _require_erasure(cfg, "optimize")
     service = build_service(cfg["service"])
     kappa = cfg["kappa"]
     if kappa <= 0.0:
         raise ConfigError("optimize needs kappa > 0; a noiseless channel has "
                           "no interior optimum (capacity grows with lambda)")
-    scale = math.log2(cfg["alphabet_size"])
     try:
         lam_star = capacity.optimal_lambda_mg1(service, kappa)
     except ValueError as err:  # alpha rounds to 1 or to 0 at extreme kappa
         raise ConfigError(f"cannot optimize: {err}") from None
+    spec = build_spec({**cfg, "lambda": lam_star})
 
-    def objective(lam):
-        return lam * scale * capacity.pk_wait_transform(lam, service, kappa)
+    def capacity_at(lam):
+        spec_at = replace(spec, arrival=PoissonArrivals(lam))
+        return capacity.erasure_capacity(spec_at).bits_per_sec
 
     mu = 1.0 / service.mean
-    numeric = golden_section_extremize(objective, 1e-9 * mu, (1.0 - 1e-9) * mu,
+    numeric = golden_section_extremize(capacity_at, 1e-9 * mu, (1.0 - 1e-9) * mu,
                                        tol=1e-8, mode="max")
-    method = (capacity.METHOD_CLOSED_FORM_MM1 if isinstance(service, Exponential)
-              else capacity.METHOD_PK)
+    best = capacity.erasure_capacity(spec)
     payload = {"lambda_star": lam_star,
-               "capacity_at_lambda_star": objective(lam_star),
-               "method": method,
+               "capacity_at_lambda_star": best.bits_per_sec,
+               "method": best.method,
                "numeric_check": {"lambda_star": numeric.argopt,
                                  "gap": abs(numeric.argopt - lam_star),
                                  "iterations": numeric.iterations}}
@@ -129,17 +135,18 @@ def cmd_optimize(cfg):
 
 
 def cmd_sweep(cfg):
+    _require_erasure(cfg, "sweep")
     lambdas = grid_values(cfg["grid"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = simulate.sweep_rows(
-            lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
-            service=build_service(cfg["service"]), alphabet=cfg["alphabet_size"],
-            convention=DelayConvention(cfg["delay_convention"]))
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
     out = cfg["out"] or "sweep.csv"
     with _writing(out), open(out, "w", newline="") as fh:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = simulate.sweep_rows(
+                lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
+                service=build_service(cfg["service"]), alphabet=cfg["alphabet_size"],
+                convention=DelayConvention(cfg["delay_convention"]))
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         writer = csv.writer(fh)
         writer.writerow(["lambda", "kappa", "capacity_analytic", "capacity_mc",
                          "mc_stderr"])

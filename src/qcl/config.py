@@ -2,13 +2,14 @@
 
 One flat JSON document describes a run: the queue (lambda, service), the
 channel (kind, kappa, alphabet, bijection table, noise law), the conventions,
-and the run parameters (n, burn_in, seed, grid, kappas, out, ...). Unknown
+and the run parameters (n, seed, grid, kappas, out, ...). Unknown
 keys are rejected so a typo cannot silently fall back to a default.
 """
 
 import json
 import math
 import os
+from dataclasses import MISSING, fields
 
 from .capacity import QueueChannelSpec
 from .channels import (DecoherenceModel, Erasure, RandomBijective,
@@ -35,7 +36,6 @@ DEFAULTS = {
     "delay_convention": "waiting",
     "receiver_knows_timing": False,
     "n": 10 ** 6,
-    "burn_in": None,
     "seed": None,
     "grid": {"start": 0.01, "stop": 0.99, "step": 0.01},
     "kappas": [0.01, 0.1, 1.0],
@@ -48,13 +48,8 @@ DEFAULTS = {
 
 _CHANNELS = ("erasure", "bsc", "bijective")
 _CONVENTIONS = tuple(c.value for c in DelayConvention)
-_SERVICE_KEYS = {
-    "exponential": {"rate"},
-    "deterministic": {"value"},
-    "gamma": {"shape", "scale"},
-    "uniform": {"low", "high"},
-    "empirical": {"samples"},
-}
+_SERVICES = {law.kind: law for law in (Exponential, Deterministic, Gamma,
+                                        Uniform, Empirical)}
 _NOISE_KINDS = ("bernoulli", "wait_geometric")
 
 
@@ -107,6 +102,8 @@ def validate_config(doc):
     cfg["alphabet_size"] = _require_int(cfg, "alphabet_size", minimum=2)
     if cfg["channel"] == "bijective" and cfg["alphabet_size"] > MAX_ALPHABET:
         raise ConfigError(f"a bijective alphabet_size must be at most {MAX_ALPHABET}")
+    if cfg["alphabet_size"] > 2 ** 63:  # input symbols are drawn as int64
+        raise ConfigError("alphabet_size must be at most 2**63")
     if cfg["delay_convention"] not in _CONVENTIONS:
         raise ConfigError(f"delay_convention must be one of {_CONVENTIONS}")
     if not isinstance(cfg["receiver_knows_timing"], bool):
@@ -117,8 +114,6 @@ def validate_config(doc):
         # h(E phi(W)) is the binary symmetric channel's no-timing capacity
         cfg["assume_unpredictable"] = True
     cfg["n"] = _require_int(cfg, "n", minimum=0)
-    if cfg["burn_in"] is not None:
-        cfg["burn_in"] = _require_int(cfg, "burn_in", minimum=0)
     if cfg["seed"] is not None:
         cfg["seed"] = _require_int(cfg, "seed", minimum=0)
     grid_values(cfg["grid"])
@@ -177,29 +172,32 @@ def load_config(path=None, overrides=None):
     return validate_config(merged)
 
 
+def _service_value(field, doc):
+    """doc's value, or else the default, for one field of a service law: a
+    tuple of floats for the samples, else a float."""
+    value = doc.get(field.name, field.default)
+    if value is MISSING:
+        raise KeyError(field.name)
+    if field.type is tuple:
+        return tuple(float(v) for v in value)
+    return float(value)
+
+
 def build_service(doc):
     """Service distribution from its sub-document, e.g. {"kind": "gamma",
     "shape": 2, "scale": 0.5}."""
     if not isinstance(doc, dict):
         raise ConfigError("service must be an object with a 'kind'")
     kind = doc.get("kind")
-    if kind not in _SERVICE_KEYS:
-        raise ConfigError(f"service kind must be one of {sorted(_SERVICE_KEYS)}, "
+    law = _SERVICES.get(kind) if isinstance(kind, str) else None
+    if law is None:
+        raise ConfigError(f"service kind must be one of {sorted(_SERVICES)}, "
                           f"got {kind!r}")
-    extra = sorted(set(doc) - {"kind"} - _SERVICE_KEYS[kind])
+    extra = sorted(set(doc) - {"kind"} - {f.name for f in fields(law)})
     if extra:
         raise ConfigError(f"unknown {kind} service keys: {', '.join(extra)}")
     try:
-        if kind == "exponential":
-            service = Exponential(float(doc.get("rate", 1.0)))
-        elif kind == "deterministic":
-            service = Deterministic(float(doc.get("value", 1.0)))
-        elif kind == "gamma":
-            service = Gamma(float(doc["shape"]), float(doc["scale"]))
-        elif kind == "uniform":
-            service = Uniform(float(doc["low"]), float(doc["high"]))
-        else:
-            service = Empirical(tuple(float(v) for v in doc["samples"]))
+        service = law(**{f.name: _service_value(f, doc) for f in fields(law)})
     except KeyError as missing:
         raise ConfigError(f"{kind} service needs key {missing}") from None
     except (TypeError, ValueError, OverflowError) as bad:

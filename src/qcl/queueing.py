@@ -245,15 +245,25 @@ class WaitSampleSet:
         return self.samples.size
 
 
-def stationary_wait_samples(arrival, service, n, burn_in=None, seed=None,
+def queue_path(arrival, service, n, rng, convention):
+    """Run n symbols through the queue from empty, drawing the interarrival
+    gaps and then the service times from rng. Returns (gaps, services, waits
+    before service, delays), each delay under the given DelayConvention."""
+    t = arrival.sample_interarrival(rng, size=n)
+    s = np.asarray(service.sample(rng, size=n), dtype=float)
+    wq = lindley_waits(s, t)
+    return t, s, wq, (wq + s if convention is DelayConvention.SOJOURN else wq)
+
+
+def stationary_wait_samples(arrival, service, n, seed=None,
                             convention=DelayConvention.WAITING_BEFORE_SERVICE):
-    """Sample n stationary delays by running the Lindley recursion from empty.
+    """Sample n stationary delays: run the queue from empty and discard the
+    first default_burn_in(lambda, mu) of them.
 
     Args:
         arrival: PoissonArrivals with rate lambda < 1/service.mean.
         service: a ServiceDistribution.
-        n: samples to keep after discarding burn_in.
-        burn_in: steps to discard; defaults to max(1e4, 10/(mu-lambda)).
+        n: samples to keep after the burn-in.
         seed: int seed, SeedSequence, or Generator.
         convention: with SOJOURN, each emitted sample is the queue wait plus
             the symbol's own service time.
@@ -265,15 +275,6 @@ def stationary_wait_samples(arrival, service, n, burn_in=None, seed=None,
     check_stability(lam, mu)
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    if burn_in is None:
-        burn_in = default_burn_in(lam, mu)
-    rng = as_rng(seed)
-    total = n + burn_in
-    t = arrival.sample_interarrival(rng, size=total)
-    s = np.asarray(service.sample(rng, size=total), dtype=float)
-    wq = lindley_waits(s, t)
-    if convention is DelayConvention.SOJOURN:
-        out = wq[burn_in:] + s[burn_in:]
-    else:
-        out = wq[burn_in:].copy()
-    return WaitSampleSet(samples=out, convention=convention, burn_in=burn_in)
+    burn_in = default_burn_in(lam, mu)
+    *_, w = queue_path(arrival, service, n + burn_in, as_rng(seed), convention)
+    return WaitSampleSet(samples=w[burn_in:], convention=convention, burn_in=burn_in)

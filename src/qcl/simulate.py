@@ -21,7 +21,7 @@ from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy)
 from .numerics import batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, PoissonArrivals,
-                       lindley_waits, stationary_wait_samples)
+                       queue_path, stationary_wait_samples)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 
@@ -100,21 +100,11 @@ def simulate_transmission(spec, n, seed=None):
     if n < 0:
         raise ValueError("n must be nonnegative")
     queue_rng, input_rng, noise_rng = spawn_rngs(seed, 3)
-    k = spec.channel.size
-    if n == 0:
-        empty = np.empty(0)
-        return Transcript(x=np.empty(0, dtype=int), a=empty, d=empty, s=empty,
-                          w=empty, y=np.empty(0, dtype=int), spec=spec, seed=seed)
-    t = spec.arrival.sample_interarrival(queue_rng, size=n)
-    s = np.asarray(spec.service.sample(queue_rng, size=n), dtype=float)
+    t, s, wq, w = queue_path(spec.arrival, spec.service, n, queue_rng,
+                             spec.delay_convention)
     a = np.cumsum(t)
-    wq = lindley_waits(s, t)
     d = a + wq + s
-    if spec.delay_convention is DelayConvention.SOJOURN:
-        w = wq + s
-    else:
-        w = wq
-    x = input_rng.integers(0, k, size=n)
+    x = input_rng.integers(0, spec.channel.size, size=n)
     y = apply_channel(spec.channel, x, w, noise_rng)
     return Transcript(x=x, a=a, d=d, s=s, w=w, y=np.asarray(y, dtype=int),
                       spec=spec, seed=seed)
@@ -212,13 +202,13 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     return out
 
 
-def evaluate_capacity(spec, n=0, burn_in=None, seed=None, assume_unpredictable=False):
+def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
     """The capacity of spec's channel as a CapacityResult.
 
     An erasure channel has a transform closed form and draws nothing. A
-    noise-permutation channel is estimated over n stationary delays (see
-    stationary_wait_samples for burn_in and seed), computing only the
-    expectations bijective_capacity reads for this spec.
+    noise-permutation channel is estimated over n stationary delays drawn
+    from seed (see stationary_wait_samples), computing only the expectations
+    bijective_capacity reads for this spec.
     """
     if spec.channel.kind == "erasure":
         return erasure_capacity(spec)
@@ -228,8 +218,7 @@ def evaluate_capacity(spec, n=0, burn_in=None, seed=None, assume_unpredictable=F
         keys = (H_MEAN_NOISE,)
     else:
         keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
-    waits = stationary_wait_samples(spec.arrival, spec.service, n,
-                                    burn_in=burn_in, seed=seed,
+    waits = stationary_wait_samples(spec.arrival, spec.service, n, seed=seed,
                                     convention=spec.delay_convention)
     expectations = estimate_bijective_bounds(spec, waits.samples, keys)
     return bijective_capacity(spec, expectations, assume_unpredictable)

@@ -248,7 +248,7 @@ def check_bsc_service_dominance(seed=None):
     for lam in witness:
         rng = np.random.default_rng(next(children))
         burn = default_burn_in(lam, 1.0)
-        gaps = rng.exponential(1.0 / lam, size=n + burn)
+        gaps = PoissonArrivals(lam).sample_interarrival(rng, size=n + burn)
         u_service = rng.random(n + burn)
         # (mean, batch means) of phi(W) per service law and kappa
         phi = {}

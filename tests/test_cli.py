@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcl import simulate
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
@@ -111,7 +112,9 @@ _NUMBERS = st.one_of(st.floats(), st.integers(-10 ** 4, 10 ** 4),
 _VALUES = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=4))
 _SERVICES = st.one_of(_VALUES, st.fixed_dictionaries(
     {"kind": st.one_of(st.sampled_from(["exponential", "deterministic", "gamma",
-                                        "uniform", "empirical"]), _VALUES)},
+                                        "uniform", "empirical"]), _VALUES,
+                       st.lists(_VALUES, max_size=2),
+                       st.dictionaries(st.text(max_size=2), _VALUES, max_size=2))},
     optional={key: _VALUES for key in ("rate", "value", "shape", "scale", "low",
                                        "high")}
     | {"samples": st.one_of(_VALUES, st.lists(_VALUES, max_size=4))}))
@@ -135,7 +138,6 @@ _DOCUMENTS = st.fixed_dictionaries({}, optional={
     "receiver_knows_timing": _VALUES,
     "assume_unpredictable": _VALUES,
     "n": _VALUES,
-    "burn_in": _VALUES,
     "seed": _VALUES,
     "grid": _GRIDS,
     "kappas": st.one_of(_VALUES, st.lists(_VALUES, max_size=4)),
@@ -199,6 +201,12 @@ def test_build_service_kinds():
         build_service({"kind": "exponential", "rate": -1.0})
 
 
+@pytest.mark.parametrize("kind", [["gamma"], {"a": 1}])
+def test_build_service_rejects_unhashable_kind(kind):
+    with pytest.raises(ConfigError, match="service kind must be one of"):
+        build_service({"kind": kind})
+
+
 def test_build_channel_kinds():
     assert isinstance(build_channel(_cfg()), Erasure)
     bsc = build_channel(_cfg(channel="bsc"))
@@ -244,6 +252,22 @@ def test_bijective_alphabet_cap_boundary(capsys, tmp_path):
     assert code == 2
     assert _payload(out) == {"error": "config",
                              "message": "a bijective alphabet_size must be at most 256"}
+
+
+def test_alphabet_cap_boundary(capsys, tmp_path):
+    # input symbols are drawn as int64, so 2**63 is the widest alphabet
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"alphabet_size": 2 ** 63, "n": 10, "seed": 1}))
+    code, out, _ = _run(capsys, "simulate", "--config", str(cfg), "--out",
+                        str(tmp_path / "t.csv"))
+    assert code == 0
+    assert _payload(out)["n"] == 10
+    cfg.write_text(json.dumps({"alphabet_size": 2 ** 63 + 1, "n": 10}))
+    code, out, _ = _run(capsys, "simulate", "--config", str(cfg), "--out",
+                        str(tmp_path / "t.csv"))
+    assert code == 2
+    assert _payload(out) == {"error": "config",
+                             "message": "alphabet_size must be at most 2**63"}
 
 
 def test_build_spec_requires_positive_rate():
@@ -391,6 +415,33 @@ def test_cli_optimize_rejects_non_erasure_channel(capsys, tmp_path, channel):
     assert "erasure" in payload["message"]
 
 
+def test_cli_optimize_sojourn_matches_capacity(capsys, tmp_path):
+    cfg = tmp_path / "sojourn.json"
+    cfg.write_text(json.dumps({"delay_convention": "sojourn"}))
+    code, out, _ = _run(capsys, "optimize", "--config", str(cfg), "--kappa", "1.0")
+    assert code == 0
+    optimum = _payload(out)
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg), "--kappa", "1.0",
+                        "--lambda", repr(optimum["lambda_star"]))
+    assert code == 0
+    at_optimum = _payload(out)
+    assert optimum["capacity_at_lambda_star"] == at_optimum["bits_per_sec"]
+    assert optimum["method"] == at_optimum["method"] == "PKTransform"
+
+
+@pytest.mark.parametrize("channel", ["bsc", "bijective"])
+def test_cli_sweep_rejects_non_erasure_channel(capsys, tmp_path, channel):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"channel": channel, "grid": [0.5], "kappas": [1.0]}))
+    target = tmp_path / "s.csv"
+    code, out, _ = _run(capsys, "sweep", "--config", str(cfg), "--out", str(target))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "erasure" in payload["message"]
+    assert not target.exists()
+
+
 def test_cli_malformed_bijection_exit(capsys, tmp_path):
     cfg = tmp_path / "bij.json"
     cfg.write_text(json.dumps({"channel": "bijective",
@@ -411,6 +462,16 @@ def test_cli_unwritable_out_exit(capsys, tmp_path, command):
     assert payload["error"] == "config"
     assert payload["message"].startswith("cannot write output: ")
     assert str(target) in payload["message"]
+
+
+def test_cli_sweep_checks_out_before_computing(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "sweep_rows", lambda *a, **k: calls.append(a) or [])
+    target = tmp_path / "missing" / "out.csv"
+    code, out, _ = _run(capsys, "sweep", "--n", "10", "--out", str(target))
+    assert code == 2
+    assert _payload(out)["error"] == "config"
+    assert calls == []
 
 
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):
