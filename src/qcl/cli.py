@@ -3,8 +3,8 @@ sweeps to CSV, transcript simulation, and the formula-versus-simulation
 check suite.
 
 Results go to stdout as JSON (full float precision); failures print a
-machine-readable error object and exit 2 (bad config), 3 (unstable queue), or
-4 (check-suite failure).
+machine-readable error object and exit 2 (bad config or usage), 3 (unstable
+queue), or 4 (check-suite failure).
 """
 
 import argparse
@@ -184,6 +184,9 @@ def cmd_validate(cfg):
         raise ConfigError(f"unknown suite {suite!r}; choose from "
                           f"{', '.join(sorted(validation.SUITES))}")
     checks = validation.SUITES[suite]
+    # import scipy here, once: pool threads importing it at once can deadlock
+    import scipy.integrate  # noqa: F401
+    import scipy.special  # noqa: F401
     workers = max(1, min(len(checks), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(check, seed=cfg["seed"]) for check in checks]
@@ -200,8 +203,16 @@ def cmd_validate(cfg):
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, printing each usage error as JSON on stdout too."""
+
+    def error(self, message):
+        emit({"error": "usage", "message": f"{self.prog}: {message}"})
+        super().error(message)  # usage text on stderr, exit 2
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcl",
         description="capacity of single-server queue channels with "
                     "delay-dependent noise")

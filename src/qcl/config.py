@@ -172,15 +172,26 @@ def load_config(path=None, overrides=None):
     return validate_config(merged)
 
 
-def _service_value(field, doc):
+def _service_value(kind, field, doc):
     """doc's value, or else the default, for one field of a service law: a
-    tuple of floats for the samples, else a float."""
-    value = doc.get(field.name, field.default)
-    if value is MISSING:
-        raise KeyError(field.name)
+    tuple of finite floats from a JSON list for the samples, else a finite
+    float. Strings, objects and bools are rejected, never converted."""
+    if field.name not in doc:
+        if field.default is MISSING:
+            raise ConfigError(f"{kind} service needs key {field.name!r}")
+        return field.default
+    value = doc[field.name]
     if field.type is tuple:
-        return tuple(float(v) for v in value)
-    return float(value)
+        values = [_finite(v) for v in value] if isinstance(value, list) else [None]
+        if None in values:
+            raise ConfigError(f"{kind} service {field.name} must be a list of "
+                              f"finite numbers, got {value!r}")
+        return tuple(values)
+    number = _finite(value)
+    if number is None:
+        raise ConfigError(f"{kind} service {field.name} must be a finite number, "
+                          f"got {value!r}")
+    return number
 
 
 def build_service(doc):
@@ -196,11 +207,10 @@ def build_service(doc):
     extra = sorted(set(doc) - {"kind"} - {f.name for f in fields(law)})
     if extra:
         raise ConfigError(f"unknown {kind} service keys: {', '.join(extra)}")
+    values = {f.name: _service_value(kind, f, doc) for f in fields(law)}
     try:
-        service = law(**{f.name: _service_value(f, doc) for f in fields(law)})
-    except KeyError as missing:
-        raise ConfigError(f"{kind} service needs key {missing}") from None
-    except (TypeError, ValueError, OverflowError) as bad:
+        service = law(**values)
+    except ValueError as bad:
         raise ConfigError(f"bad {kind} service parameters: {bad}") from None
     # every formula divides by the mean, so mu = 1/mean must be finite too
     mean = service.mean

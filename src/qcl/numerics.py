@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio, the section step
 QUAD_TARGET = 1e-9  # absolute error target of quadrature_laplace
@@ -143,6 +142,7 @@ def quadrature_laplace(p, u):
     """
     if u <= 0:
         raise ValueError("u must be positive")
+    from scipy import integrate  # only validate needs scipy; keep it off import qcl
 
     def g(t):
         return p(-math.log(t) / u)

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from . import capacity, simulate
 from .channels import (DecoherenceModel, Erasure, RandomBijective,
@@ -145,6 +144,7 @@ def _service_quantile(service, u):
     if isinstance(service, Exponential):
         return -np.log1p(-u) * service.mean
     if isinstance(service, Gamma):
+        from scipy.special import gammaincinv  # loaded only on this path
         return gammaincinv(service.shape, u) * service.scale
     if isinstance(service, Uniform):
         return service.low + (service.high - service.low) * u

@@ -404,6 +404,24 @@ def test_cli_rejects_zero_mean_service(capsys, tmp_path, service):
     assert "mean" in payload["message"]
 
 
+@pytest.mark.parametrize("service", [
+    {"kind": "empirical", "samples": "123"},  # not read as [1, 2, 3]
+    {"kind": "empirical", "samples": {"4": 1}},  # not read as its keys
+    {"kind": "empirical", "samples": ["1", "2"]},
+    {"kind": "empirical", "samples": [1, True]},
+    {"kind": "gamma", "shape": "2", "scale": 0.5},
+    {"kind": "exponential", "rate": True},
+])
+def test_cli_rejects_service_fields_instead_of_coercing(capsys, tmp_path, service):
+    cfg = tmp_path / "service.json"
+    cfg.write_text(json.dumps({"service": service, "lambda": 0.2}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert payload["message"].startswith(f"{service['kind']} service ")
+
+
 @pytest.mark.parametrize("channel", ["bsc", "bijective"])
 def test_cli_optimize_rejects_non_erasure_channel(capsys, tmp_path, channel):
     cfg = tmp_path / "opt.json"
@@ -584,3 +602,15 @@ def test_cli_help_and_missing_command(capsys):
     assert "capacity" in out and "validate" in out
     code, _, err = _run(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["validate", "bogus"],
+                                  ["capacity", "--lambda", "abc"],
+                                  ["bogus"], []])
+def test_cli_usage_errors_are_json(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    payload = _payload(out)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "usage"
+    assert "usage: qcl" in err
