@@ -184,9 +184,10 @@ def cmd_validate(cfg):
         raise ConfigError(f"unknown suite {suite!r}; choose from "
                           f"{', '.join(sorted(validation.SUITES))}")
     checks = validation.SUITES[suite]
-    # import scipy here, once: pool threads importing it at once can deadlock
-    import scipy.integrate  # noqa: F401
-    import scipy.special  # noqa: F401
+    if any(check in validation.SCIPY_CHECKS for check in checks):
+        # import scipy here, once: pool threads importing it at once can deadlock
+        import scipy.integrate  # noqa: F401
+        import scipy.special  # noqa: F401
     workers = max(1, min(len(checks), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(check, seed=cfg["seed"]) for check in checks]
@@ -260,6 +261,9 @@ def main(argv=None):
         return args.fn(cfg)
     except ConfigError as err:
         emit({"error": "config", "message": str(err)})
+        return EXIT_CONFIG
+    except MemoryError as err:  # an n within MAX_N can still outgrow the machine
+        emit({"error": "config", "message": f"not enough memory for this run: {err}"})
         return EXIT_CONFIG
     except InstabilityError as err:
         emit({"error": "instability", "message": str(err)})

@@ -20,6 +20,7 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
 
 SEED_ENV_VAR = "QCL_SEED"
 MAX_GRID_POINTS = 10 ** 5
+MAX_N = 10 ** 9  # symbols per run; one float64 column of 10**9 takes 8 GB
 MAX_ALPHABET = 256  # build_channel's XOR table costs k^2 Python steps
 
 
@@ -114,6 +115,8 @@ def validate_config(doc):
         # h(E phi(W)) is the binary symmetric channel's no-timing capacity
         cfg["assume_unpredictable"] = True
     cfg["n"] = _require_int(cfg, "n", minimum=0)
+    if cfg["n"] > MAX_N:
+        raise ConfigError(f"n must be at most {MAX_N}, got {cfg['n']}")
     if cfg["seed"] is not None:
         cfg["seed"] = _require_int(cfg, "seed", minimum=0)
     grid_values(cfg["grid"])

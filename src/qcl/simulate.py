@@ -6,7 +6,6 @@ received sequence is recorded alongside the timing. The estimators here are
 the ground truth every closed form in qcl.capacity is checked against.
 """
 
-import csv
 import math
 import os
 import warnings
@@ -24,6 +23,7 @@ from .queueing import (DelayConvention, Exponential, PoissonArrivals,
                        queue_path, stationary_wait_samples)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
+CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -70,19 +70,22 @@ class Transcript:
         """Write `index,x,a,d,s,w,y` rows; ERASED symbols render as `?`.
 
         Floats are written with repr (shortest round-trip), so files are
-        bit-identical across runs with the same seed.
+        bit-identical across runs with the same seed. Rows end in \\r\\n, as
+        with the csv module's default dialect; no field needs quoting. Rows
+        are formatted and written CSV_BLOCK_ROWS at a time.
         """
         own = not hasattr(path_or_file, "write")
         fh = open(path_or_file, "w", newline="") if own else path_or_file
         try:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "x", "a", "d", "s", "w", "y"])
-            for i in range(len(self)):
-                y = int(self.y[i])
-                writer.writerow([i, int(self.x[i]), repr(float(self.a[i])),
-                                 repr(float(self.d[i])), repr(float(self.s[i])),
-                                 repr(float(self.w[i])),
-                                 "?" if y == ERASED else y])
+            fh.write("index,x,a,d,s,w,y\r\n")
+            for lo in range(0, len(self), CSV_BLOCK_ROWS):
+                block = slice(lo, lo + CSV_BLOCK_ROWS)
+                y = ["?" if v == ERASED else str(v) for v in self.y[block].tolist()]
+                rows = zip(map(str, range(lo, lo + len(y))),
+                           map(str, self.x[block].tolist()),
+                           *(map(repr, col[block].tolist())
+                             for col in (self.a, self.d, self.s, self.w)), y)
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
         finally:
             if own:
                 fh.close()

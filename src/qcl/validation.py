@@ -506,4 +506,6 @@ SUITES = {
     "service-optimality": (check_erasure_service_dominance,
                            check_bsc_service_dominance),
 }
+# the checks that reach scipy, through quadrature_laplace or _service_quantile
+SCIPY_CHECKS = (check_numerics_gates, check_bsc_service_dominance)
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl import simulate
+from qcl import config, simulate
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
-from qcl.config import (ConfigError, build_channel, build_service, build_spec,
-                        grid_values, load_config, validate_config)
+from qcl.config import (MAX_N, ConfigError, build_channel, build_service,
+                        build_spec, grid_values, load_config, validate_config)
 from qcl.queueing import Deterministic, Exponential, Gamma, Uniform
 from qcl.simulate import estimate_bijective_bounds
 
@@ -480,6 +480,45 @@ def test_cli_unwritable_out_exit(capsys, tmp_path, command):
     assert payload["error"] == "config"
     assert payload["message"].startswith("cannot write output: ")
     assert str(target) in payload["message"]
+
+
+def test_sample_count_cap_boundary():
+    assert validate_config({"n": MAX_N})["n"] == MAX_N
+    with pytest.raises(ConfigError, match="n must be at most"):
+        validate_config({"n": MAX_N + 1})
+
+
+# Each n here needs at least 2**59 bytes per array, beyond any 64-bit user
+# address space, so an allocation that is reached fails at once.
+_HUGE_RUNS = {"simulate": {}, "capacity": {"channel": "bsc"},
+              "sweep": {"grid": [0.5], "kappas": [1.0]}}
+
+
+@pytest.mark.parametrize("n", [2 ** 56, 2 ** 62, 10 ** 20])
+@pytest.mark.parametrize("command", sorted(_HUGE_RUNS))
+def test_cli_rejects_n_beyond_cap(capsys, tmp_path, command, n):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_HUGE_RUNS[command]))
+    target = tmp_path / "out.csv"
+    code, out, _ = _run(capsys, command, "--config", str(cfg), "--n", str(n),
+                        "--seed", "1", "--out", str(target))
+    assert code == 2
+    assert _payload(out) == {"error": "config",
+                             "message": f"n must be at most {MAX_N}, got {n}"}
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_HUGE_RUNS))
+def test_cli_out_of_memory_is_a_config_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(config, "MAX_N", 2 ** 60)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(_HUGE_RUNS[command]))
+    code, out, _ = _run(capsys, command, "--config", str(cfg), "--n", str(2 ** 56),
+                        "--seed", "1", "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert payload["message"].startswith("not enough memory for this run: ")
 
 
 def test_cli_sweep_checks_out_before_computing(capsys, tmp_path, monkeypatch):

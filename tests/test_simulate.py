@@ -1,11 +1,13 @@
 """Tests for the discrete-event simulator and its capacity estimators."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
 
+from qcl import simulate
 from qcl.capacity import QueueChannelSpec, erasure_capacity
 from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                           bernoulli_noise, wait_geometric_noise, xor_table)
@@ -220,6 +222,41 @@ def test_to_csv_bytes_pinned(tmp_path, spec, x, y, y_text):
     expected = "index,x,a,d,s,w,y\r\n" + "".join(
         f"{i},{xi},{row},{yi}\r\n"
         for i, (xi, row, yi) in enumerate(zip(x, _CSV_ROWS, y_text)))
+    assert path.read_bytes() == expected.encode()
+
+
+def _csv_reference(t):
+    """The transcript as the row-at-a-time csv.writer it replaced wrote it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["index", "x", "a", "d", "s", "w", "y"])
+    for i in range(len(t)):
+        y = int(t.y[i])
+        writer.writerow([i, int(t.x[i]), repr(float(t.a[i])), repr(float(t.d[i])),
+                         repr(float(t.s[i])), repr(float(t.w[i])),
+                         "?" if y == ERASED else y])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("spec, n", [
+    (_spec(0.8, kappa=2.0), 300),  # the last block is partial
+    (_spec(0.8, kappa=2.0), 280),  # exactly 40 blocks
+    (_spec(), 0),  # header only
+    (_bsc_spec(), 300),
+    (_spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
+                                   wait_geometric_noise(1.0, 8))), 300),
+], ids=["erasure-partial", "erasure-whole-blocks", "empty", "bsc", "bijective"])
+def test_to_csv_blocks_match_row_writer(tmp_path, monkeypatch, spec, n):
+    monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
+    t = simulate_transmission(spec, n, seed=11)
+    expected = _csv_reference(t)
+    if spec.channel.kind == "erasure" and n:
+        assert ",?\r\n" in expected
+    buf = io.StringIO(newline="")
+    t.to_csv(buf)
+    assert buf.getvalue() == expected
+    path = tmp_path / "t.csv"
+    t.to_csv(path)
     assert path.read_bytes() == expected.encode()
 
 

@@ -57,6 +57,19 @@ assert {"scipy.integrate", "scipy.special"} <= set(sys.modules)
 """
 
 
+_VALIDATE_NO_SCIPY = """
+import sys
+
+from qcl import cli, validation
+
+validation.N_DEFAULT = 10_000
+for suite in ("bsc", "bijective"):
+    assert cli.main(["validate", suite, "--seed", "0"]) in (0, 4), suite
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
 def _python(code, *args):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -75,3 +88,9 @@ def test_validate_reaches_both_scipy_callers_on_its_thread_pool():
     done = _python(_VALIDATE)
     assert done.returncode == 0, done.stderr
     assert "[PASS] numerics-gates" in done.stdout
+
+
+def test_validate_suites_without_scipy_callers_load_no_scipy():
+    done = _python(_VALIDATE_NO_SCIPY)
+    assert done.returncode == 0, done.stderr
+    assert "[PASS] bsc-csir-ordering" in done.stdout
