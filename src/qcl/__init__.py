@@ -3,14 +3,14 @@ delay-dependent noise.
 
 Symbols queue for a single server; the longer one waits, the noisier its
 channel use becomes: erased, or permuted by a delay-dependent noise symbol.
-One DecoherenceModel p(w) drives both kinds: the erasure channel erases with
-probability p(w), and the binary symmetric channel, the two-symbol
-permutation channel with XOR table (RandomBijective.binary_symmetric), flips
-with probability p(w)/2, the depolarizing flip. The package pairs
-closed-form capacity expressions with a discrete-event Monte Carlo simulator
-and a check suite that holds the two against each other; evaluate_capacity
-and estimate_capacity are the one evaluation path per channel that the
-command line renders.
+One DecoherenceModel(kappa), the depolarizing law p(w) = 1 - exp(-kappa*w),
+drives both kinds: the erasure channel erases with probability p(w), and
+the binary symmetric channel, the two-symbol permutation channel with XOR
+table (RandomBijective.binary_symmetric), flips with probability p(w)/2, the
+depolarizing flip. The package pairs closed-form capacity expressions with a
+discrete-event Monte Carlo simulator and a check suite that holds the two
+against each other; evaluate_capacity and estimate_capacity are the one
+evaluation path per channel that the command line renders.
 """
 
 from .capacity import (CapacityResult, LaplaceRouteResult, QueueChannelSpec,

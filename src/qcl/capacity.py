@@ -3,8 +3,8 @@
 Everything routes through two quantities: the service Laplace transform
 F(s) = E[exp(-s*S)] and the stationary-wait transform E[exp(-kappa*W)] given by
 the Pollaczek-Khinchin formula. Expectations with no transform expression
-(entropy functionals, general error laws) are supplied by the caller, normally
-from qcl.simulate.
+(the entropy functionals of the permutation channels) are supplied by the
+caller, normally from qcl.simulate.
 """
 
 import math
@@ -94,16 +94,13 @@ def pk_wait_transform(lam, service, kappa):
 
 
 def mean_survival(spec):
-    """E[exp(-kappa*W)] under the spec's delay convention, exponential family.
+    """E[exp(-kappa*W)] under the spec's delay convention.
 
-    This is the per-symbol survival probability 1 - E[p(W)] for the erasure
-    family p(w) = 1 - exp(-kappa*w). Requires an erasure channel whose
-    DecoherenceModel carries a kappa; SOJOURN multiplies in the service
-    transform F(kappa).
+    This is the per-symbol survival probability 1 - E[p(W)] of an erasure
+    channel whose DecoherenceModel is p(w) = 1 - exp(-kappa*w); SOJOURN
+    multiplies in the service transform F(kappa).
     """
     kappa = spec.channel.decoherence.kappa
-    if kappa is None:
-        raise ValueError("error model has no kappa; use a Monte Carlo expectation")
     spec.check_stable()
     if kappa == 0.0:
         return 1.0
@@ -117,8 +114,7 @@ def erasure_capacity(spec):
     """Erasure-channel capacity lam * log2(k) * E[1 - p(W)] in bits/sec.
 
     E[1 - p(W)] is mean_survival, the transform closed form of the
-    exponential decoherence family. The result does not depend on
-    receiver_knows_timing.
+    decoherence law. The result does not depend on receiver_knows_timing.
     """
     if spec.channel.kind != "erasure":
         raise TypeError("erasure_capacity needs an Erasure channel")
@@ -205,7 +201,7 @@ def optimal_lambda_mm1_laplace(laplace_p):
         return u * (1.0 + laplace_p(u / (1.0 - u)))
 
     lo, hi = 1e-9, 1.0 - 1e-9
-    res = golden_section_extremize(objective, lo, hi, tol=1e-8, mode="min")
+    res = golden_section_extremize(objective, lo, hi, mode="min")
     probes = [lo + (hi - lo) * i / 32.0 for i in range(33)]
     values = [objective(u) for u in probes]
     degenerate = (max(values) - min(values)) < 1e-9

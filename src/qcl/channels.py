@@ -1,12 +1,12 @@
 """Delay-dependent symbol channels.
 
-A symbol that waited w in the queue is degraded according to a
-DecoherenceModel p(w), the probability that it depolarized: erased with
-probability p(w), or permuted by a noise symbol whose distribution depends
-on w. The binary symmetric channel is the k=2 permutation channel with XOR
-table and Bernoulli(p(w)/2) noise, the depolarizing flip. Symbols are
-integer indices 0..k-1; erasure output uses the ERASED sentinel (rendered
-"?" in transcripts).
+A symbol that waited w in the queue has depolarized with probability
+p(w) = 1 - exp(-kappa*w), the one law, stated by DecoherenceModel(kappa).
+It is erased with probability p(w), or permuted by a noise symbol whose
+distribution depends on w. The binary symmetric channel is the k=2
+permutation channel with XOR table and Bernoulli(p(w)/2) noise, the
+depolarizing flip. Symbols are integer indices 0..k-1; erasure output uses
+the ERASED sentinel (rendered "?" in transcripts).
 """
 
 import json
@@ -23,40 +23,26 @@ _PROB_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DecoherenceModel:
-    """Wait-to-error-probability map p(w): the erasure probability, and
-    twice the flip probability of Bernoulli noise.
-
-    kappa and laplace are set for the built-in exponential family
-    p(w) = 1 - exp(-kappa*w), whose transform integral exp(-u*w) p(w) dw is
-    kappa/(u*(u+kappa)); user-supplied p may leave them None.
+    """The depolarizing law p(w) = 1 - exp(-kappa*w) of a symbol that waited
+    w: the erasure probability, and twice the flip probability of Bernoulli
+    noise. kappa=0 means noiseless.
     """
 
-    p: object
-    kappa: float = None
-    laplace: object = None
+    kappa: float
 
-    @staticmethod
-    def exponential(kappa):
-        """The saturating family p(w) = 1 - exp(-kappa*w); kappa=0 means noiseless."""
-        if kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-
-        def p(w):
-            return -np.expm1(-kappa * np.asarray(w, dtype=float))
-
-        def laplace(u):
-            if kappa == 0.0:
-                return 0.0
-            return kappa / (u * (u + kappa))
-
-        return DecoherenceModel(p=p, kappa=kappa, laplace=laplace)
+    def __post_init__(self):
+        if not 0.0 <= self.kappa < np.inf:  # NaN or inf would make p(w) NaN
+            raise ValueError("kappa must be finite and nonnegative")
 
     def error_prob(self, w):
-        """Evaluate p at w (scalar or array), enforcing the [0, 1] range."""
-        v = np.asarray(self.p(w), dtype=float)
-        if np.any(v < -_PROB_SLACK) or np.any(v > 1.0 + _PROB_SLACK):
-            raise ValueError("decoherence probability left the [0, 1] range")
-        return np.clip(v, 0.0, 1.0)
+        """p(w) at a scalar or array of waits."""
+        return -np.expm1(-self.kappa * np.asarray(w, dtype=float))
+
+    def laplace(self, u):
+        """The transform integral of exp(-u*w) p(w) dw, kappa/(u*(u+kappa))."""
+        if self.kappa == 0.0:
+            return 0.0
+        return self.kappa / (u * (u + self.kappa))
 
 
 @dataclass(frozen=True)
@@ -158,18 +144,17 @@ def bernoulli_noise(decoherence):
     return law
 
 
-def wait_geometric_noise(kappa, size):
+def wait_geometric_noise(decoherence, size):
     """Truncated-geometric noise law spreading with the delay:
-    P(j | w) proportional to (1 - exp(-kappa*w))**j for j = 0..size-1.
-    A point mass at 0 when w = 0, flattening toward uniform as w grows."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    P(j | w) proportional to p(w)**j for j = 0..size-1, for a
+    DecoherenceModel p. A point mass at 0 when w = 0, flattening toward
+    uniform as w grows."""
     if int(size) < 2:
         raise ValueError("need at least two noise symbols")
     powers = np.arange(int(size))
 
     def law(w):
-        q = -np.expm1(-kappa * np.asarray(w, dtype=float))
+        q = decoherence.error_prob(w)
         weights = np.power(q[..., None], powers)
         return weights / weights.sum(axis=-1, keepdims=True)
 

@@ -109,7 +109,7 @@ def cmd_optimize(cfg):
 
     mu = 1.0 / service.mean
     numeric = golden_section_extremize(capacity_at, 1e-9 * mu, (1.0 - 1e-9) * mu,
-                                       tol=1e-8, mode="max")
+                                       mode="max")
     best = capacity.erasure_capacity(spec)
     payload = {"lambda_star": lam_star,
                "capacity_at_lambda_star": best.bits_per_sec,
@@ -120,7 +120,7 @@ def cmd_optimize(cfg):
     if isinstance(service, Exponential):
         # the premise route models the delay as exponential; rescale time so
         # the unit-rate expression applies, then surface the disagreement
-        model = DecoherenceModel.exponential(kappa)
+        model = DecoherenceModel(kappa)
         route = capacity.optimal_lambda_mm1_laplace(
             lambda u: service.rate * model.laplace(service.rate * u))
         lam_route = service.rate * route.lam_star
@@ -138,15 +138,17 @@ def cmd_sweep(cfg):
     _require_erasure(cfg, "sweep")
     lambdas = grid_values(cfg["grid"])
     out = cfg["out"] or "sweep.csv"
+    with _writing(out):
+        open(out, "a").close()  # fail now on an unwritable path; keep an old file
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = simulate.sweep_rows(
+            lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
+            service=build_service(cfg["service"]), alphabet=cfg["alphabet_size"],
+            convention=DelayConvention(cfg["delay_convention"]))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     with _writing(out), open(out, "w", newline="") as fh:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = simulate.sweep_rows(
-                lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
-                service=build_service(cfg["service"]), alphabet=cfg["alphabet_size"],
-                convention=DelayConvention(cfg["delay_convention"]))
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
         writer = csv.writer(fh)
         writer.writerow(["lambda", "kappa", "capacity_analytic", "capacity_mc",
                          "mc_stderr"])

@@ -229,22 +229,22 @@ def build_channel(cfg):
     kappa = cfg["kappa"]
     try:
         if kind == "erasure":
-            return Erasure(DecoherenceModel.exponential(kappa), cfg["alphabet_size"])
+            return Erasure(DecoherenceModel(kappa), cfg["alphabet_size"])
         if kind == "bsc":
-            return RandomBijective.binary_symmetric(DecoherenceModel.exponential(kappa))
+            return RandomBijective.binary_symmetric(DecoherenceModel(kappa))
         if cfg["bijection"] is None:
             alphabet = tuple(range(cfg["alphabet_size"]))
             table = xor_table(cfg["alphabet_size"])
         else:
             alphabet, table = load_bijection(cfg["bijection"])
         noise = cfg["noise"] or {"kind": "bernoulli"}
-        noise_kappa = float(noise.get("kappa", kappa))
+        decoherence = DecoherenceModel(float(noise.get("kappa", kappa)))
         if noise["kind"] == "bernoulli":
             if len(alphabet) != 2:
                 raise ConfigError("bernoulli noise needs a binary alphabet")
-            law = bernoulli_noise(DecoherenceModel.exponential(noise_kappa))
+            law = bernoulli_noise(decoherence)
         else:
-            law = wait_geometric_noise(noise_kappa, len(alphabet))
+            law = wait_geometric_noise(decoherence, len(alphabet))
         return RandomBijective(tuple(alphabet), table, law)
     except ConfigError:
         raise

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio, the section step
+SECTION_TOL = 1e-8  # golden-section search stops below this bracket width
 QUAD_TARGET = 1e-9  # absolute error target of quadrature_laplace
 
 
@@ -75,13 +76,12 @@ class OptimizationResult:
     boundary: bool = False
 
 
-def golden_section_extremize(f, lo, hi, tol=1e-8, mode="max"):
+def golden_section_extremize(f, lo, hi, mode="max"):
     """Golden-section search for the extremum of a unimodal f on [lo, hi].
 
     Args:
         f: scalar function, evaluable on the closed bracket.
         lo, hi: bracket endpoints, lo < hi.
-        tol: stop when the bracket width falls below this.
         mode: "max" or "min".
 
     Returns an OptimizationResult. If an endpoint value beats the interior
@@ -104,7 +104,7 @@ def golden_section_extremize(f, lo, hi, tol=1e-8, mode="max"):
     d = a + INVPHI * (b - a)
     gc, gd = g(c), g(d)
     iterations = 2
-    while (b - a) > tol and iterations < 10_000:
+    while (b - a) > SECTION_TOL and iterations < 10_000:
         if gc > gd:
             b, d, gd = d, c, gc
             c = b - INVPHI * (b - a)
@@ -127,7 +127,7 @@ def golden_section_extremize(f, lo, hi, tol=1e-8, mode="max"):
         value=sign * gx,
         iterations=iterations,
         bracket=(a, b),
-        converged=(b - a) <= tol,
+        converged=(b - a) <= SECTION_TOL,
         boundary=boundary,
     )
 

@@ -279,7 +279,7 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
             else:
                 spec = QueueChannelSpec(
                     arrival=PoissonArrivals(lam), service=service,
-                    channel=Erasure(DecoherenceModel.exponential(kappa), alphabet),
+                    channel=Erasure(DecoherenceModel(kappa), alphabet),
                     delay_convention=convention)
                 analytic = erasure_capacity(spec).bits_per_sec
             specs.append(spec)

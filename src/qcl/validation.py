@@ -91,7 +91,7 @@ def _seed_for(base, index):
 def _erasure_spec(lam, kappa):
     return capacity.QueueChannelSpec(
         arrival=PoissonArrivals(lam), service=Exponential(1.0),
-        channel=Erasure(DecoherenceModel.exponential(kappa), alphabet_size=2))
+        channel=Erasure(DecoherenceModel(kappa), alphabet_size=2))
 
 
 def _bsc_spec(lam, kappa, service=None, convention=DelayConvention.WAITING_BEFORE_SERVICE,
@@ -99,7 +99,7 @@ def _bsc_spec(lam, kappa, service=None, convention=DelayConvention.WAITING_BEFOR
     return capacity.QueueChannelSpec(
         arrival=PoissonArrivals(lam),
         service=service if service is not None else Exponential(1.0),
-        channel=RandomBijective.binary_symmetric(DecoherenceModel.exponential(kappa)),
+        channel=RandomBijective.binary_symmetric(DecoherenceModel(kappa)),
         delay_convention=convention,
         receiver_knows_timing=csir)
 
@@ -194,7 +194,7 @@ def check_optimal_rate_agreement(seed=None):
             closed = capacity.optimal_lambda_mg1(service, kappa)
             numeric = golden_section_extremize(
                 lambda lam: lam * capacity.pk_wait_transform(lam, service, kappa),
-                1e-9, 1.0 - 1e-9, tol=1e-8, mode="max")
+                1e-9, 1.0 - 1e-9, mode="max")
             gap = abs(closed - numeric.argopt)
             out.note(gap <= 1e-6,
                      f"{service.kind} kappa={kappa:g}: closed {closed:.9f} vs "
@@ -255,7 +255,7 @@ def check_bsc_service_dominance(seed=None):
         for i, service in enumerate(services):
             wq = lindley_waits(_service_quantile(service, u_service), gaps)[burn:]
             for kappa in _DOMINANCE_KAPPAS:
-                p = -0.5 * np.expm1(-kappa * wq)
+                p = 0.5 * DecoherenceModel(kappa).error_prob(wq)
                 phi[i, kappa] = p.mean(), p[: m * b].reshape(m, b).mean(axis=1)
         for kappa in _DOMINANCE_KAPPAS:
             h_det = binary_entropy(phi[0, kappa][0])
@@ -332,7 +332,8 @@ def check_bijective_bounds(seed=None):
         kappa = 10.0 ** rng.uniform(-1.0, 0.3)
         lam = rng.uniform(0.2, 0.8)
         service = services[rng.integers(len(services))]
-        channel = RandomBijective(tuple(range(k)), table, wait_geometric_noise(kappa, k))
+        channel = RandomBijective(tuple(range(k)), table,
+                                  wait_geometric_noise(DecoherenceModel(kappa), k))
         spec = capacity.QueueChannelSpec(arrival=PoissonArrivals(lam), service=service,
                                          channel=channel)
         lower, upper = simulate.evaluate_capacity(
@@ -434,21 +435,19 @@ def check_numerics_gates(seed=None):
     worst = 0.0
     for u in (0.1, 1.0, 10.0):
         for kappa in (0.1, 1.0, 10.0):
-            model = DecoherenceModel.exponential(kappa)
-            got = quadrature_laplace(model.p, u)
+            model = DecoherenceModel(kappa)
+            got = quadrature_laplace(model.error_prob, u)
             worst = max(worst, abs(got - model.laplace(u)))
     out.note(worst <= 1e-8, f"quadrature vs closed form on 9-point grid: "
                             f"worst |diff| = {worst:.2e}")
-    quad = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0,
-                                    tol=1e-8, mode="max")
+    quad = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, mode="max")
     out.note(abs(quad.argopt - 0.3) <= 1e-7,
              f"quadratic argmax {quad.argopt:.10f} within 1e-7 of 0.3")
     curve = golden_section_extremize(
-        lambda lam: lam * (1.0 - lam) / (1.0 - 0.5 * lam), 0.0, 1.0 - 1e-12,
-        tol=1e-8, mode="max")
+        lambda lam: lam * (1.0 - lam) / (1.0 - 0.5 * lam), 0.0, 1.0 - 1e-12, mode="max")
     out.note(abs(curve.argopt - 0.5857864376269049) <= 1e-6,
              f"capacity-curve argmax {curve.argopt:.9f} matches closed form")
-    edge = golden_section_extremize(lambda x: x, 0.0, 1.0, tol=1e-8, mode="max")
+    edge = golden_section_extremize(lambda x: x, 0.0, 1.0, mode="max")
     out.note(edge.boundary and edge.argopt == 1.0,
              f"monotone objective reported at boundary ({edge.argopt:g})")
     return out
@@ -461,7 +460,7 @@ def check_optimizer_route_discrepancy(seed=None):
     kappa = 1.0
     lam_pk = capacity.optimal_lambda_mg1(Exponential(1.0), kappa)
     route = capacity.optimal_lambda_mm1_laplace(
-        DecoherenceModel.exponential(kappa).laplace)
+        DecoherenceModel(kappa).laplace)
     gap = abs(lam_pk - route.lam_star)
     out.note(gap > 1e-3, f"candidates differ: transform {lam_pk:.6f} vs "
                          f"exponential-premise {route.lam_star:.6f} (|diff|={gap:.4f})")

@@ -23,7 +23,7 @@ def _erasure_spec(lam, kappa, service=None, k=2, convention=None):
     return QueueChannelSpec(
         arrival=PoissonArrivals(lam),
         service=service or Exponential(1.0),
-        channel=Erasure(DecoherenceModel.exponential(kappa), k),
+        channel=Erasure(DecoherenceModel(kappa), k),
         delay_convention=convention or DelayConvention.WAITING_BEFORE_SERVICE)
 
 
@@ -34,7 +34,7 @@ def test_spec_properties_and_decoherence_routing():
     assert spec.channel.decoherence.kappa == 1.0
     bsc = QueueChannelSpec(
         arrival=PoissonArrivals(0.5), service=Exponential(1.0),
-        channel=RandomBijective.binary_symmetric(DecoherenceModel.exponential(2.0)))
+        channel=RandomBijective.binary_symmetric(DecoherenceModel(2.0)))
     # Bernoulli(p(w)/2) noise with p(w) = 1 - exp(-2w)
     assert bsc.channel.noise_law(0.5) == pytest.approx([0.5 + 0.5 * math.exp(-1.0),
                                                         0.5 - 0.5 * math.exp(-1.0)])
@@ -150,7 +150,7 @@ def test_optimal_lambda_scales_with_service_rate():
 
 
 def test_laplace_route_disagrees_with_transform_route():
-    route = optimal_lambda_mm1_laplace(DecoherenceModel.exponential(1.0).laplace)
+    route = optimal_lambda_mm1_laplace(DecoherenceModel(1.0).laplace)
     assert route.lam_star == pytest.approx(0.5, abs=1e-6)
     assert not route.degenerate
     assert "premise" in route.caveat
@@ -168,7 +168,7 @@ def test_laplace_route_degenerate_flat_objective():
 def _bsc_spec(lam, csir=False):
     return QueueChannelSpec(
         arrival=PoissonArrivals(lam), service=Exponential(1.0),
-        channel=RandomBijective.binary_symmetric(DecoherenceModel.exponential(1.0)),
+        channel=RandomBijective.binary_symmetric(DecoherenceModel(1.0)),
         receiver_knows_timing=csir)
 
 
@@ -208,7 +208,7 @@ def test_bsc_capacity_accepts_estimates_and_checks_keys():
 
 def _bijective_spec(lam, csir=False):
     channel = RandomBijective((0, 1), xor_table(2),
-                              bernoulli_noise(DecoherenceModel.exponential(1.0)))
+                              bernoulli_noise(DecoherenceModel(1.0)))
     return QueueChannelSpec(arrival=PoissonArrivals(lam),
                             service=Exponential(1.0), channel=channel,
                             receiver_knows_timing=csir)

@@ -531,6 +531,27 @@ def test_cli_sweep_checks_out_before_computing(capsys, tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_cli_sweep_replaces_out_only_after_computing(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "keep.csv"
+    header = b"lambda,kappa,capacity_analytic,capacity_mc,mc_stderr\r\n"
+    old = header + b"0.5,1.0,,,\r\n" * 9
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("sweep grid too large")
+
+    target.write_bytes(old)
+    monkeypatch.setattr(simulate, "sweep_rows", out_of_memory)
+    code, out, _ = _run(capsys, "sweep", "--n", "10", "--out", str(target))
+    assert code == 2
+    assert _payload(out)["error"] == "config"
+    assert target.read_bytes() == old
+    # a sweep that succeeds replaces the whole file, however long it was
+    monkeypatch.setattr(simulate, "sweep_rows", lambda *a, **k: [])
+    code, _, _ = _run(capsys, "sweep", "--n", "10", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == header
+
+
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

@@ -48,8 +48,7 @@ def test_batch_means_rejects_empty():
 
 
 def test_golden_section_finds_quadratic_maximum():
-    res = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0,
-                                   tol=1e-8, mode="max")
+    res = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, mode="max")
     assert abs(res.argopt - 0.3) <= 1e-7
     assert res.converged
     assert not res.boundary
@@ -57,8 +56,7 @@ def test_golden_section_finds_quadratic_maximum():
 
 
 def test_golden_section_minimize_mode():
-    res = golden_section_extremize(lambda x: (x - 0.7) ** 2 + 1.0, 0.0, 2.0,
-                                   tol=1e-8, mode="min")
+    res = golden_section_extremize(lambda x: (x - 0.7) ** 2 + 1.0, 0.0, 2.0, mode="min")
     assert abs(res.argopt - 0.7) <= 1e-7
     assert res.value == pytest.approx(1.0)
 

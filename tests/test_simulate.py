@@ -24,19 +24,19 @@ def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
     return QueueChannelSpec(
         arrival=PoissonArrivals(lam),
         service=service or Exponential(1.0),
-        channel=channel or Erasure(DecoherenceModel.exponential(kappa), 2),
+        channel=channel or Erasure(DecoherenceModel(kappa), 2),
         delay_convention=convention or DelayConvention.WAITING_BEFORE_SERVICE,
         receiver_knows_timing=csir)
 
 
 def _bsc_spec(lam=0.5, kappa=1.0, **kw):
     return _spec(lam, channel=RandomBijective.binary_symmetric(
-        DecoherenceModel.exponential(kappa)), **kw)
+        DecoherenceModel(kappa)), **kw)
 
 
 def _bijective_spec(lam=0.5, kappa=1.0):
     channel = RandomBijective((0, 1), xor_table(2),
-                              bernoulli_noise(DecoherenceModel.exponential(kappa)))
+                              bernoulli_noise(DecoherenceModel(kappa)))
     return _spec(lam, channel=channel)
 
 
@@ -132,6 +132,21 @@ def test_bijective_bounds_bracket_and_order():
         estimate_bijective_bounds(_spec(), w)
 
 
+def test_one_decoherence_law_read_by_every_consumer():
+    m = DecoherenceModel(0.7)
+    w = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 40.0])
+    p = m.error_prob(w)
+    assert np.array_equal(bernoulli_noise(m)(w)[..., 1], 0.5 * p)
+    weights = p[:, None] ** np.arange(5)
+    assert np.array_equal(wait_geometric_noise(m, 5)(w),
+                          weights / weights.sum(axis=-1, keepdims=True))
+    # a negative delay gives a negative p, which the noise simplex rejects
+    for law in (bernoulli_noise(m), wait_geometric_noise(m, 2)):
+        spec = _spec(channel=RandomBijective((0, 1), xor_table(2), law))
+        with pytest.raises(ValueError, match="noise probabilities must be nonnegative"):
+            estimate_bijective_bounds(spec, np.array([1.0, -0.5, 2.0]))
+
+
 def test_validate_formula_reports():
     good = validate_formula(1.0, EstimateWithError(1.001, 0.001, 100))
     assert good.passed and good.sigma_distance == pytest.approx(1.0)
@@ -210,7 +225,7 @@ _CSV_ROWS = ["0.5,1.5,1.0,0.0", "1.75,2.00005,0.25,5e-05",
     (_spec(), [0, 1, 1, 0, 1], [0, ERASED, 1, ERASED, 1], ["0", "?", "1", "?", "1"]),
     (_bsc_spec(), [0, 1, 1, 0, 1], [1, 0, 0, 1, 1], ["1", "0", "0", "1", "1"]),
     (_spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
-                                   wait_geometric_noise(1.0, 8))),
+                                   wait_geometric_noise(DecoherenceModel(1.0), 8))),
      [0, 7, 3, 6, 2], [7, 0, 3, 5, 2], ["7", "0", "3", "5", "2"]),
 ], ids=["erasure", "bsc", "bijective"])
 def test_to_csv_bytes_pinned(tmp_path, spec, x, y, y_text):
@@ -244,7 +259,7 @@ def _csv_reference(t):
     (_spec(), 0),  # header only
     (_bsc_spec(), 300),
     (_spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
-                                   wait_geometric_noise(1.0, 8))), 300),
+                                   wait_geometric_noise(DecoherenceModel(1.0), 8))), 300),
 ], ids=["erasure-partial", "erasure-whole-blocks", "empty", "bsc", "bijective"])
 def test_to_csv_blocks_match_row_writer(tmp_path, monkeypatch, spec, n):
     monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
