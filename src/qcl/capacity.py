@@ -10,7 +10,6 @@ caller, normally from qcl.simulate.
 import math
 from dataclasses import dataclass, field
 
-from .numerics import OptimizationResult, golden_section_extremize
 from .queueing import DelayConvention, Exponential, check_stability
 
 METHOD_CLOSED_FORM_MM1 = "ClosedFormMM1"
@@ -20,6 +19,7 @@ METHOD_MC = "MonteCarlo"
 METHOD_BOUND_LOWER = "Bound-Lower"
 METHOD_BOUND_UPPER = "Bound-Upper"
 METHOD_BOUNDS = "Bounds"
+ALPHA_ROUNDING = 4 * math.ulp(1.0)  # how far above 1 a rounded alpha may land
 
 UNPREDICTABILITY_NOTE = ("no-timing-information value assumes the queue state is "
                          "unpredictable from past noise alone")
@@ -74,6 +74,8 @@ def alpha_mg1(service, kappa):
 
 def _alpha_normalized(service, kappa):
     a = alpha_mg1(service, kappa) / service.mean
+    if 1.0 < a <= 1.0 + ALPHA_ROUNDING:
+        a = 1.0  # 1 - exp(-x) <= x, so a few ulps above 1 is rounding
     if not 0.0 < a <= 1.0:
         raise ValueError(f"degenerate alpha {a:g}; service law and kappa are inconsistent")
     return a
@@ -151,8 +153,7 @@ def optimal_lambda_mg1(service, kappa):
     """Arrival rate maximizing lam * E[exp(-kappa*W_q)] for a given service law.
 
     Closed form: with a = mu*(1 - F(kappa))/kappa, the maximizing load is
-    rho* = 1/(1 + sqrt(1-a)) and lam* = mu * rho*. The flat-capacity degenerate
-    case cannot arise here since a > 0 for kappa > 0. Raises ValueError when
+    rho* = 1/(1 + sqrt(1-a)) and lam* = mu * rho*. Raises ValueError when
     kappa is so small that a rounds to 1, which would put the optimum at the
     stability limit rho* = 1.
     """
@@ -165,19 +166,6 @@ def optimal_lambda_mg1(service, kappa):
     return mu * rho_star
 
 
-@dataclass(frozen=True)
-class LaplaceRouteResult:
-    """Outcome of the transform-premise optimal-rate route (see
-    optimal_lambda_mm1_laplace): the rate, the underlying 1-D search, and
-    degeneracy flags."""
-
-    lam_star: float
-    search: OptimizationResult
-    boundary: bool
-    degenerate: bool
-    caveat: str
-
-
 LAPLACE_ROUTE_CAVEAT = (
     "derived under the premise that the unit-rate-exponential-service delay is "
     "exponential with rate (1-lam)/lam, which the wait transform contradicts; "
@@ -185,34 +173,20 @@ LAPLACE_ROUTE_CAVEAT = (
 )
 
 
-def optimal_lambda_mm1_laplace(laplace_p):
-    """Optimal arrival rate from the Laplace transform of a general error law,
-    for exponential unit-rate service.
+def optimal_lambda_mm1_laplace(service, kappa):
+    """Optimal arrival rate under the exponential-delay premise, for
+    exponential service: lam* = mu / (1 + sqrt(kappa/mu)).
 
-    Evaluates lam* = 1 - argmin over u in (0,1) of u * (1 + pt(u/(1-u))),
-    where pt is the transform of p. The premise behind this expression models
-    the delay as exponential, which disagrees with the exact wait transform,
-    so results carry method=GeneralLaplace and a caveat; a monotone objective
-    is reported as a boundary solution, a flat one (e.g. p identically 1) as
-    degenerate with the smallest rate in the bracket.
+    This is optimal_lambda_mg1's formula mu/(1 + sqrt(1 - a)) with the
+    first-order a = 1 - kappa/mu in place of the exact mu/(mu + kappa). The
+    premise models the delay as exponential, which the wait transform
+    contradicts, so callers report it with method=GeneralLaplace and
+    LAPLACE_ROUTE_CAVEAT.
     """
-
-    def objective(u):
-        return u * (1.0 + laplace_p(u / (1.0 - u)))
-
-    lo, hi = 1e-9, 1.0 - 1e-9
-    res = golden_section_extremize(objective, lo, hi, mode="min")
-    probes = [lo + (hi - lo) * i / 32.0 for i in range(33)]
-    values = [objective(u) for u in probes]
-    degenerate = (max(values) - min(values)) < 1e-9
-    if degenerate:
-        # flat capacity: prefer the smallest arrival rate, i.e. the largest u
-        lam_star = 1.0 - hi
-    else:
-        lam_star = 1.0 - res.argopt
-    return LaplaceRouteResult(lam_star=float(lam_star), search=res,
-                              boundary=res.boundary, degenerate=degenerate,
-                              caveat=LAPLACE_ROUTE_CAVEAT)
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    mu = service.rate
+    return mu / (1.0 + math.sqrt(kappa) / math.sqrt(mu))  # kappa/mu can overflow
 
 
 E_H_NOISE = "E_H_noise"

@@ -20,7 +20,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import capacity, simulate, validation
-from .channels import DecoherenceModel
 from .config import (ConfigError, build_service, build_spec, grid_values,
                      load_config)
 from .numerics import golden_section_extremize
@@ -118,18 +117,12 @@ def cmd_optimize(cfg):
                                  "gap": abs(numeric.argopt - lam_star),
                                  "iterations": numeric.iterations}}
     if isinstance(service, Exponential):
-        # the premise route models the delay as exponential; rescale time so
-        # the unit-rate expression applies, then surface the disagreement
-        model = DecoherenceModel(kappa)
-        route = capacity.optimal_lambda_mm1_laplace(
-            lambda u: service.rate * model.laplace(service.rate * u))
-        lam_route = service.rate * route.lam_star
+        lam_route = capacity.optimal_lambda_mm1_laplace(service, kappa)
         payload["exponential_premise_route"] = {
             "lambda_star": lam_route,
             "method": capacity.METHOD_GENERAL_LAPLACE,
             "discrepancy": abs(lam_route - lam_star),
-            "degenerate": route.degenerate,
-            "caveat": route.caveat}
+            "caveat": capacity.LAPLACE_ROUTE_CAVEAT}
     emit(payload)
     return EXIT_OK
 
@@ -142,10 +135,14 @@ def cmd_sweep(cfg):
         open(out, "a").close()  # fail now on an unwritable path; keep an old file
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = simulate.sweep_rows(
-            lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
-            service=build_service(cfg["service"]), alphabet=cfg["alphabet_size"],
-            convention=DelayConvention(cfg["delay_convention"]))
+        try:
+            rows = simulate.sweep_rows(
+                lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
+                service=build_service(cfg["service"]),
+                alphabet=cfg["alphabet_size"],
+                convention=DelayConvention(cfg["delay_convention"]))
+        except ValueError as err:  # degenerate alpha at extreme kappa
+            raise ConfigError(f"cannot sweep: {err}") from None
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     with _writing(out), open(out, "w", newline="") as fh:

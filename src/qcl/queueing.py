@@ -174,6 +174,21 @@ class Uniform(ServiceDistribution):
         # exp(-s*low) * (1 - exp(-s*width)) / (s*width), stable for small s
         return math.exp(-s * self.low) * (-math.expm1(-s * width)) / (s * width)
 
+    def one_minus_laplace(self, s):
+        # 1 - exp(-s*low) + exp(-s*low) * g(y)/y with y = s*width and
+        # g(y) = y + expm1(-y), summed from its series where it would cancel
+        y = s * (self.high - self.low)
+        if y > 0.5:
+            g_over_y = (y + math.expm1(-y)) / y
+        else:
+            term = g_over_y = 0.5 * y  # y/2! - y^2/3! + y^3/4! - ...
+            k = 2
+            while abs(term) > 1e-17 * g_over_y:
+                term *= -y / (k + 1)
+                g_over_y += term
+                k += 1
+        return -math.expm1(-s * self.low) + math.exp(-s * self.low) * g_over_y
+
 
 @dataclass(frozen=True)
 class Empirical(ServiceDistribution):

@@ -45,7 +45,7 @@ EVIDENCE_SHA256 = {
     "numerics-gates":
         "8e3721c0bd6ef85c0d6f0a0593cfa46655c4da2a785d99d77cf910ddd242c118",
     "optimal-rate-route-discrepancy":
-        "3b00609d4d0b98aa8a98029c7ffe5b2b2be042de3685573c938c867fa535f579",
+        "a9af3a403d51ff7332bde50eaa1e52f36d865b32b7b0bd4b64eb050f126814ec",
 }
 
 

@@ -8,7 +8,8 @@ import pytest
 from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           METHOD_CLOSED_FORM_MM1, METHOD_GENERAL_LAPLACE,
                           METHOD_BOUNDS, METHOD_MC, METHOD_PK, E_H_NOISE,
-                          H_MEAN_NOISE, E_H_KERNEL_NOISE, QueueChannelSpec,
+                          H_MEAN_NOISE, E_H_KERNEL_NOISE, LAPLACE_ROUTE_CAVEAT,
+                          QueueChannelSpec,
                           alpha_mg1, bijective_capacity, erasure_capacity, mean_survival,
                           mm1_capacity_closed_form, optimal_lambda_mg1,
                           optimal_lambda_mm1_laplace, pk_wait_transform)
@@ -150,19 +151,13 @@ def test_optimal_lambda_scales_with_service_rate():
 
 
 def test_laplace_route_disagrees_with_transform_route():
-    route = optimal_lambda_mm1_laplace(DecoherenceModel(1.0).laplace)
-    assert route.lam_star == pytest.approx(0.5, abs=1e-6)
-    assert not route.degenerate
-    assert "premise" in route.caveat
-    gap = abs(route.lam_star - optimal_lambda_mg1(Exponential(1.0), 1.0))
+    lam_premise = optimal_lambda_mm1_laplace(Exponential(1.0), 1.0)
+    assert lam_premise == 0.5  # mu / (1 + sqrt(kappa/mu))
+    assert "premise" in LAPLACE_ROUTE_CAVEAT
+    gap = abs(lam_premise - optimal_lambda_mg1(Exponential(1.0), 1.0))
     assert gap > 0.08
-
-
-def test_laplace_route_degenerate_flat_objective():
-    # p identically 1 (transform 1/s) makes the objective flat in lam
-    route = optimal_lambda_mm1_laplace(lambda s: 1.0 / s)
-    assert route.degenerate
-    assert route.lam_star == pytest.approx(0.0, abs=1e-8)
+    with pytest.raises(ValueError):
+        optimal_lambda_mm1_laplace(Exponential(1.0), 0.0)
 
 
 def _bsc_spec(lam, csir=False):

@@ -1,14 +1,18 @@
 """Tests for the experiment configuration layer and the qcl command line."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl import config, simulate
+from qcl import capacity, config, simulate
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
@@ -154,6 +158,47 @@ def test_config_documents_validate_or_raise_config_error(doc):
             build_spec(cfg)
     except ConfigError:
         pass
+
+
+_POSITIVE = st.floats(0.1, 10.0)
+_SERVICE_LAWS = st.one_of(
+    st.builds(lambda rate: {"kind": "exponential", "rate": rate}, _POSITIVE),
+    st.builds(lambda value: {"kind": "deterministic", "value": value}, _POSITIVE),
+    st.builds(lambda shape, scale: {"kind": "gamma", "shape": shape, "scale": scale},
+              _POSITIVE, _POSITIVE),
+    st.builds(lambda low, width: {"kind": "uniform", "low": low, "high": low + width},
+              st.floats(0.0, 5.0), _POSITIVE),
+    st.builds(lambda samples: {"kind": "empirical", "samples": samples},
+              st.lists(st.one_of(st.just(0.0), _POSITIVE), min_size=1,
+                       max_size=5).filter(any)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_SERVICE_LAWS, st.floats(-300.0, 3.0), st.floats(0.01, 0.99),
+       st.sampled_from([2, 8, 256]), st.sampled_from(["waiting", "sojourn"]))
+def test_closed_forms_stay_in_range_over_laws_and_kappa(service_doc, log_kappa,
+                                                        load, k, convention):
+    kappa = 10.0 ** log_kappa
+    service = build_service(service_doc)
+    a = capacity._alpha_normalized(service, kappa)
+    assert 0.0 < a <= 1.0
+    mu = 1.0 / service.mean
+    spec = build_spec(_cfg(service=service_doc, kappa=kappa, alphabet_size=k,
+                           delay_convention=convention, **{"lambda": load * mu}))
+    bits = capacity.erasure_capacity(spec).bits_per_sec
+    assert 0.0 <= bits <= spec.lam * math.log2(k)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/opt.json"
+        with open(path, "w") as fh:
+            json.dump({"service": service_doc, "kappa": kappa}, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["optimize", "--config", path])
+    payload = json.loads(out.getvalue())
+    assert isinstance(payload, dict)
+    if code == 0:
+        assert 0.0 < payload["lambda_star"] < mu
+    else:
+        assert code == 2 and payload["error"] == "config"
 
 
 def test_load_config_precedence(tmp_path, monkeypatch):
@@ -371,7 +416,23 @@ def test_cli_optimize_payload(capsys):
     route = payload["exponential_premise_route"]
     assert route["lambda_star"] == pytest.approx(0.5, abs=1e-6)
     assert route["discrepancy"] > 0.08
-    assert route["degenerate"] is False
+
+
+@pytest.mark.parametrize("service, kappa, expected", [
+    ({"kind": "exponential", "rate": 1.0}, 1e12, 1.0 / (1.0 + 1e6)),
+    ({"kind": "exponential", "rate": 4.0}, 2.0, 4.0 / (1.0 + math.sqrt(0.5))),
+    ({"kind": "exponential", "rate": 0.5}, 1e308, 0.5 / (1.0 + math.sqrt(2.0) * 1e154)),
+])
+def test_cli_optimize_premise_route_closed_form(capsys, tmp_path, service, kappa,
+                                                expected):
+    # mu / (1 + sqrt(kappa/mu)), exact even where a bracketed search would
+    # stop at its edge
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"service": service, "kappa": kappa}))
+    code, out, _ = _run(capsys, "optimize", "--config", str(cfg))
+    assert code == 0
+    route = _payload(out)["exponential_premise_route"]
+    assert route["lambda_star"] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_cli_optimize_rejects_zero_kappa(capsys):
@@ -388,6 +449,16 @@ def test_cli_optimize_rejects_alpha_underflow(capsys):
     payload = _payload(out)
     assert payload["error"] == "config"
     assert "alpha" in payload["message"]
+
+
+def test_cli_capacity_accepts_alpha_rounded_above_one(capsys, tmp_path):
+    # (1 - F(kappa)) / (kappa * E S) <= 1, but rounds to 1 + ulp here
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"service": {"kind": "exponential", "rate": 3.0},
+                               "lambda": 1.5}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg), "--kappa", "1e-20")
+    assert code == 0
+    assert _payload(out)["bits_per_sec"] == 1.5
 
 
 @pytest.mark.parametrize("service", [
@@ -550,6 +621,19 @@ def test_cli_sweep_replaces_out_only_after_computing(capsys, tmp_path, monkeypat
     code, _, _ = _run(capsys, "sweep", "--n", "10", "--out", str(target))
     assert code == 0
     assert target.read_bytes() == header
+
+
+def test_cli_sweep_reports_degenerate_alpha_as_config_error(capsys, tmp_path):
+    # alpha = (1 - F(kappa)) / (kappa * E S) underflows to 0 here
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"service": {"kind": "deterministic", "value": 1e-300},
+                               "kappas": [1e-300], "grid": [0.5]}))
+    code, out, _ = _run(capsys, "sweep", "--config", str(cfg), "--out",
+                        str(tmp_path / "s.csv"))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "alpha" in payload["message"]
 
 
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):

@@ -157,10 +157,9 @@ GOLDEN = {
                 "iterations": 41
             },
             "exponential_premise_route": {
-                "lambda_star": 0.5000000000000001,
+                "lambda_star": 0.5,
                 "method": "GeneralLaplace",
-                "discrepancy": 0.08578643762690485,
-                "degenerate": False,
+                "discrepancy": 0.08578643762690497,
                 "caveat": PREMISE_CAVEAT
             }
         }

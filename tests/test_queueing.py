@@ -73,10 +73,11 @@ def test_one_minus_laplace_consistent_with_laplace():
 def test_one_minus_laplace_keeps_precision_at_tiny_s():
     # direct 1 - laplace(s) would lose most digits to cancellation here
     s = 1e-12
-    got = Deterministic(1.0).one_minus_laplace(s)
-    assert got == pytest.approx(s, rel=1e-6)
-    got = Gamma(2.0, 0.5).one_minus_laplace(s)
-    assert got == pytest.approx(s, rel=1e-6)  # mean 1 makes the slope 1
+    for service in (Exponential(1.0), Deterministic(1.0), Gamma(2.0, 0.5),
+                    Uniform(0.5, 1.5), Empirical((0.5, 1.5))):
+        # every law has mean 1, so the slope at 0 is 1; abs=0 because
+        # approx's default absolute tolerance of 1e-12 would accept anything
+        assert service.one_minus_laplace(s) == pytest.approx(s, rel=1e-6, abs=0)
 
 
 def test_service_sample_means():
