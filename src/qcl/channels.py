@@ -222,13 +222,11 @@ def load_bijection(source):
 
     Format: {"alphabet": [...], "g": {"<symbol>": [output symbols indexed by
     noise]}}. Keys of "g" are string forms of the alphabet symbols; each row
-    must be a permutation of the alphabet. Accepts a path, a file object, or an
-    already-parsed dict.
+    must be a permutation of the alphabet. Accepts a path or an already-parsed
+    dict.
     """
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
         with open(source) as fh:
             doc = json.load(fh)

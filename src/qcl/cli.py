@@ -20,11 +20,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import capacity, simulate, validation
-from .config import (ConfigError, build_service, build_spec, grid_values,
-                     load_config)
+from .config import ConfigError, build_spec, load_config
 from .numerics import golden_section_extremize
-from .queueing import (DelayConvention, Exponential, InstabilityError,
-                       PoissonArrivals)
+from .queueing import Exponential, InstabilityError, PoissonArrivals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,7 +89,7 @@ def _require_erasure(cfg, command):
 
 def cmd_optimize(cfg):
     _require_erasure(cfg, "optimize")
-    service = build_service(cfg["service"])
+    service = cfg["service"]
     kappa = cfg["kappa"]
     if kappa <= 0.0:
         raise ConfigError("optimize needs kappa > 0; a noiseless channel has "
@@ -107,8 +105,7 @@ def cmd_optimize(cfg):
         return capacity.erasure_capacity(spec_at).bits_per_sec
 
     mu = 1.0 / service.mean
-    numeric = golden_section_extremize(capacity_at, 1e-9 * mu, (1.0 - 1e-9) * mu,
-                                       mode="max")
+    numeric = golden_section_extremize(capacity_at, 1e-9 * mu, (1.0 - 1e-9) * mu)
     best = capacity.erasure_capacity(spec)
     payload = {"lambda_star": lam_star,
                "capacity_at_lambda_star": best.bits_per_sec,
@@ -129,7 +126,6 @@ def cmd_optimize(cfg):
 
 def cmd_sweep(cfg):
     _require_erasure(cfg, "sweep")
-    lambdas = grid_values(cfg["grid"])
     out = cfg["out"] or "sweep.csv"
     with _writing(out):
         open(out, "a").close()  # fail now on an unwritable path; keep an old file
@@ -137,10 +133,9 @@ def cmd_sweep(cfg):
         warnings.simplefilter("always")
         try:
             rows = simulate.sweep_rows(
-                lambdas, cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
-                service=build_service(cfg["service"]),
-                alphabet=cfg["alphabet_size"],
-                convention=DelayConvention(cfg["delay_convention"]))
+                cfg["grid"], cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
+                service=cfg["service"], alphabet=cfg["alphabet_size"],
+                convention=cfg["delay_convention"])
         except ValueError as err:  # degenerate alpha at extreme kappa
             raise ConfigError(f"cannot sweep: {err}") from None
     for w in caught:
@@ -178,11 +173,7 @@ def cmd_simulate(cfg):
 
 
 def cmd_validate(cfg):
-    suite = cfg["suite"]
-    if suite not in validation.SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; choose from "
-                          f"{', '.join(sorted(validation.SUITES))}")
-    checks = validation.SUITES[suite]
+    checks = validation.SUITES[cfg["suite"]]
     if any(check in validation.SCIPY_CHECKS for check in checks):
         # import scipy here, once: pool threads importing it at once can deadlock
         import scipy.integrate  # noqa: F401
@@ -211,6 +202,13 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)  # usage text on stderr, exit 2
 
 
+# the override flags each command reads; --config and --seed go on every command
+_FLAGS = {"lambda": {"type": float, "metavar": "RATE", "help": "arrival rate override"},
+          "kappa": {"type": float, "help": "decoherence rate override"},
+          "n": {"type": int, "help": "sample count override"},
+          "out": {"metavar": "PATH", "help": "output file override"}}
+
+
 def _build_parser():
     parser = _Parser(
         prog="qcl",
@@ -219,27 +217,27 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     commands = (
         ("capacity", "evaluate channel capacity for one configuration",
-         cmd_capacity),
-        ("optimize", "find the arrival rate maximizing capacity", cmd_optimize),
-        ("sweep", "write a (lambda, kappa) capacity grid to CSV", cmd_sweep),
+         cmd_capacity, ("lambda", "kappa", "n")),
+        ("optimize", "find the arrival rate maximizing capacity", cmd_optimize,
+         ("kappa",)),
+        ("sweep", "write a (lambda, kappa) capacity grid to CSV", cmd_sweep,
+         ("n", "out")),
         ("simulate", "run one transmission, write the transcript, estimate "
-                     "capacity", cmd_simulate),
+                     "capacity", cmd_simulate, ("lambda", "kappa", "n", "out")),
         ("validate", "run the formula-versus-simulation check suite",
-         cmd_validate),
+         cmd_validate, ()),
     )
-    for name, help_text, fn in commands:
+    for name, help_text, fn, flags in commands:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="FILE",
                         help="JSON experiment description")
-        sp.add_argument("--lambda", dest="lam", type=float, metavar="RATE",
-                        help="arrival rate override")
-        sp.add_argument("--kappa", type=float, help="decoherence rate override")
         sp.add_argument("--seed", type=int,
                         help="RNG seed override (falls back to $QCL_SEED)")
-        sp.add_argument("--n", type=int, help="sample count override")
-        sp.add_argument("--out", metavar="PATH", help="output file override")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         if name == "validate":
-            sp.add_argument("suite", nargs="?", choices=sorted(validation.SUITES),
+            sp.add_argument("suite", nargs="?", default="all",
+                            choices=sorted(validation.SUITES),
                             help="which check suite to run (default: all)")
         sp.set_defaults(fn=fn)
     return parser
@@ -251,12 +249,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as done:
         return done.code if done.code is not None else 0
-    overrides = {"lambda": args.lam, "kappa": args.kappa, "seed": args.seed,
-                 "n": args.n, "out": args.out}
-    if getattr(args, "suite", None):
-        overrides["suite"] = args.suite
+    overrides = {key: getattr(args, key, None) for key in ("seed", *_FLAGS)}
     try:
         cfg = load_config(args.config, overrides)
+        if args.command == "validate":
+            cfg["suite"] = args.suite
         return args.fn(cfg)
     except ConfigError as err:
         emit({"error": "config", "message": str(err)})

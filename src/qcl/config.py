@@ -41,7 +41,6 @@ DEFAULTS = {
     "grid": {"start": 0.01, "stop": 0.99, "step": 0.01},
     "kappas": [0.01, 0.1, 1.0],
     "out": None,
-    "suite": "all",
     "bijection": None,
     "noise": None,
     "assume_unpredictable": False,
@@ -87,7 +86,9 @@ def _require_int(doc, key, minimum=0):
 
 
 def validate_config(doc):
-    """Check one raw dict against the schema; returns it with defaults filled."""
+    """Check one raw dict against the schema; returns it with defaults filled
+    and `service`, `grid` and `delay_convention` parsed into the law object,
+    the list of rates and the DelayConvention member."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(doc) - set(DEFAULTS))
@@ -99,7 +100,7 @@ def validate_config(doc):
         raise ConfigError(f"channel must be one of {_CHANNELS}, got {cfg['channel']!r}")
     cfg["lambda"] = _require_number(cfg, "lambda", minimum=0.0)
     cfg["kappa"] = _require_number(cfg, "kappa", minimum=0.0)
-    build_service(cfg["service"])  # raises ConfigError on bad sub-schema
+    cfg["service"] = build_service(cfg["service"])
     cfg["alphabet_size"] = _require_int(cfg, "alphabet_size", minimum=2)
     if cfg["channel"] == "bijective" and cfg["alphabet_size"] > MAX_ALPHABET:
         raise ConfigError(f"a bijective alphabet_size must be at most {MAX_ALPHABET}")
@@ -107,6 +108,7 @@ def validate_config(doc):
         raise ConfigError("alphabet_size must be at most 2**63")
     if cfg["delay_convention"] not in _CONVENTIONS:
         raise ConfigError(f"delay_convention must be one of {_CONVENTIONS}")
+    cfg["delay_convention"] = DelayConvention(cfg["delay_convention"])
     if not isinstance(cfg["receiver_knows_timing"], bool):
         raise ConfigError("receiver_knows_timing must be true or false")
     if not isinstance(cfg["assume_unpredictable"], bool):
@@ -119,7 +121,7 @@ def validate_config(doc):
         raise ConfigError(f"n must be at most {MAX_N}, got {cfg['n']}")
     if cfg["seed"] is not None:
         cfg["seed"] = _require_int(cfg, "seed", minimum=0)
-    grid_values(cfg["grid"])
+    cfg["grid"] = grid_values(cfg["grid"])
     kappas = cfg["kappas"]
     kappas = [_finite(k) for k in kappas] if isinstance(kappas, list) else []
     if not kappas or any(k is None or k <= 0 for k in kappas):
@@ -127,21 +129,17 @@ def validate_config(doc):
     cfg["kappas"] = kappas
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError("out must be a path string")
-    if not isinstance(cfg["suite"], str):
-        raise ConfigError("suite must be a string")
     if cfg["bijection"] is not None and not isinstance(cfg["bijection"], (str, dict)):
         raise ConfigError("bijection must be a file path or an inline table object")
     if cfg["noise"] is not None:
         noise = cfg["noise"]
         if not isinstance(noise, dict):
             raise ConfigError("noise must be an object")
-        extra = sorted(set(noise) - {"kind", "kappa"})
+        extra = sorted(set(noise) - {"kind"})
         if extra:
             raise ConfigError(f"unknown noise keys: {', '.join(extra)}")
         if noise.get("kind") not in _NOISE_KINDS:
             raise ConfigError(f"noise kind must be one of {_NOISE_KINDS}")
-        if "kappa" in noise:
-            _require_number(noise, "kappa", minimum=0.0)
     return cfg
 
 
@@ -226,19 +224,18 @@ def build_service(doc):
 def build_channel(cfg):
     """Channel object from a validated config."""
     kind = cfg["channel"]
-    kappa = cfg["kappa"]
     try:
+        decoherence = DecoherenceModel(cfg["kappa"])
         if kind == "erasure":
-            return Erasure(DecoherenceModel(kappa), cfg["alphabet_size"])
+            return Erasure(decoherence, cfg["alphabet_size"])
         if kind == "bsc":
-            return RandomBijective.binary_symmetric(DecoherenceModel(kappa))
+            return RandomBijective.binary_symmetric(decoherence)
         if cfg["bijection"] is None:
             alphabet = tuple(range(cfg["alphabet_size"]))
             table = xor_table(cfg["alphabet_size"])
         else:
             alphabet, table = load_bijection(cfg["bijection"])
         noise = cfg["noise"] or {"kind": "bernoulli"}
-        decoherence = DecoherenceModel(float(noise.get("kappa", kappa)))
         if noise["kind"] == "bernoulli":
             if len(alphabet) != 2:
                 raise ConfigError("bernoulli noise needs a binary alphabet")
@@ -256,14 +253,9 @@ def build_spec(cfg):
     """QueueChannelSpec from a validated config. Requires lambda > 0."""
     if cfg["lambda"] <= 0.0:
         raise ConfigError("lambda must be positive to build a queue spec")
-    try:
-        arrival = PoissonArrivals(cfg["lambda"])
-        service = build_service(cfg["service"])
-    except ValueError as bad:
-        raise ConfigError(str(bad)) from None
-    return QueueChannelSpec(arrival=arrival, service=service,
-                            channel=build_channel(cfg),
-                            delay_convention=DelayConvention(cfg["delay_convention"]),
+    return QueueChannelSpec(arrival=PoissonArrivals(cfg["lambda"]),
+                            service=cfg["service"], channel=build_channel(cfg),
+                            delay_convention=cfg["delay_convention"],
                             receiver_knows_timing=cfg["receiver_knows_timing"])
 
 

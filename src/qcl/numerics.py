@@ -71,30 +71,25 @@ class OptimizationResult:
     argopt: float
     value: float
     iterations: int
-    bracket: tuple
     converged: bool
     boundary: bool = False
 
 
-def golden_section_extremize(f, lo, hi, mode="max"):
-    """Golden-section search for the extremum of a unimodal f on [lo, hi].
+def golden_section_extremize(f, lo, hi):
+    """Golden-section search for the maximum of a unimodal f on [lo, hi].
 
     Args:
         f: scalar function, evaluable on the closed bracket.
         lo, hi: bracket endpoints, lo < hi.
-        mode: "max" or "min".
 
     Returns an OptimizationResult. If an endpoint value beats the interior
     optimum (monotone f), the endpoint is reported with boundary=True.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if mode not in ("max", "min"):
-        raise ValueError("mode must be 'max' or 'min'")
-    sign = 1.0 if mode == "max" else -1.0
 
     def g(x):
-        v = sign * f(x)
+        v = f(x)
         if not math.isfinite(v):
             raise ValueError(f"objective returned a non-finite value at x={x!r}")
         return v
@@ -124,9 +119,8 @@ def golden_section_extremize(f, lo, hi, mode="max"):
         boundary = True
     return OptimizationResult(
         argopt=float(x),
-        value=sign * gx,
+        value=gx,
         iterations=iterations,
-        bracket=(a, b),
         converged=(b - a) <= SECTION_TOL,
         boundary=boundary,
     )

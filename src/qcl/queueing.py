@@ -253,7 +253,6 @@ class WaitSampleSet:
     """Post-burn-in draws from the stationary per-symbol delay law."""
 
     samples: np.ndarray
-    convention: DelayConvention
     burn_in: int
 
     def __len__(self):
@@ -292,4 +291,4 @@ def stationary_wait_samples(arrival, service, n, seed=None,
         raise ValueError("need n >= 1 samples")
     burn_in = default_burn_in(lam, mu)
     *_, w = queue_path(arrival, service, n + burn_in, as_rng(seed), convention)
-    return WaitSampleSet(samples=w[burn_in:], convention=convention, burn_in=burn_in)
+    return WaitSampleSet(samples=w[burn_in:], burn_in=burn_in)

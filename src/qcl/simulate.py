@@ -57,7 +57,6 @@ class Transcript:
     w: np.ndarray
     y: np.ndarray
     spec: QueueChannelSpec
-    seed: object = None
 
     def __len__(self):
         return self.x.size
@@ -110,7 +109,7 @@ def simulate_transmission(spec, n, seed=None):
     x = input_rng.integers(0, spec.channel.size, size=n)
     y = apply_channel(spec.channel, x, w, noise_rng)
     return Transcript(x=x, a=a, d=d, s=s, w=w, y=np.asarray(y, dtype=int),
-                      spec=spec, seed=seed)
+                      spec=spec)
 
 
 def estimate_erasure_capacity(transcript):

@@ -194,7 +194,7 @@ def check_optimal_rate_agreement(seed=None):
             closed = capacity.optimal_lambda_mg1(service, kappa)
             numeric = golden_section_extremize(
                 lambda lam: lam * capacity.pk_wait_transform(lam, service, kappa),
-                1e-9, 1.0 - 1e-9, mode="max")
+                1e-9, 1.0 - 1e-9)
             gap = abs(closed - numeric.argopt)
             out.note(gap <= 1e-6,
                      f"{service.kind} kappa={kappa:g}: closed {closed:.9f} vs "
@@ -440,14 +440,14 @@ def check_numerics_gates(seed=None):
             worst = max(worst, abs(got - model.laplace(u)))
     out.note(worst <= 1e-8, f"quadrature vs closed form on 9-point grid: "
                             f"worst |diff| = {worst:.2e}")
-    quad = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, mode="max")
+    quad = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
     out.note(abs(quad.argopt - 0.3) <= 1e-7,
              f"quadratic argmax {quad.argopt:.10f} within 1e-7 of 0.3")
     curve = golden_section_extremize(
-        lambda lam: lam * (1.0 - lam) / (1.0 - 0.5 * lam), 0.0, 1.0 - 1e-12, mode="max")
+        lambda lam: lam * (1.0 - lam) / (1.0 - 0.5 * lam), 0.0, 1.0 - 1e-12)
     out.note(abs(curve.argopt - 0.5857864376269049) <= 1e-6,
              f"capacity-curve argmax {curve.argopt:.9f} matches closed form")
-    edge = golden_section_extremize(lambda x: x, 0.0, 1.0, mode="max")
+    edge = golden_section_extremize(lambda x: x, 0.0, 1.0)
     out.note(edge.boundary and edge.argopt == 1.0,
              f"monotone objective reported at boundary ({edge.argopt:g})")
     return out

@@ -236,8 +236,6 @@ def test_bijection_json_round_trip(tmp_path):
     path = tmp_path / "bijection.json"
     path.write_text(json.dumps(doc))
     assert load_bijection(str(path)) == (alphabet, table)
-    with open(path) as fh:
-        assert load_bijection(fh) == (alphabet, table)
 
 
 def test_load_bijection_rejects_malformed_documents():

@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,7 @@ from qcl.simulate import estimate_bijective_bounds
 
 
 def _cfg(**over):
-    cfg = load_config(None, {})
-    cfg.update(over)
-    return cfg
+    return load_config(None, over)
 
 
 # ---------------------------------------------------------------- config layer
@@ -36,9 +36,17 @@ def test_defaults_fill_in():
     assert cfg["lambda"] == 0.5
     assert cfg["kappa"] == 1.0
     assert cfg["n"] == 10**6
-    assert cfg["suite"] == "all"
+    assert "suite" not in cfg
     assert cfg["seed"] is None
-    assert cfg["service"] == {"kind": "exponential", "rate": 1.0}
+    assert cfg["service"] == Exponential(1.0)
+
+
+def test_readme_config_table_lists_the_config_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(config.DEFAULTS)
+    assert len(keys) == len(set(keys))
 
 
 def test_unknown_keys_rejected():
@@ -259,8 +267,8 @@ def test_build_channel_kinds():
     assert load_config(None, {"channel": "bsc"})["assume_unpredictable"] is True
     bij = build_channel(_cfg(channel="bijective"))
     assert isinstance(bij, RandomBijective)
-    wide = build_channel(_cfg(channel="bijective", alphabet_size=4,
-                              noise={"kind": "wait_geometric", "kappa": 1.0}))
+    wide = build_channel(_cfg(channel="bijective", alphabet_size=4, kappa=1.0,
+                              noise={"kind": "wait_geometric"}))
     assert len(wide.alphabet) == 4
     with pytest.raises(ConfigError, match="binary"):
         build_channel(_cfg(channel="bijective", alphabet_size=3))
@@ -270,8 +278,8 @@ def test_build_channel_inline_bijection(tmp_path):
     doc = {"alphabet": ["a", "b"], "g": {"a": ["a", "b"], "b": ["b", "a"]}}
     path = tmp_path / "bij.json"
     path.write_text(json.dumps(doc))
-    channel = build_channel(_cfg(channel="bijective", bijection=str(path),
-                                 noise={"kind": "wait_geometric", "kappa": 0.5}))
+    channel = build_channel(_cfg(channel="bijective", bijection=str(path), kappa=0.5,
+                                 noise={"kind": "wait_geometric"}))
     assert channel.alphabet == ("a", "b")
 
 
@@ -565,6 +573,11 @@ _HUGE_RUNS = {"simulate": {}, "capacity": {"channel": "bsc"},
               "sweep": {"grid": [0.5], "kappas": [1.0]}}
 
 
+def _out_flag(command, target):
+    """--out for the commands that write a file; capacity takes no --out."""
+    return [] if command == "capacity" else ["--out", str(target)]
+
+
 @pytest.mark.parametrize("n", [2 ** 56, 2 ** 62, 10 ** 20])
 @pytest.mark.parametrize("command", sorted(_HUGE_RUNS))
 def test_cli_rejects_n_beyond_cap(capsys, tmp_path, command, n):
@@ -572,7 +585,7 @@ def test_cli_rejects_n_beyond_cap(capsys, tmp_path, command, n):
     cfg.write_text(json.dumps(_HUGE_RUNS[command]))
     target = tmp_path / "out.csv"
     code, out, _ = _run(capsys, command, "--config", str(cfg), "--n", str(n),
-                        "--seed", "1", "--out", str(target))
+                        "--seed", "1", *_out_flag(command, target))
     assert code == 2
     assert _payload(out) == {"error": "config",
                              "message": f"n must be at most {MAX_N}, got {n}"}
@@ -585,7 +598,7 @@ def test_cli_out_of_memory_is_a_config_error(capsys, tmp_path, monkeypatch, comm
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(_HUGE_RUNS[command]))
     code, out, _ = _run(capsys, command, "--config", str(cfg), "--n", str(2 ** 56),
-                        "--seed", "1", "--out", str(tmp_path / "out.csv"))
+                        "--seed", "1", *_out_flag(command, tmp_path / "out.csv"))
     assert code == 2
     payload = _payload(out)
     assert payload["error"] == "config"
@@ -732,6 +745,56 @@ def test_cli_validate_quick_suite(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "1/1 checks passed" in out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"channel": "bijective", "noise": {"kind": "wait_geometric", "kappa": 0.5}},
+     "unknown noise keys: kappa"),
+    ({"suite": "bsc"}, "unknown config keys: suite"),
+], ids=["noise-kappa", "suite"])
+@pytest.mark.parametrize("command", ["capacity", "validate"])
+def test_cli_rejects_duplicate_spellings(capsys, tmp_path, command, doc, message):
+    # kappa is set only at the top level, and the suite only on the command line
+    cfg = tmp_path / "dup.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert _payload(out) == {"error": "config", "message": message}
+
+
+def test_cli_kappa_flag_reaches_bijective_channel(capsys, tmp_path):
+    outputs = []
+    for kappa, flag in ((0.5, []), (0.5, ["--kappa", "7"]), (7.0, [])):
+        cfg = tmp_path / f"bij-{kappa}.json"
+        cfg.write_text(json.dumps({"channel": "bijective", "kappa": kappa,
+                                   "noise": {"kind": "wait_geometric"}}))
+        code, out, _ = _run(capsys, "capacity", "--config", str(cfg), "--n", "2000",
+                            "--seed", "1", *flag)
+        assert code == 0
+        outputs.append(out)
+    from_file, from_flag, at_seven = outputs
+    assert from_flag == at_seven != from_file
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "0", "--kappa", "5"],
+    ["sweep", "--n", "0", "--lambda", "0.3"],
+    ["capacity", "--out", "x.csv"],
+    ["optimize", "--n", "5"],
+    ["optimize", "--lambda", "0.3"],
+    ["validate", "bsc", "--lambda", "3"],
+    ["validate", "bsc", "--kappa", "9"],
+    ["validate", "bsc", "--n", "5"],
+    ["validate", "bsc", "--out", "v.txt"],
+], ids=" ".join)
+def test_cli_rejects_flags_the_command_does_not_read(capsys, tmp_path, monkeypatch,
+                                                     argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert _payload(out)["error"] == "usage"
+    assert "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_validate_rejects_unknown_suite(capsys):

@@ -18,7 +18,7 @@ from qcl.cli import main
 
 GAMMA = {"kind": "gamma", "shape": 2.0, "scale": 0.5}
 K8 = {"channel": "bijective", "alphabet_size": 8, "noise": {"kind": "wait_geometric"}}
-BERNOULLI = {"channel": "bijective", "noise": {"kind": "bernoulli", "kappa": 0.3}}
+BERNOULLI = {"channel": "bijective", "kappa": 0.3, "noise": {"kind": "bernoulli"}}
 
 # name -> (argv, config document or None, writes an output file,
 #          diagnostics may gain keys)

@@ -48,34 +48,23 @@ def test_batch_means_rejects_empty():
 
 
 def test_golden_section_finds_quadratic_maximum():
-    res = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, mode="max")
+    res = golden_section_extremize(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
     assert abs(res.argopt - 0.3) <= 1e-7
     assert res.converged
     assert not res.boundary
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_golden_section_minimize_mode():
-    res = golden_section_extremize(lambda x: (x - 0.7) ** 2 + 1.0, 0.0, 2.0, mode="min")
-    assert abs(res.argopt - 0.7) <= 1e-7
-    assert res.value == pytest.approx(1.0)
-
-
 def test_golden_section_reports_monotone_objective_at_boundary():
-    res = golden_section_extremize(lambda x: x, 0.0, 1.0, mode="max")
+    res = golden_section_extremize(lambda x: x, 0.0, 1.0)
     assert res.boundary
     assert res.argopt == 1.0
     assert res.value == 1.0
-    res = golden_section_extremize(lambda x: x, 0.0, 1.0, mode="min")
-    assert res.boundary
-    assert res.argopt == 0.0
 
 
-def test_golden_section_rejects_bad_bracket_and_mode():
+def test_golden_section_rejects_bad_bracket():
     with pytest.raises(ValueError):
         golden_section_extremize(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        golden_section_extremize(lambda x: x, 0.0, 1.0, mode="extremal")
 
 
 def test_golden_section_rejects_non_finite_objective():
