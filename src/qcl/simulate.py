@@ -115,17 +115,27 @@ def simulate_transmission(spec, n, seed=None):
 def estimate_erasure_capacity(transcript):
     """Plug-in erasure capacity lam * log2(k) * (1 - erased fraction).
 
-    The standard error is batch-means (the erased indicators inherit the
-    delay autocorrelation); the i.i.d. binomial error is kept in details.
+    See _score_survival for the standard error.
     """
     if transcript.spec.channel.kind != "erasure":
         raise TypeError("estimate_erasure_capacity needs an erasure transcript")
-    n = len(transcript)
-    if n == 0:
+    if len(transcript) == 0:
         raise ValueError("empty transcript")
-    survived = (transcript.y != ERASED).astype(float)
+    return _score_survival(transcript.y != ERASED, transcript.lam,
+                           transcript.spec.channel.size)
+
+
+def _score_survival(survived, lam, alphabet):
+    """Erasure capacity lam * log2(alphabet) * (surviving fraction) from the
+    survival indicators of consecutive symbols.
+
+    The standard error is batch-means (the indicators inherit the delay
+    autocorrelation); the i.i.d. binomial error is kept in details.
+    """
+    survived = np.asarray(survived, dtype=float)
+    n = survived.size
     mean, se, m = batch_means(survived)
-    scale = transcript.lam * math.log2(transcript.spec.channel.size)
+    scale = lam * math.log2(alphabet)
     frac = survived.mean()
     binomial_se = scale * math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
     return EstimateWithError(value=scale * mean, std_error=scale * se, n=n,
@@ -258,9 +268,15 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     `lambda`, `kappa`, `capacity_analytic`, `capacity_mc`, `mc_stderr`; the
     Monte Carlo cells stay None when n == 0. Arrival rates at or past the
     stability boundary are dropped with a warning. Rows iterate kappas outer
-    and lambdas inner, both in the order given. Each Monte Carlo cell has its
-    own child seed keyed to its grid index, so the cells run on a thread pool
-    of os.cpu_count() workers with results independent of their order.
+    and lambdas inner, both in the order given.
+
+    The Monte Carlo cells are seeded per arrival rate: the i-th kept lambda
+    splits the i-th child of seed into 1 + len(kappas) streams, one for its
+    queue path of n symbols and one per kappa for the survival uniforms drawn
+    against that path's delays. So the cells of one lambda are correlated
+    across kappa, and each mc_stderr is its cell's own (marginal) batch-means
+    error. The lambdas run on a thread pool of os.cpu_count() workers with
+    results independent of their order; lambda = 0 draws nothing and scores 0.
     """
     service = Exponential(1.0) if service is None else service
     mu = 1.0 / service.mean
@@ -270,34 +286,37 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
         warnings.warn(f"dropping arrival rates outside the stability region "
                       f"(mu = {mu:g}): {dropped}", stacklevel=2)
     rows = []
-    specs = []
     for kappa in kappas:
         for lam in kept:
             if lam == 0.0:
-                analytic, spec = 0.0, None
+                analytic = 0.0
             else:
                 spec = QueueChannelSpec(
                     arrival=PoissonArrivals(lam), service=service,
                     channel=Erasure(DecoherenceModel(kappa), alphabet),
                     delay_convention=convention)
                 analytic = erasure_capacity(spec).bits_per_sec
-            specs.append(spec)
             rows.append({"lambda": lam, "kappa": float(kappa),
                          "capacity_analytic": analytic, "capacity_mc": None,
                          "mc_stderr": None})
     if n > 0 and rows:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = ss.spawn(len(rows))
 
-        def mc_cell(i):
-            if specs[i] is None:
-                return 0.0, 0.0
-            est = estimate_erasure_capacity(
-                simulate_transmission(specs[i], n, seed=children[i]))
-            return est.value, est.std_error
+        def mc_column(lam, child):
+            if lam == 0.0:
+                return [(0.0, 0.0)] * len(kappas)
+            queue_rng, *uniform_rngs = spawn_rngs(child, 1 + len(kappas))
+            w = queue_path(PoissonArrivals(lam), service, n, queue_rng,
+                           convention)[-1]  # the delays; let the rest go
+            ests = [_score_survival(rng.random(n) >= DecoherenceModel(kappa).error_prob(w),
+                                    lam, alphabet)
+                    for kappa, rng in zip(kappas, uniform_rngs)]
+            return [(est.value, est.std_error) for est in ests]
 
         with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-            cells = list(pool.map(mc_cell, range(len(rows))))
+            columns = list(pool.map(mc_column, kept, ss.spawn(len(kept))))
+        # columns[i][j] is (lambda i, kappa j); rows run kappas outer
+        cells = [cell for by_kappa in zip(*columns) for cell in by_kappa]
         for row, (value, stderr) in zip(rows, cells):
             row["capacity_mc"], row["mc_stderr"] = value, stderr
     return rows

@@ -192,7 +192,7 @@ GOLDEN = {
             "kappas": [0.1, 1.0],
             "n": 2000
         },
-        "sha256": "24b51917d2a0e7dab540c3b7146a2592a8d03b717631364956ad0f8f41c057c5"
+        "sha256": "73ab5253524b101753f0ad55274563c692825a4f9f3d95e853576044d383de2b"
     },
     "simulate-erasure": {
         "stdout": {

@@ -11,8 +11,9 @@ from qcl import simulate
 from qcl.capacity import QueueChannelSpec, erasure_capacity
 from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                           bernoulli_noise, wait_geometric_noise, xor_table)
+from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
-                          InstabilityError, PoissonArrivals)
+                          InstabilityError, PoissonArrivals, queue_path)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, estimate_erasure_capacity,
                           evaluate_capacity, simulate_transmission, sweep_rows)
@@ -179,16 +180,59 @@ def test_sweep_rows_drops_unstable_rates_with_warning():
 
 
 def test_sweep_rows_threaded_matches_serial():
-    lambdas = [0.2, 0.5, 0.8]
-    rows = sweep_rows(lambdas, [1.0], n=2000, seed=21)
-    # each pool cell equals its cell recomputed alone from the same child seed
+    lambdas, kappas = [0.2, 0.5, 0.8], [0.1, 1.0]
+    rows = sweep_rows(lambdas, kappas, n=2000, seed=21)
+    # each pooled lambda equals that lambda recomputed alone from its own
+    # child seed: one queue path, then one uniform stream per kappa
     children = np.random.SeedSequence(21).spawn(len(lambdas))
-    for row, lam, child in zip(rows, lambdas, children):
-        est = estimate_erasure_capacity(simulate_transmission(_spec(lam), 2000, seed=child))
-        assert (row["capacity_mc"], row["mc_stderr"]) == (est.value, est.std_error)
-        assert row["mc_stderr"] > 0.0
+    for i, (lam, child) in enumerate(zip(lambdas, children)):
+        queue_rng, *uniform_rngs = spawn_rngs(child, 1 + len(kappas))
+        *_, w = queue_path(PoissonArrivals(lam), Exponential(1.0), 2000, queue_rng,
+                           DelayConvention.WAITING_BEFORE_SERVICE)
+        for j, (kappa, rng) in enumerate(zip(kappas, uniform_rngs)):
+            mean, se, _ = batch_means(rng.random(2000) >= DecoherenceModel(kappa).error_prob(w))
+            row = rows[j * len(lambdas) + i]
+            assert (row["lambda"], row["kappa"]) == (lam, kappa)
+            assert (row["capacity_mc"], row["mc_stderr"]) == (lam * mean, lam * se)
+            assert row["mc_stderr"] > 0.0
+            assert abs(row["capacity_mc"] - row["capacity_analytic"]) <= \
+                6.0 * row["mc_stderr"]
+
+
+def _count_queue_paths(monkeypatch):
+    """Record the arrival rate of every queue path the simulator draws."""
+    rates = []
+    real = simulate.queue_path
+    monkeypatch.setattr(simulate, "queue_path",
+                        lambda *a, **k: rates.append(a[0].rate) or real(*a, **k))
+    return rates
+
+
+def test_sweep_rows_draws_one_queue_path_per_lambda(monkeypatch):
+    calls = _count_queue_paths(monkeypatch)
+    monkeypatch.setattr(simulate, "simulate_transmission", None)  # not on this path
+    rows = sweep_rows([0.2, 0.5, 0.8], [0.1, 1.0, 3.0], n=200, seed=4)
+    assert len(rows) == 9 and all(r["capacity_mc"] is not None for r in rows)
+    assert sorted(calls) == [0.2, 0.5, 0.8]
+
+
+def test_sweep_rows_repeated_kappa_draws_its_own_uniforms():
+    rows = sweep_rows([0.5], [1.0, 1.0], n=20_000, seed=9)
+    first, second = rows
+    assert first["capacity_analytic"] == second["capacity_analytic"]
+    assert first["capacity_mc"] != second["capacity_mc"]
+    for row in rows:
         assert abs(row["capacity_mc"] - row["capacity_analytic"]) <= \
             6.0 * row["mc_stderr"]
+
+
+def test_sweep_rows_zero_rate_draws_no_queue(monkeypatch):
+    calls = _count_queue_paths(monkeypatch)
+    rows = sweep_rows([0.0, 0.4], [0.5, 2.0], n=500, seed=1)
+    zero = [r for r in rows if r["lambda"] == 0.0]
+    assert len(zero) == 2
+    assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, 0.0) for r in zero)
+    assert calls == [0.4]
 
 
 def test_sweep_rows_deterministic_service():
