@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +260,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except MemoryError as err:  # an n within MAX_N can still outgrow the machine
         emit({"error": "config", "message": f"not enough memory for this run: {err}"})
+        return EXIT_CONFIG
+    except BrokenExecutor as err:  # a to_csv worker was killed (BrokenProcessPool)
+        emit({"error": "config", "message": f"a worker process died: {err}"})
         return EXIT_CONFIG
     except InstabilityError as err:
         emit({"error": "instability", "message": str(err)})

@@ -135,6 +135,8 @@ class Gamma(ServiceDistribution):
     def __post_init__(self):
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise ValueError("gamma shape and scale must be positive")
+        if not (math.isfinite(self.shape) and math.isfinite(self.scale)):
+            raise ValueError("gamma shape and scale must be finite")
 
     @property
     def mean(self):
@@ -159,6 +161,8 @@ class Uniform(ServiceDistribution):
     def __post_init__(self):
         if not (0.0 <= self.low < self.high):
             raise ValueError("uniform service needs 0 <= low < high")
+        if not math.isfinite(self.high):
+            raise ValueError("uniform service needs a finite high")
 
     @property
     def mean(self):

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -603,6 +605,35 @@ def test_cli_out_of_memory_is_a_config_error(capsys, tmp_path, monkeypatch, comm
     payload = _payload(out)
     assert payload["error"] == "config"
     assert payload["message"].startswith("not enough memory for this run: ")
+
+
+_FORMAT_BLOCK = simulate._csv_block
+
+
+def _die_on_second_block(lo):
+    """simulate._csv_block, except that the pool worker formatting the
+    second block dies. Module level, so the pool can pickle it by name."""
+    if lo == simulate.CSV_BLOCK_ROWS:
+        # in the calling process, exiting would end the test run itself
+        assert multiprocessing.parent_process() is not None, "block formatted serially"
+        os._exit(1)
+    return _FORMAT_BLOCK(lo)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+def test_cli_simulate_killed_writer_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "_csv_block", _die_on_second_block)
+    code, out, _ = _run(capsys, "simulate", "--n", "50", "--seed", "1",
+                        "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert payload["message"].startswith("a worker process died: ")
+    assert multiprocessing.active_children() == []
+    assert simulate._CSV_TRANSCRIPT is None
 
 
 def test_cli_sweep_checks_out_before_computing(capsys, tmp_path, monkeypatch):

@@ -113,6 +113,15 @@ def test_service_parameter_validation():
         Empirical((1.0, -2.0))
 
 
+@pytest.mark.parametrize("law, params", [
+    (Gamma, (math.inf, 1.0)), (Gamma, (1.0, math.inf)), (Gamma, (math.nan, 1.0)),
+    (Uniform, (0.0, math.inf)), (Uniform, (math.inf, math.inf)), (Uniform, (0.0, math.nan)),
+])
+def test_service_laws_reject_non_finite_parameters(law, params):
+    with pytest.raises(ValueError):
+        law(*params)
+
+
 def test_lindley_waits_matches_scalar_recursion():
     rng = np.random.default_rng(21)
     s = rng.exponential(1.0, 1500)

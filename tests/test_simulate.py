@@ -1,8 +1,12 @@
 """Tests for the discrete-event simulator and its capacity estimators."""
 
+import concurrent.futures
 import csv
 import io
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +37,11 @@ def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
 def _bsc_spec(lam=0.5, kappa=1.0, **kw):
     return _spec(lam, channel=RandomBijective.binary_symmetric(
         DecoherenceModel(kappa)), **kw)
+
+
+def _bijective8_spec():
+    return _spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
+                                         wait_geometric_noise(DecoherenceModel(1.0), 8)))
 
 
 def _bijective_spec(lam=0.5, kappa=1.0):
@@ -268,9 +277,7 @@ _CSV_ROWS = ["0.5,1.5,1.0,0.0", "1.75,2.00005,0.25,5e-05",
 @pytest.mark.parametrize("spec, x, y, y_text", [
     (_spec(), [0, 1, 1, 0, 1], [0, ERASED, 1, ERASED, 1], ["0", "?", "1", "?", "1"]),
     (_bsc_spec(), [0, 1, 1, 0, 1], [1, 0, 0, 1, 1], ["1", "0", "0", "1", "1"]),
-    (_spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
-                                   wait_geometric_noise(DecoherenceModel(1.0), 8))),
-     [0, 7, 3, 6, 2], [7, 0, 3, 5, 2], ["7", "0", "3", "5", "2"]),
+    (_bijective8_spec(), [0, 7, 3, 6, 2], [7, 0, 3, 5, 2], ["7", "0", "3", "5", "2"]),
 ], ids=["erasure", "bsc", "bijective"])
 def test_to_csv_bytes_pinned(tmp_path, spec, x, y, y_text):
     a, s, w = (np.array(_CSV_TIMES[k]) for k in "asw")
@@ -302,8 +309,7 @@ def _csv_reference(t):
     (_spec(0.8, kappa=2.0), 280),  # exactly 40 blocks
     (_spec(), 0),  # header only
     (_bsc_spec(), 300),
-    (_spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
-                                   wait_geometric_noise(DecoherenceModel(1.0), 8))), 300),
+    (_bijective8_spec(), 300),
 ], ids=["erasure-partial", "erasure-whole-blocks", "empty", "bsc", "bijective"])
 def test_to_csv_blocks_match_row_writer(tmp_path, monkeypatch, spec, n):
     monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
@@ -317,6 +323,55 @@ def test_to_csv_blocks_match_row_writer(tmp_path, monkeypatch, spec, n):
     path = tmp_path / "t.csv"
     t.to_csv(path)
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """The arguments of each ProcessPoolExecutor built while the test runs."""
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        made.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return made
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+@pytest.mark.parametrize("spec", [_spec(0.8, kappa=2.0), _bsc_spec(), _bijective8_spec()],
+                         ids=["erasure", "bsc", "bijective"])
+def test_to_csv_pool_matches_row_writer(tmp_path, monkeypatch, pool_spy, spec):
+    # two CPUs even on a one-CPU runner, so the pool formats the 43 blocks
+    monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    t = simulate_transmission(spec, 300, seed=11)
+    expected = _csv_reference(t)
+    buf = io.StringIO(newline="")
+    t.to_csv(buf)
+    assert buf.getvalue() == expected
+    path = tmp_path / "t.csv"
+    t.to_csv(path)
+    assert path.read_bytes() == expected.encode()
+    assert len(pool_spy) == 2
+    assert multiprocessing.active_children() == []
+    assert simulate._CSV_TRANSCRIPT is None
+
+
+def test_to_csv_from_a_second_thread_formats_serially(monkeypatch, pool_spy):
+    monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    t = simulate_transmission(_spec(0.8, kappa=2.0), 300, seed=11)
+    buf = io.StringIO(newline="")
+    writer = threading.Thread(target=t.to_csv, args=(buf,))
+    writer.start()
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert buf.getvalue() == _csv_reference(t)
+    assert pool_spy == []
+    assert simulate._CSV_TRANSCRIPT is None
 
 
 def test_estimate_with_error_validation():
