@@ -16,7 +16,7 @@ evaluation path per channel that the command line renders.
 from .capacity import (CapacityResult, QueueChannelSpec, alpha_mg1,
                        bijective_capacity, erasure_capacity, mean_survival,
                        mm1_capacity_closed_form, optimal_lambda_mg1,
-                       optimal_lambda_mm1_laplace, pk_wait_transform)
+                       pk_wait_transform)
 from .channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                        apply_channel, bernoulli_noise, binary_entropy,
                        discrete_entropy, load_bijection,
@@ -85,7 +85,6 @@ __all__ = [
     "mean_survival",
     "mm1_capacity_closed_form",
     "optimal_lambda_mg1",
-    "optimal_lambda_mm1_laplace",
     "pk_wait_transform",
     "quadrature_laplace",
     "simulate_transmission",

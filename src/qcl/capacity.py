@@ -14,7 +14,6 @@ from .queueing import DelayConvention, Exponential, check_stability
 
 METHOD_CLOSED_FORM_MM1 = "ClosedFormMM1"
 METHOD_PK = "PKTransform"
-METHOD_GENERAL_LAPLACE = "GeneralLaplace"
 METHOD_MC = "MonteCarlo"
 METHOD_BOUND_LOWER = "Bound-Lower"
 METHOD_BOUND_UPPER = "Bound-Upper"
@@ -164,29 +163,6 @@ def optimal_lambda_mg1(service, kappa):
     mu = 1.0 / service.mean
     rho_star = 1.0 / (1.0 + math.sqrt(1.0 - a))
     return mu * rho_star
-
-
-LAPLACE_ROUTE_CAVEAT = (
-    "derived under the premise that the unit-rate-exponential-service delay is "
-    "exponential with rate (1-lam)/lam, which the wait transform contradicts; "
-    "cross-check against optimal_lambda_mg1 and simulation"
-)
-
-
-def optimal_lambda_mm1_laplace(service, kappa):
-    """Optimal arrival rate under the exponential-delay premise, for
-    exponential service: lam* = mu / (1 + sqrt(kappa/mu)).
-
-    This is optimal_lambda_mg1's formula mu/(1 + sqrt(1 - a)) with the
-    first-order a = 1 - kappa/mu in place of the exact mu/(mu + kappa). The
-    premise models the delay as exponential, which the wait transform
-    contradicts, so callers report it with method=GeneralLaplace and
-    LAPLACE_ROUTE_CAVEAT.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    mu = service.rate
-    return mu / (1.0 + math.sqrt(kappa) / math.sqrt(mu))  # kappa/mu can overflow
 
 
 E_H_NOISE = "E_H_noise"

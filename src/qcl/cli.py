@@ -22,7 +22,7 @@ import numpy as np
 from . import capacity, simulate, validation
 from .config import ConfigError, build_spec, load_config
 from .numerics import golden_section_extremize
-from .queueing import Exponential, InstabilityError, PoissonArrivals
+from .queueing import InstabilityError, PoissonArrivals
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,20 +107,12 @@ def cmd_optimize(cfg):
     mu = 1.0 / service.mean
     numeric = golden_section_extremize(capacity_at, 1e-9 * mu, (1.0 - 1e-9) * mu)
     best = capacity.erasure_capacity(spec)
-    payload = {"lambda_star": lam_star,
-               "capacity_at_lambda_star": best.bits_per_sec,
-               "method": best.method,
-               "numeric_check": {"lambda_star": numeric.argopt,
-                                 "gap": abs(numeric.argopt - lam_star),
-                                 "iterations": numeric.iterations}}
-    if isinstance(service, Exponential):
-        lam_route = capacity.optimal_lambda_mm1_laplace(service, kappa)
-        payload["exponential_premise_route"] = {
-            "lambda_star": lam_route,
-            "method": capacity.METHOD_GENERAL_LAPLACE,
-            "discrepancy": abs(lam_route - lam_star),
-            "caveat": capacity.LAPLACE_ROUTE_CAVEAT}
-    emit(payload)
+    emit({"lambda_star": lam_star,
+          "capacity_at_lambda_star": best.bits_per_sec,
+          "method": best.method,
+          "numeric_check": {"lambda_star": numeric.argopt,
+                            "gap": abs(numeric.argopt - lam_star),
+                            "iterations": numeric.iterations}})
     return EXIT_OK
 
 
@@ -158,8 +150,14 @@ def cmd_simulate(cfg):
     spec = build_spec(cfg)
     transcript = simulate.simulate_transmission(spec, cfg["n"], seed=cfg["seed"])
     out = cfg["out"] or "transcript.csv"
-    with _writing(out):
-        transcript.to_csv(out)
+    tmp = f"{out}.{os.getpid()}.tmp"  # a failed write leaves an old out intact
+    try:
+        with _writing(out):
+            transcript.to_csv(tmp)
+            os.replace(tmp, out)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
     payload = {"out": out, "n": len(transcript), "seed": cfg["seed"]}
     est, bounds = simulate.estimate_capacity(transcript)
     if bounds is not None:
@@ -174,10 +172,6 @@ def cmd_simulate(cfg):
 
 def cmd_validate(cfg):
     checks = validation.SUITES[cfg["suite"]]
-    if any(check in validation.SCIPY_CHECKS for check in checks):
-        # import scipy here, once: pool threads importing it at once can deadlock
-        import scipy.integrate  # noqa: F401
-        import scipy.special  # noqa: F401
     workers = max(1, min(len(checks), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(check, seed=cfg["seed"]) for check in checks]
@@ -232,7 +226,8 @@ def _build_parser():
         sp.add_argument("--config", metavar="FILE",
                         help="JSON experiment description")
         sp.add_argument("--seed", type=int,
-                        help="RNG seed override (falls back to $QCL_SEED)")
+                        help="RNG seed override (falls back to $QCL_SEED, then "
+                             + ("0)" if name == "validate" else "OS entropy)"))
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         if name == "validate":

@@ -33,7 +33,7 @@ EVIDENCE_SHA256 = {
     "erasure-deterministic-service-dominance":
         "39a71207f92ba565ba514a411d01bab513ce6889fffcb1eb0315459ea8b4c4be",
     "bsc-deterministic-service-dominance":
-        "9c879e7c12613f678c656a19f840db9dae8637953ddc3d1d21c81883720164c4",
+        "bf6af1880eef58d7ea57e315abd1573bb2ca07500d201f201066e047e653e0c7",
     "bsc-csir-ordering-and-degenerate-equality":
         "6f1ef17deb0a5e5ea8c62989168122fa6211a43a6a7f3611cfa8311ddafc5dc7",
     "bijective-bound-sandwich":

@@ -6,13 +6,12 @@ import math
 import pytest
 
 from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
-                          METHOD_CLOSED_FORM_MM1, METHOD_GENERAL_LAPLACE,
-                          METHOD_BOUNDS, METHOD_MC, METHOD_PK, E_H_NOISE,
-                          H_MEAN_NOISE, E_H_KERNEL_NOISE, LAPLACE_ROUTE_CAVEAT,
+                          METHOD_CLOSED_FORM_MM1, METHOD_BOUNDS, METHOD_MC,
+                          METHOD_PK, E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE,
                           QueueChannelSpec,
                           alpha_mg1, bijective_capacity, erasure_capacity, mean_survival,
                           mm1_capacity_closed_form, optimal_lambda_mg1,
-                          optimal_lambda_mm1_laplace, pk_wait_transform)
+                          pk_wait_transform)
 from qcl.channels import (DecoherenceModel, Erasure, RandomBijective,
                           bernoulli_noise, binary_entropy, xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential, Gamma,
@@ -150,16 +149,6 @@ def test_optimal_lambda_scales_with_service_rate():
     assert fast == pytest.approx(2.0 * slow)
 
 
-def test_laplace_route_disagrees_with_transform_route():
-    lam_premise = optimal_lambda_mm1_laplace(Exponential(1.0), 1.0)
-    assert lam_premise == 0.5  # mu / (1 + sqrt(kappa/mu))
-    assert "premise" in LAPLACE_ROUTE_CAVEAT
-    gap = abs(lam_premise - optimal_lambda_mg1(Exponential(1.0), 1.0))
-    assert gap > 0.08
-    with pytest.raises(ValueError):
-        optimal_lambda_mm1_laplace(Exponential(1.0), 0.0)
-
-
 def _bsc_spec(lam, csir=False):
     return QueueChannelSpec(
         arrival=PoissonArrivals(lam), service=Exponential(1.0),
@@ -247,6 +236,6 @@ def test_bijective_capacity_checks_inputs():
 
 
 def test_method_constants_are_distinct():
-    tags = {METHOD_CLOSED_FORM_MM1, METHOD_PK, METHOD_GENERAL_LAPLACE,
-            METHOD_MC, METHOD_BOUND_LOWER, METHOD_BOUND_UPPER}
-    assert len(tags) == 6
+    tags = {METHOD_CLOSED_FORM_MM1, METHOD_PK, METHOD_MC, METHOD_BOUND_LOWER,
+            METHOD_BOUND_UPPER}
+    assert len(tags) == 5

@@ -50,11 +50,6 @@ CASES = {
                             False),
 }
 
-PREMISE_CAVEAT = (
-    "derived under the premise that the unit-rate-exponential-service delay is "
-    "exponential with rate (1-lam)/lam, which the wait transform contradicts; "
-    "cross-check against optimal_lambda_mg1 and simulation")
-
 GOLDEN = {
     "capacity-erasure-mm1": {
         "stdout": {
@@ -155,12 +150,6 @@ GOLDEN = {
                 "lambda_star": 0.5857864409775124,
                 "gap": 3.3506074581524103e-09,
                 "iterations": 41
-            },
-            "exponential_premise_route": {
-                "lambda_star": 0.5,
-                "method": "GeneralLaplace",
-                "discrepancy": 0.08578643762690497,
-                "caveat": PREMISE_CAVEAT
             }
         }
     },

@@ -1,5 +1,6 @@
-"""Start-up cost: scipy is loaded only by the `validate` checks that call it,
-so `import qcl` and every other command skip its import."""
+"""Start-up cost: scipy is loaded only by the quadrature line of `validate`'s
+numerics gates, so `import qcl`, every other command and every other check
+skip its import."""
 
 import os
 import subprocess
@@ -29,31 +30,43 @@ assert not loaded, loaded
 
 _VALIDATE = """
 import sys
+import threading
 
 from qcl import cli, validation
 
 reached = set()
+loaded_after_quantile = []
+witness_done = threading.Event()
 quadrature, quantile = validation.quadrature_laplace, validation._service_quantile
 
 
+def counting_quantile(service, u, v):
+    draws = quantile(service, u, v)
+    reached.add(service.kind)
+    loaded_after_quantile.append(
+        sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    if len(loaded_after_quantile) == 8:  # four laws at each of two witness rates
+        witness_done.set()
+    return draws
+
+
 def counting_quadrature(p, u):
+    # hold scipy's import back until the witness is done, so scipy found
+    # loaded after a quantile can only come from the quantile itself
+    witness_done.wait(timeout=300)
     reached.add("quadrature_laplace")
     return quadrature(p, u)
-
-
-def counting_quantile(service, u):
-    reached.add(service.kind)
-    return quantile(service, u)
 
 
 validation.quadrature_laplace = counting_quadrature
 validation._service_quantile = counting_quantile
 validation.N_DEFAULT = 10_000
-validation.SUITES["scipy-callers"] = (validation.check_numerics_gates,
-                                      validation.check_bsc_service_dominance)
-cli.main(["validate", "scipy-callers", "--seed", "0"])
+validation.SUITES["pool"] = (validation.check_bsc_service_dominance,
+                             validation.check_numerics_gates)
+assert cli.main(["validate", "pool", "--seed", "0"]) in (0, 4)
 assert {"quadrature_laplace", "gamma"} <= reached, reached
-assert {"scipy.integrate", "scipy.special"} <= set(sys.modules)
+assert loaded_after_quantile == 8 * [[]], loaded_after_quantile
+assert "scipy.integrate" in sys.modules
 """
 
 
@@ -63,7 +76,7 @@ import sys
 from qcl import cli, validation
 
 validation.N_DEFAULT = 10_000
-for suite in ("bsc", "bijective"):
+for suite in ("bsc", "bijective", "service-optimality"):
     assert cli.main(["validate", suite, "--seed", "0"]) in (0, 4), suite
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
@@ -83,11 +96,12 @@ def test_closed_form_and_simulation_commands_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_validate_reaches_both_scipy_callers_on_its_thread_pool():
-    # a fresh process, so both pool threads meet scipy's first import
+def test_validate_reaches_scipy_only_through_the_quadrature():
+    # a fresh process, so the pool meets scipy's first import
     done = _python(_VALIDATE)
     assert done.returncode == 0, done.stderr
     assert "[PASS] numerics-gates" in done.stdout
+    assert "/2 checks passed" in done.stdout
 
 
 def test_validate_suites_without_scipy_callers_load_no_scipy():
