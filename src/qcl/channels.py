@@ -19,6 +19,7 @@ from .numerics import as_rng
 ERASED = -1
 
 _PROB_SLACK = 1e-12
+CHUNK_CELLS = 1 << 15  # noise-matrix cells held at once (256 KB of float64)
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,18 @@ class RandomBijective:
         return len(self.alphabet)
 
     def apply(self, x, w, rng):
-        """Outputs for aligned symbol and wait arrays: table[x, noise]."""
-        noise = _sample_categorical(self.noise_dist(w), rng)
-        return self._table_arr[x, noise]
+        """Outputs for aligned symbol and wait arrays: table[x, noise].
+
+        One uniform per symbol is drawn up front, then the noise laws are
+        built and sampled row_chunks at a time, so memory is O(n + chunk)
+        and neither the outputs nor the rng state depend on the chunk size.
+        """
+        u = rng.random(x.shape + (1,)).reshape(-1, 1)
+        w = np.ravel(w)
+        noise = np.empty(x.size, dtype=np.intp)
+        for rows in row_chunks(x.size, self.size):
+            noise[rows] = _sample_categorical(self.noise_dist(w[rows]), u[rows])
+        return self._table_arr[x, noise.reshape(x.shape)]
 
     def noise_dist(self, w):
         """Noise distribution(s) at wait(s) w, validated as a simplex vector."""
@@ -161,11 +171,19 @@ def wait_geometric_noise(decoherence, size):
     return law
 
 
-def _sample_categorical(probs, rng):
-    """One draw per row of a (m, k) probability matrix."""
+def row_chunks(rows, k, unit=1):
+    """Slices covering range(rows) in order, each a whole number of unit-row
+    groups (bar the last) holding about CHUNK_CELLS cells of a k-column
+    matrix, and at least one group."""
+    step = unit * max(1, CHUNK_CELLS // (unit * k))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _sample_categorical(probs, u):
+    """One draw per row of an (m, k) probability matrix, by inversion of the
+    (m, 1) uniforms u."""
     cum = np.cumsum(probs, axis=-1)
     cum /= cum[..., -1:]
-    u = rng.random(probs.shape[:-1] + (1,))
     idx = (u > cum).sum(axis=-1)
     return np.minimum(idx, probs.shape[-1] - 1)
 

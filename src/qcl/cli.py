@@ -46,11 +46,12 @@ def emit(payload, stream=None):
 
 @contextlib.contextmanager
 def _writing(out):
-    """Report an output path that cannot be opened or written as a config error."""
+    """Report an output path that cannot be opened or written as a config
+    error naming out, not whatever file the failing call was writing."""
     try:
         yield
     except OSError as err:
-        raise ConfigError(f"cannot write output: {err}") from None
+        raise ConfigError(f"cannot write output: {out}: {err.strerror or err}") from None
 
 
 def _capacity_payload(result):
@@ -170,8 +171,22 @@ def cmd_simulate(cfg):
     return EXIT_OK
 
 
+def _pin_malloc_thresholds():
+    """Pin glibc malloc's mmap threshold at 32 MB and its trim threshold at
+    64 MB (Linux only). Left dynamic, both settle wherever the largest block
+    freed so far puts them, and below that the checks' n-length arrays are
+    handed back to the OS and faulted in again on every call."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def cmd_validate(cfg):
     checks = validation.SUITES[cfg["suite"]]
+    _pin_malloc_thresholds()
     workers = max(1, min(len(checks), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(check, seed=cfg["seed"]) for check in checks]

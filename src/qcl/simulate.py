@@ -18,7 +18,7 @@ import numpy as np
 from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
                        QueueChannelSpec, bijective_capacity, erasure_capacity)
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
-                       discrete_entropy)
+                       discrete_entropy, row_chunks)
 from .numerics import batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, PoissonArrivals,
                        queue_path, stationary_wait_samples)
@@ -206,42 +206,68 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     When E_H_kernel_noise is requested, H_mean_noise averages over the same
     successor delays w[1:], so by entropy concavity the lower bound stays
     below the upper bound sample by sample, not just in expectation.
+
+    The noise laws are built channels.row_chunks at a time and never held as
+    one (n, k) matrix, so memory is O(n + chunk). Every sum runs in the same
+    order whatever the chunk size, so the output bits do not depend on it.
     """
     if spec.channel.kind != "bijective":
         raise TypeError("estimate_bijective_bounds needs a RandomBijective channel")
     spec.check_stable()
     w = np.asarray(w, dtype=float)
     kernel = E_H_KERNEL_NOISE in keys
-    need = 2 if kernel else 1
-    if w.size < need:
-        raise ValueError(f"need at least {need} delays, got {w.size}")
-    probs = spec.channel.noise_dist(w)
+    first = 1 if kernel else 0
+    if w.size < first + 1:
+        raise ValueError(f"need at least {first + 1} delays, got {w.size}")
+    noise_dist, k = spec.channel.noise_dist, spec.channel.size
+    h_rows = np.empty(w.size) if E_H_NOISE in keys else None
+    if kernel:  # W_0 enters only the per-delay entropies
+        head = noise_dist(w[:1])
+        if h_rows is not None:
+            h_rows[:1] = discrete_entropy(head)
+        idx = _quantile_buckets(w[:-1])
+        sums = np.zeros(BUCKETS * k)  # (bucket, noise symbol) cells, flat
+        labels, cols = np.arange(BUCKETS * k), np.arange(k)
+    # beside the kernel, only the successors W_1..W_{n-1} it averages over;
+    # chunks hold whole batches of their batch means
+    rows = w.size - first
+    m = max(2, math.isqrt(rows))
+    nb = rows // m
+    total, batch_dists = None, []
+    for chunk in row_chunks(rows, k, m):
+        lo, hi = first + chunk.start, first + chunk.stop
+        probs = noise_dist(w[lo:hi])
+        if h_rows is not None:
+            h_rows[lo:hi] = discrete_entropy(probs)
+        if kernel:
+            # bincount adds in index order: the running bucket sums go first
+            at = np.concatenate([labels, (idx[chunk, None] * k + cols).ravel()])
+            sums = np.bincount(at, weights=np.concatenate([sums, probs.ravel()]),
+                               minlength=BUCKETS * k)
+        if H_MEAN_NOISE in keys:
+            full = probs.shape[0] // m
+            batch_dists.append(probs[: full * m].reshape(full, m, k).mean(axis=1))
+            # an axis-0 reduce adds row by row, so the running total goes in
+            # first (last use of probs: its first row is overwritten)
+            if total is not None:
+                probs[0] += total
+            total = np.add.reduce(probs)
     out = {}
 
-    if E_H_NOISE in keys:
-        mean_h, se_h, _ = batch_means(discrete_entropy(probs))
+    if h_rows is not None:
+        mean_h, se_h, _ = batch_means(h_rows)
         out[E_H_NOISE] = EstimateWithError(value=mean_h, std_error=se_h, n=w.size)
 
-    # beside the kernel, only the successors W_1..W_{n-1} it averages over
-    mixed = probs[1:] if kernel else probs
     if H_MEAN_NOISE in keys:
-        h_mean = discrete_entropy(mixed.mean(axis=0))
-        m = max(2, int(math.isqrt(mixed.shape[0])))
-        nb = mixed.shape[0] // m
-        if nb >= 2:
-            batch_dists = mixed[: nb * m].reshape(nb, m, -1).mean(axis=1)
-            se_mean = float(discrete_entropy(batch_dists).std(ddof=1) / math.sqrt(nb))
-        else:
-            se_mean = 0.0
-        out[H_MEAN_NOISE] = EstimateWithError(value=h_mean, std_error=se_mean,
-                                              n=mixed.shape[0])
+        h_mean = discrete_entropy(total / rows)
+        se_mean = (float(discrete_entropy(np.concatenate(batch_dists)).std(ddof=1)
+                         / math.sqrt(nb)) if nb >= 2 else 0.0)
+        out[H_MEAN_NOISE] = EstimateWithError(value=h_mean, std_error=se_mean, n=rows)
 
     if kernel:
         # one-step kernel: average successor noise laws within delay buckets
-        idx = _quantile_buckets(w[:-1])
         counts = np.bincount(idx, minlength=BUCKETS).astype(float)
-        sums = np.stack([np.bincount(idx, weights=mixed[:, j], minlength=BUCKETS)
-                         for j in range(probs.shape[1])], axis=1)
+        sums = sums.reshape(BUCKETS, k)
         occupied = counts > 0
         kernel_dists = np.zeros_like(sums)
         kernel_dists[occupied] = sums[occupied] / counts[occupied, None]

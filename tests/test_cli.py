@@ -563,6 +563,7 @@ def test_cli_unwritable_out_exit(capsys, tmp_path, command):
     assert payload["error"] == "config"
     assert payload["message"].startswith("cannot write output: ")
     assert str(target) in payload["message"]
+    assert ".tmp" not in payload["message"]
 
 
 def test_sample_count_cap_boundary():

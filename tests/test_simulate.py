@@ -7,14 +7,17 @@ import math
 import multiprocessing
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qcl import simulate
-from qcl.capacity import QueueChannelSpec, erasure_capacity
+from qcl import channels, simulate
+from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
+                          QueueChannelSpec, erasure_capacity)
 from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
-                          bernoulli_noise, wait_geometric_noise, xor_table)
+                          apply_channel, bernoulli_noise, discrete_entropy,
+                          wait_geometric_noise, xor_table)
 from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, PoissonArrivals, queue_path)
@@ -140,6 +143,90 @@ def test_bijective_bounds_bracket_and_order():
         evaluate_capacity(_bijective_spec(), 1, seed=0)
     with pytest.raises(TypeError):
         estimate_bijective_bounds(_spec(), w)
+
+
+def _geometric_spec(k, kappa=0.7):
+    return _spec(0.6, channel=RandomBijective(
+        tuple(range(k)), xor_table(k), wait_geometric_noise(DecoherenceModel(kappa), k)))
+
+
+def _whole_matrix_bounds(spec, w, keys):
+    """estimate_bijective_bounds computed over the whole (n, k) noise matrix."""
+    kernel = E_H_KERNEL_NOISE in keys
+    probs = spec.channel.noise_dist(w)
+    out = {}
+    if E_H_NOISE in keys:
+        mean_h, se_h, _ = batch_means(discrete_entropy(probs))
+        out[E_H_NOISE] = (mean_h, se_h, w.size)
+    mixed = probs[1:] if kernel else probs
+    if H_MEAN_NOISE in keys:
+        m = max(2, math.isqrt(mixed.shape[0]))
+        nb = mixed.shape[0] // m
+        se = 0.0
+        if nb >= 2:
+            batch_dists = mixed[: nb * m].reshape(nb, m, -1).mean(axis=1)
+            se = float(discrete_entropy(batch_dists).std(ddof=1) / math.sqrt(nb))
+        out[H_MEAN_NOISE] = (discrete_entropy(mixed.mean(axis=0)), se, mixed.shape[0])
+    if kernel:
+        idx = simulate._quantile_buckets(w[:-1])
+        counts = np.bincount(idx, minlength=simulate.BUCKETS).astype(float)
+        sums = np.stack([np.bincount(idx, weights=mixed[:, j], minlength=simulate.BUCKETS)
+                         for j in range(probs.shape[1])], axis=1)
+        occupied = counts > 0
+        dists = np.zeros_like(sums)
+        dists[occupied] = sums[occupied] / counts[occupied, None]
+        h_bucket = np.zeros(simulate.BUCKETS)
+        h_bucket[occupied] = discrete_entropy(dists[occupied])
+        mean_hk, se_hk, _ = batch_means(h_bucket[idx])
+        out[E_H_KERNEL_NOISE] = (mean_hk, se_hk, w.size - 1)
+    return out
+
+
+# the key sets evaluate_capacity requests, and the default of all three
+_KEY_SETS = ((E_H_NOISE,), (H_MEAN_NOISE,), (H_MEAN_NOISE, E_H_KERNEL_NOISE),
+             (E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE))
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+@pytest.mark.parametrize("cells", [1, 1000])
+def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
+    # 4971 = 71 * 70 + 1 delays: with every key set some chunk holds one row
+    # (the remainder after whole batches, or W_0 beside the kernel)
+    spec = _geometric_spec(k)
+    w = simulate.stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
+    monkeypatch.setattr(channels, "CHUNK_CELLS", cells)
+    for keys in _KEY_SETS:
+        got = estimate_bijective_bounds(spec, w, keys)
+        want = _whole_matrix_bounds(spec, w, keys)
+        assert {key: (e.value, e.std_error, e.n) for key, e in got.items()} == want
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_chunked_noise_draws_match_across_chunk_sizes(monkeypatch, k):
+    spec = _geometric_spec(k)
+    w = simulate.stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
+    x = np.random.default_rng(1).integers(0, k, size=w.size)
+    runs = []
+    for cells in (channels.CHUNK_CELLS, 1, 1000):
+        monkeypatch.setattr(channels, "CHUNK_CELLS", cells)
+        rng = np.random.default_rng(2)
+        runs.append((apply_channel(spec.channel, x, w, rng), rng.random()))
+    for y, after in runs[1:]:
+        assert np.array_equal(y, runs[0][0]) and after == runs[0][1]
+
+
+def test_bijective_bounds_memory_is_independent_of_alphabet():
+    w = np.random.default_rng(0).exponential(1.0, 200_000)
+    peaks = {}
+    for k in (2, 64):
+        spec = _geometric_spec(k)
+        tracemalloc.start()
+        try:
+            estimate_bijective_bounds(spec, w)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= 1.5 * peaks[2], peaks
 
 
 def test_one_decoherence_law_read_by_every_consumer():
