@@ -11,12 +11,19 @@ depolarizing flip. The package pairs closed-form capacity expressions with a
 discrete-event Monte Carlo simulator and a check suite that holds the two
 against each other; evaluate_capacity and estimate_capacity are the one
 evaluation path per channel that the command line renders.
+
+numpy is imported only by the code that draws or holds arrays, so the
+closed forms start without it: the names of qcl.simulate and qcl.validation
+are looked up on first use, and the other modules import numpy inside their
+array functions.
 """
 
+import importlib
+
 from .capacity import (CapacityResult, QueueChannelSpec, alpha_mg1,
-                       bijective_capacity, erasure_capacity, mean_survival,
-                       mm1_capacity_closed_form, optimal_lambda_mg1,
-                       pk_wait_transform)
+                       bijective_capacity, erasure_capacity, evaluate_capacity,
+                       mean_survival, mm1_capacity_closed_form,
+                       optimal_lambda_mg1, pk_wait_transform)
 from .channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                        apply_channel, bernoulli_noise, binary_entropy,
                        discrete_entropy, load_bijection,
@@ -30,10 +37,23 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        ServiceDistribution, Uniform, WaitSampleSet,
                        check_stability, default_burn_in, lindley_waits,
                        stationary_wait_samples)
-from .simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
-                       estimate_capacity, estimate_erasure_capacity,
-                       evaluate_capacity, simulate_transmission, sweep_rows)
-from .validation import SUITES, CheckOutcome, ValidationReport, validate_formula
+
+# names of the modules that import numpy at load time, resolved on first use
+_LAZY = {**dict.fromkeys(("EstimateWithError", "Transcript",
+                          "estimate_bijective_bounds", "estimate_capacity",
+                          "estimate_erasure_capacity", "simulate_transmission",
+                          "sweep_rows"), "simulate"),
+         **dict.fromkeys(("SUITES", "CheckOutcome", "ValidationReport",
+                          "validate_formula"), "validation")}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -4,13 +4,15 @@ Everything routes through two quantities: the service Laplace transform
 F(s) = E[exp(-s*S)] and the stationary-wait transform E[exp(-kappa*W)] given by
 the Pollaczek-Khinchin formula. Expectations with no transform expression
 (the entropy functionals of the permutation channels) are supplied by the
-caller, normally from qcl.simulate.
+caller, normally evaluate_capacity's sampling branch, the one place here that
+reaches qcl.simulate (and numpy).
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .queueing import DelayConvention, Exponential, check_stability
+from .queueing import (DelayConvention, Exponential, check_stability,
+                       stationary_wait_samples)
 
 METHOD_CLOSED_FORM_MM1 = "ClosedFormMM1"
 METHOD_PK = "PKTransform"
@@ -224,3 +226,30 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
 def _value_of(x):
     """Accept plain floats or estimate objects carrying .value."""
     return float(getattr(x, "value", x))
+
+
+def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
+    """The capacity of spec's channel as a CapacityResult.
+
+    An erasure channel has a transform closed form and draws nothing. A
+    noise-permutation channel is estimated over n stationary delays drawn
+    from seed (see stationary_wait_samples), computing only the expectations
+    bijective_capacity reads for this spec. Raises ValueError for n < 2: one
+    delay gives an estimate without a standard error.
+    """
+    if spec.channel.kind == "erasure":
+        return erasure_capacity(spec)
+    if spec.receiver_knows_timing:
+        keys = (E_H_NOISE,)
+    elif assume_unpredictable:
+        keys = (H_MEAN_NOISE,)
+    else:
+        keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
+    spec.check_stable()
+    if n < 2:
+        raise ValueError(f"need at least 2 delays, got {n}")
+    from .simulate import estimate_bijective_bounds
+    waits = stationary_wait_samples(spec.arrival, spec.service, n, seed=seed,
+                                    convention=spec.delay_convention)
+    expectations = estimate_bijective_bounds(spec, waits.samples, keys)
+    return bijective_capacity(spec, expectations, assume_unpredictable)

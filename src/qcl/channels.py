@@ -10,9 +10,8 @@ the ERASED sentinel (rendered "?" in transcripts).
 """
 
 import json
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .numerics import as_rng
 
@@ -32,11 +31,12 @@ class DecoherenceModel:
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 <= self.kappa < np.inf:  # NaN or inf would make p(w) NaN
+        if not 0.0 <= self.kappa < math.inf:  # NaN or inf would make p(w) NaN
             raise ValueError("kappa must be finite and nonnegative")
 
     def error_prob(self, w):
         """p(w) at a scalar or array of waits."""
+        import numpy as np
         return -np.expm1(-self.kappa * np.asarray(w, dtype=float))
 
     def laplace(self, u):
@@ -65,6 +65,7 @@ class Erasure:
     def apply(self, x, w, rng):
         """Outputs for aligned symbol and wait arrays: x or ERASED, never a
         wrong symbol."""
+        import numpy as np
         p = self.decoherence.error_prob(w)
         u = rng.random(x.shape)
         return np.where(u < p, ERASED, x)
@@ -83,6 +84,7 @@ class RandomBijective:
     kind = "bijective"
 
     def __post_init__(self):
+        import numpy as np
         alphabet = tuple(self.alphabet)
         k = len(alphabet)
         if k < 2:
@@ -116,6 +118,7 @@ class RandomBijective:
         built and sampled row_chunks at a time, so memory is O(n + chunk)
         and neither the outputs nor the rng state depend on the chunk size.
         """
+        import numpy as np
         u = rng.random(x.shape + (1,)).reshape(-1, 1)
         w = np.ravel(w)
         noise = np.empty(x.size, dtype=np.intp)
@@ -125,6 +128,7 @@ class RandomBijective:
 
     def noise_dist(self, w):
         """Noise distribution(s) at wait(s) w, validated as a simplex vector."""
+        import numpy as np
         probs = np.asarray(self.noise_law(w), dtype=float)
         if probs.shape[-1] != self.size:
             raise ValueError("noise_law must return one probability per noise symbol")
@@ -147,6 +151,7 @@ def bernoulli_noise(decoherence):
     this is the binary symmetric channel (RandomBijective.binary_symmetric)."""
 
     def law(w):
+        import numpy as np
         q = decoherence.error_prob(w)
         q *= 0.5
         return np.stack([1.0 - q, q], axis=-1)
@@ -159,6 +164,7 @@ def wait_geometric_noise(decoherence, size):
     P(j | w) proportional to p(w)**j for j = 0..size-1, for a
     DecoherenceModel p. A point mass at 0 when w = 0, flattening toward
     uniform as w grows."""
+    import numpy as np
     if int(size) < 2:
         raise ValueError("need at least two noise symbols")
     powers = np.arange(int(size))
@@ -182,6 +188,7 @@ def row_chunks(rows, k, unit=1):
 def _sample_categorical(probs, u):
     """One draw per row of an (m, k) probability matrix, by inversion of the
     (m, 1) uniforms u."""
+    import numpy as np
     cum = np.cumsum(probs, axis=-1)
     cum /= cum[..., -1:]
     idx = (u > cum).sum(axis=-1)
@@ -194,6 +201,7 @@ def apply_channel(channel, x, w, rng):
     Accepts scalars or aligned arrays; returns the same shape. Erasure outputs
     ERASED where the symbol is lost and never a wrong symbol.
     """
+    import numpy as np
     rng = as_rng(rng)
     scalar = np.isscalar(x) or (np.ndim(x) == 0)
     xs = np.atleast_1d(np.asarray(x, dtype=int))
@@ -211,6 +219,7 @@ def apply_channel(channel, x, w, rng):
 
 def binary_entropy(q):
     """Binary entropy in bits, with 0*log(0) = 0. Accepts scalars or arrays."""
+    import numpy as np
     arr = np.asarray(q, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("probability out of [0, 1]")
@@ -223,6 +232,7 @@ def binary_entropy(q):
 
 def discrete_entropy(dist):
     """Shannon entropy in bits of a probability vector (or rows of vectors)."""
+    import numpy as np
     p = np.asarray(dist, dtype=float)
     if np.any(p < -_PROB_SLACK):
         raise ValueError("probabilities must be nonnegative")
@@ -263,13 +273,13 @@ def load_bijection(source):
     if set(g) != set(index):
         raise ValueError("'g' must have exactly one row per alphabet symbol")
     k = len(alphabet)
-    table = np.empty((k, k), dtype=int)
+    table = [None] * k
     for key, row in g.items():
         if len(row) != k:
             raise ValueError(f"row for {key!r} must list {k} outputs")
         try:
-            table[index[key]] = [index[str(sym)] for sym in row]
+            table[index[key]] = tuple(index[str(sym)] for sym in row)
         except KeyError as exc:
             raise ValueError(f"row for {key!r} contains a symbol outside the alphabet") from exc
     # permutation validity is re-checked by the channel constructor
-    return alphabet, tuple(tuple(int(v) for v in row) for row in table)
+    return alphabet, tuple(table)

@@ -17,10 +17,8 @@ import warnings
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
-from . import capacity, simulate, validation
-from .config import ConfigError, build_spec, load_config
+from . import capacity
+from .config import ConfigError, build_channel, build_spec, load_config
 from .numerics import golden_section_extremize
 from .queueing import InstabilityError, PoissonArrivals
 
@@ -31,9 +29,7 @@ EXIT_VALIDATION = 4
 
 
 def _default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # a numpy scalar or array
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
@@ -65,12 +61,13 @@ def _capacity_payload(result):
 
 def cmd_capacity(cfg):
     if cfg["lambda"] == 0.0:
+        build_channel(cfg)  # a bad channel is an error at every rate
         emit({"bits_per_sec": 0.0, "method": "ZeroRate",
               "diagnostics": {"note": "no arrivals, no throughput"}})
         return EXIT_OK
     spec = build_spec(cfg)
     try:
-        result = simulate.evaluate_capacity(
+        result = capacity.evaluate_capacity(
             spec, cfg["n"], seed=cfg["seed"],
             assume_unpredictable=cfg["assume_unpredictable"])
     except InstabilityError:
@@ -122,6 +119,7 @@ def cmd_sweep(cfg):
     out = cfg["out"] or "sweep.csv"
     with _writing(out):
         open(out, "a").close()  # fail now on an unwritable path; keep an old file
+    from . import simulate
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -129,7 +127,7 @@ def cmd_sweep(cfg):
                 cfg["grid"], cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
                 service=cfg["service"], alphabet=cfg["alphabet_size"],
                 convention=cfg["delay_convention"])
-        except ValueError as err:  # degenerate alpha at extreme kappa
+        except ValueError as err:  # degenerate alpha at extreme kappa, or n == 1
             raise ConfigError(f"cannot sweep: {err}") from None
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -148,6 +146,7 @@ def cmd_sweep(cfg):
 
 
 def cmd_simulate(cfg):
+    from . import simulate
     spec = build_spec(cfg)
     transcript = simulate.simulate_transmission(spec, cfg["n"], seed=cfg["seed"])
     out = cfg["out"] or "transcript.csv"
@@ -185,6 +184,7 @@ def _pin_malloc_thresholds():
 
 
 def cmd_validate(cfg):
+    from . import validation
     checks = validation.SUITES[cfg["suite"]]
     _pin_malloc_thresholds()
     workers = max(1, min(len(checks), os.cpu_count() or 1))
@@ -246,17 +246,28 @@ def _build_parser():
         for flag in flags:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         if name == "validate":
+            # checked in _parse: the suite names live in qcl.validation,
+            # which loads numpy, and --help should not
             sp.add_argument("suite", nargs="?", default="all",
-                            choices=sorted(validation.SUITES),
                             help="which check suite to run (default: all)")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, parser=sp)
     return parser
 
 
+def _parse(argv):
+    args = _build_parser().parse_args(argv)
+    if args.command == "validate":
+        from . import validation
+        if args.suite not in validation.SUITES:
+            choices = ", ".join(map(repr, sorted(validation.SUITES)))
+            args.parser.error(f"argument suite: invalid choice: {args.suite!r} "
+                              f"(choose from {choices})")
+    return args
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as done:
         return done.code if done.code is not None else 0
     overrides = {key: getattr(args, key, None) for key in ("seed", *_FLAGS)}

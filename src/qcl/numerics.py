@@ -10,8 +10,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio, the section step
 SECTION_TOL = 1e-8  # golden-section search stops below this bracket width
 QUAD_TARGET = 1e-9  # absolute error target of quadrature_laplace
@@ -28,6 +26,7 @@ class QuadratureError(RuntimeError):
 
 def as_rng(seed):
     """Coerce a seed (int, SeedSequence, Generator, or None) into a Generator."""
+    import numpy as np
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -35,6 +34,7 @@ def as_rng(seed):
 
 def spawn_rngs(seed, k):
     """Split one seed into k independent generators (stable child order)."""
+    import numpy as np
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
@@ -49,6 +49,7 @@ def batch_means(x):
     Markov-dependent inputs (waiting-time functionals). Returns
     (mean, std_error, n_batches).
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     n = x.size
     if n == 0:

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .numerics import as_rng
 
 
@@ -117,6 +115,7 @@ class Deterministic(ServiceDistribution):
     def sample(self, rng, size=None):
         if size is None:
             return self.value
+        import numpy as np
         return np.full(size, self.value)
 
     def laplace(self, s):
@@ -202,6 +201,7 @@ class Empirical(ServiceDistribution):
     kind = "empirical"
 
     def __post_init__(self):
+        import numpy as np
         data = np.asarray(self.samples, dtype=float)
         if data.size == 0:
             raise ValueError("empirical service law needs at least one sample")
@@ -218,9 +218,11 @@ class Empirical(ServiceDistribution):
         return as_rng(rng).choice(self._data, size=size, replace=True)
 
     def laplace(self, s):
+        import numpy as np
         return float(np.exp(-s * self._data).mean())
 
     def one_minus_laplace(self, s):
+        import numpy as np
         return float(-np.expm1(-s * self._data).mean())
 
 
@@ -233,6 +235,7 @@ def lindley_waits(services, interarrivals):
     prefix-sum identity W_j = max(P_j, P_j - min_k<=j P_k) with P_j = sum of
     (services - interarrivals) increments; the larger term is never negative.
     """
+    import numpy as np
     s = np.asarray(services, dtype=float)
     t = np.asarray(interarrivals, dtype=float)
     if s.shape != t.shape:
@@ -256,7 +259,7 @@ def default_burn_in(lam, mu):
 class WaitSampleSet:
     """Post-burn-in draws from the stationary per-symbol delay law."""
 
-    samples: np.ndarray
+    samples: "numpy.ndarray"
     burn_in: int
 
     def __len__(self):
@@ -267,6 +270,7 @@ def queue_path(arrival, service, n, rng, convention):
     """Run n symbols through the queue from empty, drawing the interarrival
     gaps and then the service times from rng. Returns (gaps, services, waits
     before service, delays), each delay under the given DelayConvention."""
+    import numpy as np
     t = arrival.sample_interarrival(rng, size=n)
     s = np.asarray(service.sample(rng, size=n), dtype=float)
     wq = lindley_waits(s, t)

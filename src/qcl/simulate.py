@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                       QueueChannelSpec, bijective_capacity, erasure_capacity)
+                       QueueChannelSpec, erasure_capacity)
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_means, spawn_rngs
-from .queueing import (DelayConvention, Exponential, PoissonArrivals,
-                       queue_path, stationary_wait_samples)
+from .queueing import DelayConvention, Exponential, PoissonArrivals, queue_path
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
@@ -280,28 +279,6 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     return out
 
 
-def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
-    """The capacity of spec's channel as a CapacityResult.
-
-    An erasure channel has a transform closed form and draws nothing. A
-    noise-permutation channel is estimated over n stationary delays drawn
-    from seed (see stationary_wait_samples), computing only the expectations
-    bijective_capacity reads for this spec.
-    """
-    if spec.channel.kind == "erasure":
-        return erasure_capacity(spec)
-    if spec.receiver_knows_timing:
-        keys = (E_H_NOISE,)
-    elif assume_unpredictable:
-        keys = (H_MEAN_NOISE,)
-    else:
-        keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
-    waits = stationary_wait_samples(spec.arrival, spec.service, n, seed=seed,
-                                    convention=spec.delay_convention)
-    expectations = estimate_bijective_bounds(spec, waits.samples, keys)
-    return bijective_capacity(spec, expectations, assume_unpredictable)
-
-
 def estimate_capacity(transcript):
     """Capacity estimated from one transcript, as (estimate, bounds).
 
@@ -309,13 +286,14 @@ def estimate_capacity(transcript):
     A noise-permutation transcript is scored from its own delay column: bounds
     maps lower, upper and csir_exact to bits/sec estimates, and the estimate
     is csir_exact when the receiver knows the timing, else lower. Both are
-    None when the transcript is too short to estimate from.
+    None for a transcript of fewer than 2 symbols, whose estimate would have
+    no standard error.
     """
     spec = transcript.spec
-    if spec.channel.kind == "erasure":
-        return (estimate_erasure_capacity(transcript) if len(transcript) else None), None
     if len(transcript) < 2:
         return None, None
+    if spec.channel.kind == "erasure":
+        return estimate_erasure_capacity(transcript), None
     lam, log_k = spec.lam, math.log2(spec.channel.size)
     h = estimate_bijective_bounds(spec, transcript.w)
     bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),
@@ -332,7 +310,8 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
 
     Returns one dict per stable (kappa, lambda) grid point with keys
     `lambda`, `kappa`, `capacity_analytic`, `capacity_mc`, `mc_stderr`; the
-    Monte Carlo cells stay None when n == 0. Arrival rates at or past the
+    Monte Carlo cells stay None when n == 0; 0 < n < 2 raises ValueError,
+    as one symbol gives no standard error. Arrival rates at or past the
     stability boundary are dropped with a warning. Rows iterate kappas outer
     and lambdas inner, both in the order given.
 
@@ -344,6 +323,8 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     error. The lambdas run on a thread pool of os.cpu_count() workers with
     results independent of their order; lambda = 0 draws nothing and scores 0.
     """
+    if 0 < n < 2:
+        raise ValueError(f"need at least 2 symbols per Monte Carlo cell, got {n}")
     service = Exponential(1.0) if service is None else service
     mu = 1.0 / service.mean
     kept = [float(lam) for lam in lambdas if 0.0 <= lam < mu]

@@ -341,10 +341,10 @@ def check_bijective_bounds(seed=None):
                                   wait_geometric_noise(DecoherenceModel(kappa), k))
         spec = capacity.QueueChannelSpec(arrival=PoissonArrivals(lam), service=service,
                                          channel=channel)
-        lower, upper = simulate.evaluate_capacity(
+        lower, upper = capacity.evaluate_capacity(
             spec, n, seed=int(rng.integers(2 ** 63))).bounds
         # an independent replicate of the exact unpredictable-queue value
-        exact = simulate.evaluate_capacity(
+        exact = capacity.evaluate_capacity(
             spec, n, seed=int(rng.integers(2 ** 63)), assume_unpredictable=True)
         se_lower, se_upper, se_exact = (r.diagnostics["std_error"]
                                         for r in (lower, upper, exact))
@@ -360,7 +360,7 @@ def check_bijective_bounds(seed=None):
                      f"(slacks {lo_gap:+.1f}, {hi_gap:+.1f} sigma)")
     # XOR/Bernoulli: stationary samples against an independent transcript
     xor_spec = _bsc_spec(0.5, 1.0, csir=True)
-    stationary = simulate.evaluate_capacity(xor_spec, n, seed=_seed_for(seed, 77))
+    stationary = capacity.evaluate_capacity(xor_spec, n, seed=_seed_for(seed, 77))
     transcript, _ = simulate.estimate_capacity(
         simulate.simulate_transmission(xor_spec, n, seed=_seed_for(seed, 78)))
     joint = math.hypot(stationary.diagnostics["std_error"], transcript.std_error)
@@ -420,7 +420,7 @@ def check_noiseless_and_instability(seed=None):
         ("mm1_capacity_closed_form",
          lambda: capacity.mm1_capacity_closed_form(lam, 1.0)),
         ("evaluate_capacity",
-         lambda: simulate.evaluate_capacity(jspec, 10, seed=0)),
+         lambda: capacity.evaluate_capacity(jspec, 10, seed=0)),
         ("bijective_capacity",
          lambda: capacity.bijective_capacity(jspec, {capacity.H_MEAN_NOISE: 0.1},
                                              assume_unpredictable=True)),

@@ -362,6 +362,17 @@ def test_cli_capacity_zero_rate(capsys):
     assert payload["method"] == "ZeroRate"
 
 
+@pytest.mark.parametrize("rate", ["0", "0.5"])
+def test_cli_capacity_rejects_a_bad_channel_at_every_rate(capsys, tmp_path, rate):
+    cfg = tmp_path / "bij.json"
+    cfg.write_text(json.dumps({"channel": "bijective", "alphabet_size": 3,
+                               "noise": {"kind": "bernoulli"}}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg), "--lambda", rate)
+    assert code == 2
+    assert _payload(out) == {"error": "config",
+                             "message": "bernoulli noise needs a binary alphabet"}
+
+
 def test_cli_capacity_unstable_exit(capsys):
     code, out, _ = _run(capsys, "capacity", "--lambda", "1.2")
     assert code == 3
@@ -413,6 +424,9 @@ def test_cli_capacity_bijective_timing_aware(capsys, tmp_path):
     payload = _payload(out)
     assert payload["method"] == "MonteCarlo"
     assert payload["diagnostics"]["csir"] is True
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg), "--n", "1")
+    assert code == 2  # one delay has no standard error
+    assert "at least 2 delays" in _payload(out)["message"]
 
 
 def test_cli_optimize_payload(capsys):
@@ -689,6 +703,15 @@ def test_cli_sweep_reports_degenerate_alpha_as_config_error(capsys, tmp_path):
     assert "alpha" in payload["message"]
 
 
+def test_cli_sweep_rejects_one_symbol_per_cell(capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    code, text, _ = _run(capsys, "sweep", "--n", "1", "--out", str(out))
+    assert code == 2
+    assert _payload(text) == {"error": "config", "message": "cannot sweep: need at "
+                              "least 2 symbols per Monte Carlo cell, got 1"}
+    assert out.read_bytes() == b""
+
+
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -743,6 +766,9 @@ def test_cli_simulate_empty_transcript(capsys, tmp_path):
     assert payload["n"] == 0
     assert "estimate" not in payload
     assert out1.read_text().splitlines() == ["index,x,a,d,s,w,y"]
+    code, out, _ = _run(capsys, "simulate", "--n", "1", "--out", str(out1))
+    assert code == 0
+    assert "estimate" not in _payload(out)  # one symbol has no standard error
 
 
 @pytest.mark.parametrize("timing", [False, True])

@@ -8,22 +8,24 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qcl import channels, simulate
 from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                          QueueChannelSpec, erasure_capacity)
+                          QueueChannelSpec, erasure_capacity, evaluate_capacity)
 from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                           apply_channel, bernoulli_noise, discrete_entropy,
                           wait_geometric_noise, xor_table)
 from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
-                          InstabilityError, PoissonArrivals, queue_path)
+                          InstabilityError, PoissonArrivals, queue_path,
+                          stationary_wait_samples)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, estimate_erasure_capacity,
-                          evaluate_capacity, simulate_transmission, sweep_rows)
+                          simulate_transmission, sweep_rows)
 from qcl.validation import validate_formula
 
 
@@ -112,6 +114,8 @@ def test_erasure_estimate_matches_closed_form():
 def test_erasure_estimator_input_checks():
     with pytest.raises(ValueError):
         estimate_erasure_capacity(simulate_transmission(_spec(), 0, seed=1))
+    # one survival indicator has no standard error to report
+    assert estimate_capacity(simulate_transmission(_spec(), 1, seed=1)) == (None, None)
     bsc_t = simulate_transmission(_bsc_spec(), 100, seed=1)
     with pytest.raises(TypeError):
         estimate_erasure_capacity(bsc_t)
@@ -139,10 +143,20 @@ def test_bijective_bounds_bracket_and_order():
     w = np.random.default_rng(0).exponential(1.0, 1000)
     estimates = estimate_bijective_bounds(_bijective_spec(), w)
     assert all(isinstance(e, EstimateWithError) for e in estimates.values())
-    with pytest.raises(ValueError):
-        evaluate_capacity(_bijective_spec(), 1, seed=0)
     with pytest.raises(TypeError):
         estimate_bijective_bounds(_spec(), w)
+
+
+@pytest.mark.parametrize("timing, unpredictable", [(True, False), (False, True),
+                                                   (False, False)],
+                         ids=["csir", "unpredictable", "bounds"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_evaluate_capacity_needs_two_delays(timing, unpredictable, n):
+    spec = replace(_bijective_spec(), receiver_knows_timing=timing)
+    with pytest.raises(ValueError, match="at least 2 delays"):
+        evaluate_capacity(spec, n, seed=0, assume_unpredictable=unpredictable)
+    assert evaluate_capacity(spec, 2, seed=0,
+                             assume_unpredictable=unpredictable).method
 
 
 def _geometric_spec(k, kappa=0.7):
@@ -193,7 +207,7 @@ def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
     # 4971 = 71 * 70 + 1 delays: with every key set some chunk holds one row
     # (the remainder after whole batches, or W_0 beside the kernel)
     spec = _geometric_spec(k)
-    w = simulate.stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
+    w = stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
     monkeypatch.setattr(channels, "CHUNK_CELLS", cells)
     for keys in _KEY_SETS:
         got = estimate_bijective_bounds(spec, w, keys)
@@ -204,7 +218,7 @@ def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
 @pytest.mark.parametrize("k", [2, 5, 8])
 def test_chunked_noise_draws_match_across_chunk_sizes(monkeypatch, k):
     spec = _geometric_spec(k)
-    w = simulate.stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
+    w = stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
     x = np.random.default_rng(1).integers(0, k, size=w.size)
     runs = []
     for cells in (channels.CHUNK_CELLS, 1, 1000):
@@ -267,6 +281,11 @@ def test_sweep_rows_analytic_only():
     assert rows[1]["capacity_analytic"] == pytest.approx(expected, abs=1e-15)
     assert all(r["capacity_mc"] is None and r["mc_stderr"] is None
                for r in rows)
+
+
+def test_sweep_rows_rejects_a_single_symbol_per_cell():
+    with pytest.raises(ValueError, match="at least 2 symbols"):
+        sweep_rows([0.3], [1.0], n=1)
 
 
 def test_sweep_rows_drops_unstable_rates_with_warning():
