@@ -74,8 +74,9 @@ class Erasure:
 @dataclass(frozen=True)
 class RandomBijective:
     """Channel y = g(x, n): noise index n drawn from noise_law(w), then a
-    per-input permutation. Each row of the table must be a permutation, so
-    given (x, w) the output is an invertible function of the noise.
+    per-input permutation. The table must be a Latin square: its rows make
+    the output, given (x, w), an invertible function of the noise, and its
+    columns make a uniform input give a uniform output.
     """
 
     alphabet: tuple
@@ -95,9 +96,9 @@ class RandomBijective:
         if table.shape != (k, k):
             raise ValueError(f"table must be {k}x{k} (inputs x noise symbols)")
         want = np.arange(k)
-        for row in table:
-            if not np.array_equal(np.sort(row), want):
-                raise ValueError("every table row must be a permutation of the outputs")
+        if not all((np.sort(rows, axis=1) == want).all() for rows in (table, table.T)):
+            raise ValueError("table must be a Latin square: every row and column a "
+                             "permutation of the outputs")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in table))
         object.__setattr__(self, "_table_arr", table)
@@ -249,9 +250,9 @@ def load_bijection(source):
     """Read an (alphabet, table) pair from the JSON wire format.
 
     Format: {"alphabet": [...], "g": {"<symbol>": [output symbols indexed by
-    noise]}}. Keys of "g" are string forms of the alphabet symbols; each row
-    must be a permutation of the alphabet. Accepts a path or an already-parsed
-    dict.
+    noise]}}. Keys of "g" are string forms of the alphabet symbols; the table
+    must be a Latin square, each row and each column a permutation of the
+    alphabet. Accepts a path or an already-parsed dict.
     """
     if isinstance(source, dict):
         doc = source
@@ -281,5 +282,5 @@ def load_bijection(source):
             table[index[key]] = tuple(index[str(sym)] for sym in row)
         except KeyError as exc:
             raise ValueError(f"row for {key!r} contains a symbol outside the alphabet") from exc
-    # permutation validity is re-checked by the channel constructor
+    # the Latin-square property is checked by the channel constructor
     return alphabet, tuple(table)

@@ -234,6 +234,7 @@ def lindley_waits(services, interarrivals):
     influence waits). Returns the waiting-before-service times, using the
     prefix-sum identity W_j = max(P_j, P_j - min_k<=j P_k) with P_j = sum of
     (services - interarrivals) increments; the larger term is never negative.
+    It works in place: one temporary of n - 1 floats besides the output.
     """
     import numpy as np
     s = np.asarray(services, dtype=float)
@@ -245,8 +246,12 @@ def lindley_waits(services, interarrivals):
     if n == 0:
         return w
     w[0] = 0.0
-    p = np.cumsum(s[:-1] - t[1:])
-    np.maximum(p, p - np.minimum.accumulate(p), out=w[1:])
+    p = np.subtract(s[:-1], t[1:])
+    np.cumsum(p, out=p)
+    tail = w[1:]
+    np.minimum.accumulate(p, out=tail)
+    np.subtract(p, tail, out=tail)
+    np.maximum(p, tail, out=tail)
     return w
 
 

@@ -20,7 +20,8 @@ from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_means, spawn_rngs
-from .queueing import DelayConvention, Exponential, PoissonArrivals, queue_path
+from .queueing import (DelayConvention, Exponential, PoissonArrivals, lindley_waits,
+                       queue_path)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
@@ -173,11 +174,10 @@ def _score_survival(survived, lam, alphabet):
     """
     survived = np.asarray(survived, dtype=float)
     n = survived.size
-    mean, se, m = batch_means(survived)
+    frac, se, m = batch_means(survived)
     scale = lam * math.log2(alphabet)
-    frac = survived.mean()
     binomial_se = scale * math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
-    return EstimateWithError(value=scale * mean, std_error=scale * se, n=n,
+    return EstimateWithError(value=scale * frac, std_error=scale * se, n=n,
                              details={"erased_fraction": 1.0 - frac,
                                       "binomial_std_error": binomial_se,
                                       "batches": m})
@@ -315,13 +315,15 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     stability boundary are dropped with a warning. Rows iterate kappas outer
     and lambdas inner, both in the order given.
 
-    The Monte Carlo cells are seeded per arrival rate: the i-th kept lambda
-    splits the i-th child of seed into 1 + len(kappas) streams, one for its
-    queue path of n symbols and one per kappa for the survival uniforms drawn
-    against that path's delays. So the cells of one lambda are correlated
-    across kappa, and each mc_stderr is its cell's own (marginal) batch-means
-    error. The lambdas run on a thread pool of os.cpu_count() workers with
-    results independent of their order; lambda = 0 draws nothing and scores 0.
+    The Monte Carlo cells share one draw per sweep (common random numbers),
+    split from seed: n standard exponential gaps G, n service times S and n
+    standard exponential survival marks E. Each lambda runs the queue on S
+    and G / lambda, and each kappa counts a delay w as survived when
+    kappa * w <= E (probability exp(-kappa * w)). So the cells, each with its
+    own batch-means mc_stderr, are correlated across lambda and kappa: at a
+    fixed lambda capacity_mc cannot rise with kappa, and a repeated kappa
+    repeats its cells. The lambdas run on a pool of os.cpu_count() threads;
+    lambda = 0 scores 0 without running the queue, and alone draws nothing.
     """
     if 0 < n < 2:
         raise ValueError(f"need at least 2 symbols per Monte Carlo cell, got {n}")
@@ -347,21 +349,24 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
                          "capacity_analytic": analytic, "capacity_mc": None,
                          "mc_stderr": None})
     if n > 0 and rows:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        if any(kept):
+            gap_rng, service_rng, mark_rng = spawn_rngs(seed, 3)
+            gaps = gap_rng.standard_exponential(n)
+            services = service.sample(service_rng, size=n)
+            marks = mark_rng.standard_exponential(n)
 
-        def mc_column(lam, child):
+        def mc_column(lam):
             if lam == 0.0:
                 return [(0.0, 0.0)] * len(kappas)
-            queue_rng, *uniform_rngs = spawn_rngs(child, 1 + len(kappas))
-            w = queue_path(PoissonArrivals(lam), service, n, queue_rng,
-                           convention)[-1]  # the delays; let the rest go
-            ests = [_score_survival(rng.random(n) >= DecoherenceModel(kappa).error_prob(w),
-                                    lam, alphabet)
-                    for kappa, rng in zip(kappas, uniform_rngs)]
+            w = lindley_waits(services, gaps / lam)
+            if convention is DelayConvention.SOJOURN:
+                w += services
+            ests = [_score_survival(kappa * w <= marks, lam, alphabet)
+                    for kappa in kappas]
             return [(est.value, est.std_error) for est in ests]
 
         with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-            columns = list(pool.map(mc_column, kept, ss.spawn(len(kept))))
+            columns = list(pool.map(mc_column, kept))
         # columns[i][j] is (lambda i, kappa j); rows run kappas outer
         cells = [cell for by_kappa in zip(*columns) for cell in by_kappa]
         for row, (value, stderr) in zip(rows, cells):

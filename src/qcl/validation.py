@@ -324,16 +324,18 @@ def check_csir_ordering(seed=None):
 
 
 def check_bijective_bounds(seed=None):
-    """No-timing capacity bounds sandwich the unpredictable-queue value, and
-    for the XOR/Bernoulli (binary symmetric) instance the stationary-sample
-    and transcript routes agree."""
+    """No-timing capacity bounds sandwich the unpredictable-queue value on
+    random Latin-square tables, and for the XOR/Bernoulli (binary symmetric)
+    instance the stationary-sample and transcript routes agree."""
     out = CheckOutcome("bijective-bound-sandwich")
     rng = np.random.default_rng(_seed_for(seed, 7))
     services = (Exponential(1.0), Deterministic(1.0), Gamma(2.0, 0.5), Uniform(0.5, 1.5))
     n = 300_000
     for i in range(10):
         k = int(rng.integers(2, 6))
-        table = tuple(tuple(int(v) for v in rng.permutation(k)) for _ in range(k))
+        # g(x, n) = sigma((pi(x) + tau(n)) mod k)
+        sigma, pi, tau = (rng.permutation(k) for _ in range(3))
+        table = sigma[(pi[:, None] + tau) % k]
         kappa = 10.0 ** rng.uniform(-1.0, 0.3)
         lam = rng.uniform(0.2, 0.8)
         service = services[rng.integers(len(services))]

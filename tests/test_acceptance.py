@@ -37,7 +37,7 @@ EVIDENCE_SHA256 = {
     "bsc-csir-ordering-and-degenerate-equality":
         "6f1ef17deb0a5e5ea8c62989168122fa6211a43a6a7f3611cfa8311ddafc5dc7",
     "bijective-bound-sandwich":
-        "a5e3378b29b209f5c6a9cf47eec3b88a5e428a7d9b7cd3d969050ecf3639dd27",
+        "92f3374eeda7ac34d4e1a9ae475e9658d78bceffade54a670a1bfdb97271b583",
     "sweep-curve-shape":
         "2a738a100c51a615632158b40ae49375582a96eaee9adda1643a10f12ce19b11",
     "noiseless-limit-and-instability":

@@ -53,6 +53,8 @@ def test_random_bijective_table_validation():
     assert ch.size == 2
     with pytest.raises(ValueError):  # row is not a permutation
         RandomBijective((0, 1), ((0, 0), (1, 0)), noise)
+    with pytest.raises(ValueError, match="Latin square"):  # column is not one
+        RandomBijective((0, 1, 2), ((0, 1, 2), (1, 2, 0), (0, 2, 1)), noise)
     with pytest.raises(ValueError):  # wrong shape
         RandomBijective((0, 1, 2), ((0, 1), (1, 0)), noise)
     with pytest.raises(ValueError):  # duplicate symbols

@@ -568,6 +568,21 @@ def test_cli_malformed_bijection_exit(capsys, tmp_path):
     assert "'g' must map" in payload["message"]
 
 
+def test_cli_rejects_a_bijection_that_is_not_a_latin_square(capsys, tmp_path):
+    # both rows are permutations, but y = n whatever x is: the capacity is 0,
+    # not lambda * (1 - H(noise))
+    cfg = tmp_path / "bij.json"
+    cfg.write_text(json.dumps({"channel": "bijective", "lambda": 0.5, "kappa": 1.0,
+                               "receiver_knows_timing": True,
+                               "bijection": {"alphabet": [0, 1],
+                                             "g": {"0": [0, 1], "1": [0, 1]}}}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert "Latin square" in payload["message"]
+
+
 @pytest.mark.parametrize("command", ["sweep", "simulate"])
 def test_cli_unwritable_out_exit(capsys, tmp_path, command):
     target = tmp_path / "missing" / "out.csv"

@@ -181,7 +181,7 @@ GOLDEN = {
             "kappas": [0.1, 1.0],
             "n": 2000
         },
-        "sha256": "73ab5253524b101753f0ad55274563c692825a4f9f3d95e853576044d383de2b"
+        "sha256": "2be460a9f62c4540511f3c4259184c763cbba1b91fdbffd3de66dbfb234e82f3"
     },
     "simulate-erasure": {
         "stdout": {

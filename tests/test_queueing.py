@@ -135,6 +135,39 @@ def test_lindley_waits_matches_scalar_recursion():
     assert np.allclose(got, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.3, 0.9, 0.99])
+def test_lindley_waits_is_bit_identical_to_its_scalar_prefix_sums(rho):
+    # max(0, w + s - t) restarts its sum after each idle period and so rounds
+    # differently; the bits are those of the prefix-sum identity, one
+    # increment, running minimum and maximum at a time
+    rng = np.random.default_rng(24)
+    s = rng.exponential(1.0, 20_000)
+    t = rng.exponential(1.0 / rho, 20_000)
+    expected = np.zeros_like(s)
+    p, low = 0.0, math.inf
+    for j in range(1, s.size):
+        p += s[j - 1] - t[j]
+        low = min(low, p)
+        expected[j] = max(p, p - low)
+    got = lindley_waits(s, t)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_lindley_waits_holds_one_temporary():
+    # the output and one n-sized temporary; the inputs exist beforehand
+    import tracemalloc
+    n = 100_000
+    rng = np.random.default_rng(25)
+    s, t = rng.exponential(1.0, n), rng.exponential(1.2, n)
+    tracemalloc.start()
+    try:
+        lindley_waits(s, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n
+
+
 def test_lindley_waits_monotone_in_service_times():
     # same arrivals, uniformly longer services: every wait can only grow
     rng = np.random.default_rng(22)

@@ -21,7 +21,7 @@ from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                           wait_geometric_noise, xor_table)
 from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
-                          InstabilityError, PoissonArrivals, queue_path,
+                          InstabilityError, PoissonArrivals, lindley_waits,
                           stationary_wait_samples)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, estimate_erasure_capacity,
@@ -297,15 +297,16 @@ def test_sweep_rows_drops_unstable_rates_with_warning():
 def test_sweep_rows_threaded_matches_serial():
     lambdas, kappas = [0.2, 0.5, 0.8], [0.1, 1.0]
     rows = sweep_rows(lambdas, kappas, n=2000, seed=21)
-    # each pooled lambda equals that lambda recomputed alone from its own
-    # child seed: one queue path, then one uniform stream per kappa
-    children = np.random.SeedSequence(21).spawn(len(lambdas))
-    for i, (lam, child) in enumerate(zip(lambdas, children)):
-        queue_rng, *uniform_rngs = spawn_rngs(child, 1 + len(kappas))
-        *_, w = queue_path(PoissonArrivals(lam), Exponential(1.0), 2000, queue_rng,
-                           DelayConvention.WAITING_BEFORE_SERVICE)
-        for j, (kappa, rng) in enumerate(zip(kappas, uniform_rngs)):
-            mean, se, _ = batch_means(rng.random(2000) >= DecoherenceModel(kappa).error_prob(w))
+    # each pooled cell equals that cell recomputed alone from the sweep's
+    # one draw: gaps, services and survival marks split from the seed
+    gap_rng, service_rng, mark_rng = spawn_rngs(21, 3)
+    gaps = gap_rng.standard_exponential(2000)
+    services = Exponential(1.0).sample(service_rng, size=2000)
+    marks = mark_rng.standard_exponential(2000)
+    for i, lam in enumerate(lambdas):
+        w = lindley_waits(services, gaps / lam)
+        for j, kappa in enumerate(kappas):
+            mean, se, _ = batch_means(kappa * w <= marks)
             row = rows[j * len(lambdas) + i]
             assert (row["lambda"], row["kappa"]) == (lam, kappa)
             assert (row["capacity_mc"], row["mc_stderr"]) == (lam * mean, lam * se)
@@ -314,40 +315,79 @@ def test_sweep_rows_threaded_matches_serial():
                 6.0 * row["mc_stderr"]
 
 
-def _count_queue_paths(monkeypatch):
-    """Record the arrival rate of every queue path the simulator draws."""
-    rates = []
-    real = simulate.queue_path
-    monkeypatch.setattr(simulate, "queue_path",
-                        lambda *a, **k: rates.append(a[0].rate) or real(*a, **k))
-    return rates
+def _record_draws(monkeypatch):
+    """Record the generators every sweep splits off its seed, and the gaps
+    of every Lindley pass it runs."""
+    streams, passes = [], []
+    spawn, lindley = simulate.spawn_rngs, simulate.lindley_waits
+    monkeypatch.setattr(simulate, "spawn_rngs",
+                        lambda *a: streams.append(spawn(*a)) or streams[-1])
+    monkeypatch.setattr(simulate, "lindley_waits",
+                        lambda s, t: passes.append(t) or lindley(s, t))
+    return streams, passes
 
 
-def test_sweep_rows_draws_one_queue_path_per_lambda(monkeypatch):
-    calls = _count_queue_paths(monkeypatch)
-    monkeypatch.setattr(simulate, "simulate_transmission", None)  # not on this path
+def test_sweep_rows_draws_once_and_runs_one_lindley_pass_per_lambda(monkeypatch):
+    streams, passes = _record_draws(monkeypatch)
+    monkeypatch.setattr(simulate, "queue_path", None)  # not on this path
     rows = sweep_rows([0.2, 0.5, 0.8], [0.1, 1.0, 3.0], n=200, seed=4)
     assert len(rows) == 9 and all(r["capacity_mc"] is not None for r in rows)
-    assert sorted(calls) == [0.2, 0.5, 0.8]
+    # one split of the seed, and each stream advanced by exactly one draw of n
+    fresh = spawn_rngs(4, 3)
+    gaps = fresh[0].standard_exponential(200)
+    Exponential(1.0).sample(fresh[1], size=200)
+    fresh[2].standard_exponential(200)
+    [drawn] = streams
+    assert [r.bit_generator.state for r in drawn] == \
+        [r.bit_generator.state for r in fresh]
+    # one Lindley pass per lambda, each on the shared gaps scaled by 1/lambda
+    assert sorted(gaps[1] / t[1] for t in passes) == pytest.approx([0.2, 0.5, 0.8])
 
 
-def test_sweep_rows_repeated_kappa_draws_its_own_uniforms():
+def test_sweep_rows_repeated_kappa_repeats_its_cells():
     rows = sweep_rows([0.5], [1.0, 1.0], n=20_000, seed=9)
     first, second = rows
-    assert first["capacity_analytic"] == second["capacity_analytic"]
-    assert first["capacity_mc"] != second["capacity_mc"]
-    for row in rows:
-        assert abs(row["capacity_mc"] - row["capacity_analytic"]) <= \
-            6.0 * row["mc_stderr"]
+    assert first == second
+    assert abs(first["capacity_mc"] - first["capacity_analytic"]) <= \
+        6.0 * first["mc_stderr"]
 
 
 def test_sweep_rows_zero_rate_draws_no_queue(monkeypatch):
-    calls = _count_queue_paths(monkeypatch)
+    streams, passes = _record_draws(monkeypatch)
     rows = sweep_rows([0.0, 0.4], [0.5, 2.0], n=500, seed=1)
     zero = [r for r in rows if r["lambda"] == 0.0]
     assert len(zero) == 2
     assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, 0.0) for r in zero)
-    assert calls == [0.4]
+    assert len(streams) == 1 and len(passes) == 1
+    # a sweep of lambda = 0 alone scores its cells without drawing
+    rows = sweep_rows([0.0], [0.5, 2.0], n=500, seed=1)
+    assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, 0.0) for r in rows)
+    assert len(streams) == 1 and len(passes) == 1
+
+
+def test_sweep_rows_capacity_mc_non_increasing_in_kappa():
+    # shared survival marks: a symbol that survives kappa survives any
+    # smaller kappa, so each lambda's column is ordered whatever the kappa
+    # order; independent draws would not order kappas only 0.01 apart
+    lambdas = [0.2, 0.5, 0.8, 0.95]
+    kappas = [1.0, 0.0, 10.0, 1.02, 0.1, 0.01, 1.01, 1.03]
+    rows = sweep_rows(lambdas, kappas, n=5000, seed=13)
+    for lam in lambdas:
+        column = sorted((r["kappa"], r["capacity_mc"]) for r in rows
+                        if r["lambda"] == lam)
+        values = [value for _, value in column]
+        assert values == sorted(values, reverse=True)
+        assert values[0] == lam  # kappa = 0 erases nothing
+
+
+def test_sweep_rows_deterministic_service_sojourn_matches_analytic():
+    rows = sweep_rows([0.2, 0.5, 0.8], [0.5, 2.0], n=200_000, seed=3,
+                      service=Deterministic(1.0),
+                      convention=DelayConvention.SOJOURN)
+    for row in rows:
+        assert row["mc_stderr"] > 0.0
+        assert abs(row["capacity_mc"] - row["capacity_analytic"]) <= \
+            6.0 * row["mc_stderr"]
 
 
 def test_sweep_rows_deterministic_service():
