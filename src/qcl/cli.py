@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 from . import capacity
@@ -183,14 +183,21 @@ def _pin_malloc_thresholds():
             mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def cmd_validate(cfg):
+def _run_check(job):
+    """Check `index` of validation.SUITES[suite] at seed. Module level, so a
+    fork pool can pickle it by name; a suite a caller installed reaches the
+    workers through fork."""
     from . import validation
-    checks = validation.SUITES[cfg["suite"]]
-    _pin_malloc_thresholds()
-    workers = max(1, min(len(checks), os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(check, seed=cfg["seed"]) for check in checks]
-        outcomes = [f.result() for f in futures]
+    suite, index, seed = job
+    return validation.SUITES[suite][index](seed=seed)
+
+
+def cmd_validate(cfg):
+    from . import simulate, validation
+    jobs = [(cfg["suite"], index, cfg["seed"])
+            for index in range(len(validation.SUITES[cfg["suite"]]))]
+    _pin_malloc_thresholds()  # before the fork, so every worker inherits it
+    outcomes = list(simulate.fork_map(_run_check, jobs))
     failed = []
     for outcome in outcomes:
         print(f"[{'PASS' if outcome.passed else 'FAIL'}] {outcome.name}")
@@ -282,7 +289,7 @@ def main(argv=None):
     except MemoryError as err:  # an n within MAX_N can still outgrow the machine
         emit({"error": "config", "message": f"not enough memory for this run: {err}"})
         return EXIT_CONFIG
-    except BrokenExecutor as err:  # a to_csv worker was killed (BrokenProcessPool)
+    except BrokenExecutor as err:  # a fork_map worker was killed (BrokenProcessPool)
         emit({"error": "config", "message": f"a worker process died: {err}"})
         return EXIT_CONFIG
     except InstabilityError as err:

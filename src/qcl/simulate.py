@@ -78,44 +78,43 @@ class Transcript:
         Floats are written with repr (shortest round-trip), so files are
         bit-identical across runs with the same seed. Rows end in \\r\\n, as
         with the csv module's default dialect; no field needs quoting. Rows
-        are formatted CSV_BLOCK_ROWS at a time, on a fork pool of
-        min(os.cpu_count(), blocks) worker processes, and written in block
-        order; with one worker, no "fork" start method or another thread
-        running (forking a threaded process can deadlock) the blocks are
-        formatted here. The bytes are the same either way.
+        are formatted CSV_BLOCK_ROWS at a time by fork_map and written in
+        block order. The bytes are the same whether a pool or this process
+        formats them.
         """
         global _CSV_TRANSCRIPT
-        starts = range(0, len(self), CSV_BLOCK_ROWS)
         own = not hasattr(path_or_file, "write")
         fh = open(path_or_file, "w", newline="") if own else path_or_file
         with _CSV_LOCK:
             _CSV_TRANSCRIPT = self
             try:
                 fh.write("index,x,a,d,s,w,y\r\n")
-                workers = min(os.cpu_count() or 1, len(starts))
-                context = _fork_context(workers)
-                if context is None:
-                    fh.writelines(map(_csv_block, starts))
-                else:
-                    from concurrent.futures import ProcessPoolExecutor
-                    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                        fh.writelines(pool.map(_csv_block, starts))
+                fh.writelines(fork_map(_csv_block, range(0, len(self), CSV_BLOCK_ROWS)))
             finally:
                 _CSV_TRANSCRIPT = None
                 if own:
                     fh.close()
 
 
-def _fork_context(workers):
-    """The "fork" multiprocessing context when a pool of workers may fork
-    here, else None. multiprocessing is imported only on this path: it would
-    add about 13 ms to `import qcl`."""
-    if workers < 2 or threading.active_count() > 1:
-        return None
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
+def fork_map(fn, items):
+    """Yield fn(item) for each of items, in order, computed on a fork pool of
+    min(os.cpu_count(), len(items)) worker processes. fn must be picklable by
+    name; whatever else it reads of this process reaches the workers through
+    fork. With one worker, no "fork" start method or another thread running
+    (forking a threaded process can deadlock) the items are mapped here.
+    multiprocessing is imported only on the pool path: it would add about
+    13 ms to `import qcl`."""
+    items = list(items)
+    workers = min(os.cpu_count() or 1, len(items))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                yield from pool.map(fn, items)
+            return
+    yield from map(fn, items)
 
 
 def _csv_block(lo):
@@ -172,7 +171,7 @@ def _score_survival(survived, lam, alphabet):
     The standard error is batch-means (the indicators inherit the delay
     autocorrelation); the i.i.d. binomial error is kept in details.
     """
-    survived = np.asarray(survived, dtype=float)
+    survived = np.asarray(survived, dtype=bool)  # batch_means counts booleans
     n = survived.size
     frac, se, m = batch_means(survived)
     scale = lam * math.log2(alphabet)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl import capacity, config, simulate
+from qcl import capacity, config, simulate, validation
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
@@ -827,6 +827,58 @@ def test_cli_validate_quick_suite(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "1/1 checks passed" in out
+
+
+def _logging_check(check, log_dir):
+    """check, also recording in log_dir which process ran it. A suite entry
+    reaches the pool's workers through fork, so it need not pickle."""
+    def run(seed=None):
+        forked = multiprocessing.parent_process() is not None
+        (log_dir / check.__name__).write_text(f"{os.getpid()} {forked}")
+        return check(seed=seed)
+    return run
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+def test_cli_validate_pool_prints_what_one_process_prints(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
+    checks = (validation.check_csir_ordering, validation.check_wait_transform,
+              validation.check_noiseless_and_instability)
+    monkeypatch.setitem(validation.SUITES, "pool",
+                        tuple(_logging_check(check, tmp_path) for check in checks))
+    outputs = []
+    for cpus, forked in ((2, True), (1, False)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        outputs.append(_run(capsys, "validate", "pool", "--seed", "3"))
+        ran = [(tmp_path / check.__name__).read_text().split() for check in checks]
+        assert all((pid != str(os.getpid()), was_forked) == (forked, str(forked))
+                   for pid, was_forked in ran), ran
+        assert multiprocessing.active_children() == []
+    pooled, alone = outputs
+    assert pooled == alone
+    assert "/3 checks passed" in pooled[1]
+
+
+def _die_in_worker(seed=None):
+    """A check whose pool worker dies."""
+    # in the calling process, exiting would end the test run itself
+    assert multiprocessing.parent_process() is not None, "check run serially"
+    os._exit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+def test_cli_validate_killed_worker_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(validation.SUITES, "dies",
+                        (validation.check_noiseless_and_instability, _die_in_worker))
+    code, out, _ = _run(capsys, "validate", "dies", "--seed", "0")
+    assert code == 2
+    payload = _payload(out)  # the whole of stdout: no check lines before it
+    assert payload["error"] == "config"
+    assert payload["message"].startswith("a worker process died: ")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -1,8 +1,9 @@
 """Start-up cost: scipy is loaded only by the quadrature line of `validate`'s
 numerics gates, so `import qcl`, every other command and every other check
-skip its import; numpy is loaded only by the commands that draw samples, so
-`import qcl`, every --help, the erasure closed forms of `capacity` and
-`optimize`, and a config error skip its import."""
+skip its import; numpy is loaded only by the commands that draw samples, and
+multiprocessing only by their worker pools, so `import qcl`, every --help, the
+erasure closed forms of `capacity` and `optimize`, and a config error skip
+both imports."""
 
 import os
 import subprocess
@@ -60,7 +61,7 @@ runs += [(["capacity", "--config", config("sojourn", {
          (["capacity", "--config", config("bad", {"kappa": -1.0})], 2)]
 for argv, code in runs:
     assert main(argv) == code, argv
-    assert "numpy" not in sys.modules, argv
+    assert not {"numpy", "multiprocessing"} & set(sys.modules), argv
 """
 
 _IMPORT = """
@@ -68,7 +69,7 @@ import sys
 
 import qcl
 
-loaded = {"numpy", "qcl.simulate", "qcl.validation"} & set(sys.modules)
+loaded = {"numpy", "multiprocessing", "qcl.simulate", "qcl.validation"} & set(sys.modules)
 assert not loaded, loaded
 """
 
@@ -87,14 +88,13 @@ assert set(qcl.__all__) <= set(star), set(qcl.__all__) - set(star)
 """
 
 _VALIDATE = """
+import os
 import sys
-import threading
 
 from qcl import cli, validation
 
 reached = set()
 loaded_after_quantile = []
-witness_done = threading.Event()
 quadrature, quantile = validation.quadrature_laplace, validation._service_quantile
 
 
@@ -103,15 +103,10 @@ def counting_quantile(service, u, v):
     reached.add(service.kind)
     loaded_after_quantile.append(
         sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    if len(loaded_after_quantile) == 8:  # four laws at each of two witness rates
-        witness_done.set()
     return draws
 
 
 def counting_quadrature(p, u):
-    # hold scipy's import back until the witness is done, so scipy found
-    # loaded after a quantile can only come from the quantile itself
-    witness_done.wait(timeout=300)
     reached.add("quadrature_laplace")
     return quadrature(p, u)
 
@@ -119,21 +114,26 @@ def counting_quadrature(p, u):
 validation.quadrature_laplace = counting_quadrature
 validation._service_quantile = counting_quantile
 validation.N_DEFAULT = 10_000
+# one worker: the checks run here, in suite order, so the witness's quantiles
+# all come before scipy's import and the counters see every call
+os.cpu_count = lambda: 1
 validation.SUITES["pool"] = (validation.check_bsc_service_dominance,
                              validation.check_numerics_gates)
 assert cli.main(["validate", "pool", "--seed", "0"]) in (0, 4)
 assert {"quadrature_laplace", "gamma"} <= reached, reached
-assert loaded_after_quantile == 8 * [[]], loaded_after_quantile
+assert loaded_after_quantile == 8 * [[]], loaded_after_quantile  # 4 laws x 2 rates
 assert "scipy.integrate" in sys.modules
 """
 
 
 _VALIDATE_NO_SCIPY = """
+import os
 import sys
 
 from qcl import cli, validation
 
 validation.N_DEFAULT = 10_000
+os.cpu_count = lambda: 1  # one worker: the checks run here, where sys.modules is read
 for suite in ("bsc", "bijective", "service-optimality"):
     assert cli.main(["validate", suite, "--seed", "0"]) in (0, 4), suite
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -170,7 +170,7 @@ def test_every_public_name_resolves():
 
 
 def test_validate_reaches_scipy_only_through_the_quadrature():
-    # a fresh process, so the pool meets scipy's first import
+    # a fresh process, so the checks meet scipy's first import
     done = _python(_VALIDATE)
     assert done.returncode == 0, done.stderr
     assert "[PASS] numerics-gates" in done.stdout
