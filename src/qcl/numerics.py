@@ -47,25 +47,17 @@ def batch_means(x):
 
     Splits x into batches of ceil(sqrt(n)) so batch averages decorrelate for
     Markov-dependent inputs (waiting-time functionals). Returns
-    (mean, std_error, n_batches). Boolean x with both values and at least 2
-    batches is counted, not copied to floats: its float sums are exact
-    integer counts, so the result has the same bits.
+    (mean, std_error, n_batches).
     """
     import numpy as np
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=float)
     n = x.size
     if n == 0:
         raise ValueError("batch_means needs at least one sample")
-    batch_size = math.ceil(math.sqrt(n))
-    m = n // batch_size
-    if x.dtype == bool and m >= 2:
-        count = int(np.count_nonzero(x))
-        if 0 < count < n:
-            counts = np.count_nonzero(x[: m * batch_size].reshape(m, batch_size), axis=1)
-            return count / n, float((counts / batch_size).std(ddof=1) / math.sqrt(m)), m
-    x = x.astype(float, copy=False)
     if np.ptp(x) == 0.0:
         return float(x[0]), 0.0, 1
+    batch_size = math.ceil(math.sqrt(n))
+    m = n // batch_size
     if m < 2:
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return float(x.mean()), se, 1

@@ -171,7 +171,7 @@ def _score_survival(survived, lam, alphabet):
     The standard error is batch-means (the indicators inherit the delay
     autocorrelation); the i.i.d. binomial error is kept in details.
     """
-    survived = np.asarray(survived, dtype=bool)  # batch_means counts booleans
+    survived = np.asarray(survived, dtype=float)
     n = survived.size
     frac, se, m = batch_means(survived)
     scale = lam * math.log2(alphabet)

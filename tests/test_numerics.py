@@ -42,18 +42,6 @@ def test_batch_means_constant_series_has_zero_error():
     assert (mean, se, m) == (7.5, 0.0, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 99, 100, 10_007])
-def test_batch_means_counts_booleans_to_the_float_bits(n):
-    rng = np.random.default_rng(n)
-    for x in (np.ones(n, dtype=bool), np.zeros(n, dtype=bool),
-              rng.random(n) < 0.5, rng.random(n) < 0.02):
-        mean, se, m = batch_means(x)
-        ref_mean, ref_se, ref_m = batch_means(x.astype(float))
-        np.testing.assert_array_equal(np.array([mean, se]).view(np.int64),
-                                      np.array([ref_mean, ref_se]).view(np.int64))
-        assert m == ref_m
-
-
 def test_batch_means_rejects_empty():
     with pytest.raises(ValueError):
         batch_means(np.empty(0))
