@@ -183,21 +183,12 @@ def _pin_malloc_thresholds():
             mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _run_check(job):
-    """Check `index` of validation.SUITES[suite] at seed. Module level, so a
-    fork pool can pickle it by name; a suite a caller installed reaches the
-    workers through fork."""
-    from . import validation
-    suite, index, seed = job
-    return validation.SUITES[suite][index](seed=seed)
-
-
 def cmd_validate(cfg):
     from . import simulate, validation
-    jobs = [(cfg["suite"], index, cfg["seed"])
-            for index in range(len(validation.SUITES[cfg["suite"]]))]
+    checks, seed = validation.SUITES[cfg["suite"]], cfg["seed"]
     _pin_malloc_thresholds()  # before the fork, so every worker inherits it
-    outcomes = list(simulate.fork_map(_run_check, jobs))
+    outcomes = list(simulate.fork_map(lambda index: checks[index](seed=seed),
+                                      range(len(checks))))
     failed = []
     for outcome in outcomes:
         print(f"[{'PASS' if outcome.passed else 'FAIL'}] {outcome.name}")

@@ -26,12 +26,6 @@ from .queueing import (DelayConvention, Exponential, PoissonArrivals, lindley_wa
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
 
-# The transcript Transcript.to_csv is writing, read by _csv_block. It reaches
-# pool workers through fork, so only the formatted text crosses processes.
-# The lock lets one to_csv at a time own it.
-_CSV_TRANSCRIPT = None
-_CSV_LOCK = threading.Lock()
-
 
 @dataclass(frozen=True)
 class EstimateWithError:
@@ -73,7 +67,9 @@ class Transcript:
         return self.spec.lam
 
     def to_csv(self, path_or_file):
-        """Write `index,x,a,d,s,w,y` rows; ERASED symbols render as `?`.
+        """Write `index,x,a,d,s,w,y` rows to the file at path_or_file, a path
+        (perfbench/tracer.py reads the argument by this name); ERASED symbols
+        render as `?`.
 
         Floats are written with repr (shortest round-trip), so files are
         bit-identical across runs with the same seed. Rows end in \\r\\n, as
@@ -82,28 +78,21 @@ class Transcript:
         block order. The bytes are the same whether a pool or this process
         formats them.
         """
-        global _CSV_TRANSCRIPT
-        own = not hasattr(path_or_file, "write")
-        fh = open(path_or_file, "w", newline="") if own else path_or_file
-        with _CSV_LOCK:
-            _CSV_TRANSCRIPT = self
-            try:
-                fh.write("index,x,a,d,s,w,y\r\n")
-                fh.writelines(fork_map(_csv_block, range(0, len(self), CSV_BLOCK_ROWS)))
-            finally:
-                _CSV_TRANSCRIPT = None
-                if own:
-                    fh.close()
+        with open(path_or_file, "w", newline="") as fh:
+            fh.write("index,x,a,d,s,w,y\r\n")
+            fh.writelines(fork_map(lambda lo: _csv_block(self, lo),
+                                   range(0, len(self), CSV_BLOCK_ROWS)))
 
 
 def fork_map(fn, items):
     """Yield fn(item) for each of items, in order, computed on a fork pool of
-    min(os.cpu_count(), len(items)) worker processes. fn must be picklable by
-    name; whatever else it reads of this process reaches the workers through
-    fork. With one worker, no "fork" start method or another thread running
-    (forking a threaded process can deadlock) the items are mapped here.
-    multiprocessing is imported only on the pool path: it would add about
-    13 ms to `import qcl`."""
+    min(os.cpu_count(), len(items)) worker processes. fn may be any callable,
+    a closure too: it reaches each worker through fork, as the argument of
+    the pool's initializer, so only items and results are pickled and no
+    module state of this process is written. With one worker, no "fork"
+    start method or another thread running (forking a threaded process can
+    deadlock) the items are mapped here. multiprocessing is imported only
+    on the pool path: it would add about 13 ms to `import qcl`."""
     items = list(items)
     workers = min(os.cpu_count() or 1, len(items))
     if workers > 1 and threading.active_count() == 1:
@@ -111,15 +100,28 @@ def fork_map(fn, items):
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                yield from pool.map(fn, items)
+            with ProcessPoolExecutor(workers, mp_context=context,
+                                     initializer=_adopt, initargs=(fn,)) as pool:
+                yield from pool.map(_call_adopted, items)
             return
     yield from map(fn, items)
 
 
-def _csv_block(lo):
-    """CSV rows lo .. lo + CSV_BLOCK_ROWS - 1 of _CSV_TRANSCRIPT, as text."""
-    t = _CSV_TRANSCRIPT
+_ADOPTED = None  # in a fork_map worker, the fn it maps
+
+
+def _adopt(fn):
+    """fork_map's pool initializer, run once in each worker."""
+    global _ADOPTED
+    _ADOPTED = fn
+
+
+def _call_adopted(item):
+    return _ADOPTED(item)
+
+
+def _csv_block(t, lo):
+    """CSV rows lo .. lo + CSV_BLOCK_ROWS - 1 of transcript t, as text."""
     block = slice(lo, lo + CSV_BLOCK_ROWS)
     x, y = t.x[block].tolist(), t.y[block].tolist()
     label = {v: str(v) for v in {*x, *y}} | {ERASED: "?"}
@@ -154,12 +156,13 @@ def simulate_transmission(spec, n, seed=None):
 def estimate_erasure_capacity(transcript):
     """Plug-in erasure capacity lam * log2(k) * (1 - erased fraction).
 
-    See _score_survival for the standard error.
+    See _score_survival for the standard error. Raises ValueError for fewer
+    than 2 symbols, whose estimate would have no standard error.
     """
     if transcript.spec.channel.kind != "erasure":
         raise TypeError("estimate_erasure_capacity needs an erasure transcript")
-    if len(transcript) == 0:
-        raise ValueError("empty transcript")
+    if len(transcript) < 2:
+        raise ValueError(f"need at least 2 symbols, got {len(transcript)}")
     return _score_survival(transcript.y != ERASED, transcript.lam,
                            transcript.spec.channel.size)
 
@@ -193,7 +196,8 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     expectations that qcl.capacity.bijective_capacity turns into the
     timing-aware value, the unpredictable-queue value and the no-timing bounds.
 
-    w may be stationary samples or a transcript's delay column. Returns a dict
+    w may be stationary samples or a transcript's delay column, at least 2 of
+    them, as one delay gives no standard error. Returns a dict
     mapping each requested key to an EstimateWithError in bits per symbol:
       - E_H_noise: mean of the per-delay noise entropies;
       - H_mean_noise: entropy of the delay-averaged noise law;
@@ -213,10 +217,10 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
         raise TypeError("estimate_bijective_bounds needs a RandomBijective channel")
     spec.check_stable()
     w = np.asarray(w, dtype=float)
+    if w.size < 2:
+        raise ValueError(f"need at least 2 delays, got {w.size}")
     kernel = E_H_KERNEL_NOISE in keys
     first = 1 if kernel else 0
-    if w.size < first + 1:
-        raise ValueError(f"need at least {first + 1} delays, got {w.size}")
     noise_dist, k = spec.channel.noise_dist, spec.channel.size
     h_rows = np.empty(w.size) if E_H_NOISE in keys else None
     if kernel:  # W_0 enters only the per-delay entropies

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcl import capacity, config, simulate, validation
+from qcl import capacity, cli, config, simulate, validation
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
@@ -639,25 +639,24 @@ def test_cli_out_of_memory_is_a_config_error(capsys, tmp_path, monkeypatch, comm
     assert payload["message"].startswith("not enough memory for this run: ")
 
 
-_FORMAT_BLOCK = simulate._csv_block
-
-
-def _die_on_second_block(lo):
-    """simulate._csv_block, except that the pool worker formatting the
-    second block dies. Module level, so the pool can pickle it by name."""
-    if lo == simulate.CSV_BLOCK_ROWS:
-        # in the calling process, exiting would end the test run itself
-        assert multiprocessing.parent_process() is not None, "block formatted serially"
-        os._exit(1)
-    return _FORMAT_BLOCK(lo)
-
-
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the pool forks its workers")
 def test_cli_simulate_killed_writer_is_a_config_error(capsys, tmp_path, monkeypatch):
+    format_block = simulate._csv_block
+
+    def die_on_second_block(t, lo):
+        """simulate._csv_block, except that the pool worker formatting the
+        second block dies."""
+        if lo == simulate.CSV_BLOCK_ROWS:
+            # in the calling process, exiting would end the test run itself
+            assert multiprocessing.parent_process() is not None, "block formatted serially"
+            os._exit(1)
+        return format_block(t, lo)
+
     monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(simulate, "_csv_block", _die_on_second_block)
+    monkeypatch.setattr(simulate, "_csv_block", die_on_second_block)
+    before = dict(vars(simulate))
     target = tmp_path / "t.csv"
     old = b"index,x,a,d,s,w,y\r\n0,1,0.5,1.5,1.0,0.0,1\r\n"
     target.write_bytes(old)
@@ -668,7 +667,7 @@ def test_cli_simulate_killed_writer_is_a_config_error(capsys, tmp_path, monkeypa
     assert payload["error"] == "config"
     assert payload["message"].startswith("a worker process died: ")
     assert multiprocessing.active_children() == []
-    assert simulate._CSV_TRANSCRIPT is None
+    assert vars(simulate) == before
     # the failed write leaves the old file whole, and no temporary file behind
     assert target.read_bytes() == old
     assert list(tmp_path.glob("*.tmp")) == []
@@ -850,7 +849,9 @@ def test_cli_validate_pool_prints_what_one_process_prints(capsys, tmp_path, monk
     outputs = []
     for cpus, forked in ((2, True), (1, False)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        before = dict(vars(cli)), dict(vars(simulate))
         outputs.append(_run(capsys, "validate", "pool", "--seed", "3"))
+        assert (vars(cli), vars(simulate)) == before
         ran = [(tmp_path / check.__name__).read_text().split() for check in checks]
         assert all((pid != str(os.getpid()), was_forked) == (forked, str(forked))
                    for pid, was_forked in ran), ran

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, none of
-them is scipy, which only `qcl validate` needs, and none of the modules the
-closed forms run on imports numpy when it loads."""
+them is scipy, which only `qcl validate` needs, none of the modules the
+closed forms run on imports numpy when it loads, and no function but
+fork_map's worker hook rebinds a module global."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,33 @@ def test_scan_flags_a_module_level_numpy_import():
         "    def f(self):\n        import numpy.ma\n"
         "def g():\n    import numpy.polynomial\n", "numpy") == [
             "numpy", "numpy.fft", "numpy.linalg", "numpy.random"]
+
+
+def _global_statements(source):
+    """(enclosing function or None, names) of each `global` statement."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.append((owner, tuple(child.names)))
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function else owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_fork_map_worker_hook_rebinds_a_module_global():
+    # the hook runs in forked workers only: this process's modules stay as
+    # they were, whoever calls fork_map
+    found = [(path.stem, *statement) for path in SOURCES
+             for statement in _global_statements(path.read_text())]
+    assert found == [("simulate", "_adopt", ("_ADOPTED",))]
+
+
+def test_scan_flags_a_global_statement():
+    assert _global_statements(
+        "x = y = 0\ndef f():\n    def g():\n        global x\n    return g\n"
+        "class A:\n    def h(self):\n        global x, y\nglobal y\n") == [
+            ("g", ("x",)), ("h", ("x", "y")), (None, ("y",))]

@@ -112,9 +112,10 @@ def test_erasure_estimate_matches_closed_form():
 
 
 def test_erasure_estimator_input_checks():
-    with pytest.raises(ValueError):
-        estimate_erasure_capacity(simulate_transmission(_spec(), 0, seed=1))
     # one survival indicator has no standard error to report
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"at least 2 symbols, got {n}"):
+            estimate_erasure_capacity(simulate_transmission(_spec(), n, seed=1))
     assert estimate_capacity(simulate_transmission(_spec(), 1, seed=1)) == (None, None)
     bsc_t = simulate_transmission(_bsc_spec(), 100, seed=1)
     with pytest.raises(TypeError):
@@ -145,6 +146,10 @@ def test_bijective_bounds_bracket_and_order():
     assert all(isinstance(e, EstimateWithError) for e in estimates.values())
     with pytest.raises(TypeError):
         estimate_bijective_bounds(_spec(), w)
+    # one delay gives no standard error, whichever expectations are asked for
+    with pytest.raises(ValueError, match="need at least 2 delays, got 1"):
+        estimate_bijective_bounds(_bsc_spec(), np.array([0.3]),
+                                  keys=(E_H_NOISE, H_MEAN_NOISE))
 
 
 @pytest.mark.parametrize("timing, unpredictable", [(True, False), (False, True),
@@ -398,15 +403,13 @@ def test_sweep_rows_deterministic_service():
 
 def test_to_csv_format_and_determinism(tmp_path):
     t = simulate_transmission(_spec(0.8, kappa=2.0), 500, seed=5)
-    buf = io.StringIO()
-    t.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    t.to_csv(p1)
+    lines = p1.read_text().splitlines()
     assert lines[0] == "index,x,a,d,s,w,y"
     assert len(lines) == 501
     assert any(line.endswith(",?") for line in lines[1:])
     # same seed, same bytes
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    t.to_csv(p1)
     simulate_transmission(_spec(0.8, kappa=2.0), 500, seed=5).to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -463,9 +466,6 @@ def test_to_csv_blocks_match_row_writer(tmp_path, monkeypatch, spec, n):
     expected = _csv_reference(t)
     if spec.channel.kind == "erasure" and n:
         assert ",?\r\n" in expected
-    buf = io.StringIO(newline="")
-    t.to_csv(buf)
-    assert buf.getvalue() == expected
     path = tmp_path / "t.csv"
     t.to_csv(path)
     assert path.read_bytes() == expected.encode()
@@ -494,30 +494,43 @@ def test_to_csv_pool_matches_row_writer(tmp_path, monkeypatch, pool_spy, spec):
     monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     t = simulate_transmission(spec, 300, seed=11)
-    expected = _csv_reference(t)
-    buf = io.StringIO(newline="")
-    t.to_csv(buf)
-    assert buf.getvalue() == expected
+    before = dict(vars(simulate))
     path = tmp_path / "t.csv"
     t.to_csv(path)
-    assert path.read_bytes() == expected.encode()
-    assert len(pool_spy) == 2
+    assert path.read_bytes() == _csv_reference(t).encode()
+    assert len(pool_spy) == 1
     assert multiprocessing.active_children() == []
-    assert simulate._CSV_TRANSCRIPT is None
+    assert vars(simulate) == before
 
 
-def test_to_csv_from_a_second_thread_formats_serially(monkeypatch, pool_spy):
+def test_to_csv_from_a_second_thread_formats_serially(tmp_path, monkeypatch, pool_spy):
     monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     t = simulate_transmission(_spec(0.8, kappa=2.0), 300, seed=11)
-    buf = io.StringIO(newline="")
-    writer = threading.Thread(target=t.to_csv, args=(buf,))
+    before = dict(vars(simulate))
+    path = tmp_path / "t.csv"
+    writer = threading.Thread(target=t.to_csv, args=(path,))
     writer.start()
     writer.join(timeout=60)
     assert not writer.is_alive()
-    assert buf.getvalue() == _csv_reference(t)
+    assert path.read_bytes() == _csv_reference(t).encode()
     assert pool_spy == []
-    assert simulate._CSV_TRANSCRIPT is None
+    assert vars(simulate) == before
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+def test_fork_map_runs_a_closure_on_one_pool(monkeypatch, pool_spy):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = np.arange(10) ** 2
+    before = dict(vars(simulate))
+    # a lambda over a local array cannot be pickled: it must reach the
+    # workers through fork, and only the items and results cross
+    assert list(simulate.fork_map(lambda i: int(table[i]) + 1, range(10))) == \
+        [i * i + 1 for i in range(10)]
+    assert len(pool_spy) == 1
+    assert multiprocessing.active_children() == []
+    assert vars(simulate) == before
 
 
 def test_estimate_with_error_validation():
