@@ -29,9 +29,8 @@ from .channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                        discrete_entropy, load_bijection,
                        wait_geometric_noise, xor_table)
 from .config import ConfigError, build_spec, load_config, validate_config
-from .numerics import (OptimizationResult, QuadratureError, as_rng,
-                       batch_means, golden_section_extremize,
-                       quadrature_laplace, spawn_rngs)
+from .numerics import (OptimizationResult, QuadratureError, batch_means,
+                       golden_section_extremize, quadrature_laplace, spawn_rngs)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, InstabilityError, PoissonArrivals,
                        ServiceDistribution, Uniform, WaitSampleSet,
@@ -41,8 +40,7 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
 # names of the modules that import numpy at load time, resolved on first use
 _LAZY = {**dict.fromkeys(("EstimateWithError", "Transcript",
                           "estimate_bijective_bounds", "estimate_capacity",
-                          "estimate_erasure_capacity", "simulate_transmission",
-                          "sweep_rows"), "simulate"),
+                          "simulate_transmission", "sweep_rows"), "simulate"),
          **dict.fromkeys(("SUITES", "CheckOutcome", "ValidationReport",
                           "validate_formula"), "validation")}
 
@@ -84,7 +82,6 @@ __all__ = [
     "WaitSampleSet",
     "alpha_mg1",
     "apply_channel",
-    "as_rng",
     "batch_means",
     "bernoulli_noise",
     "bijective_capacity",
@@ -96,7 +93,6 @@ __all__ = [
     "erasure_capacity",
     "estimate_bijective_bounds",
     "estimate_capacity",
-    "estimate_erasure_capacity",
     "evaluate_capacity",
     "golden_section_extremize",
     "lindley_waits",

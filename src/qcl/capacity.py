@@ -186,8 +186,8 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
     caller asserts the queue is unpredictable from past noise, else a result
     with bits_per_sec None and the bound pair
     lam*(log2 k - H_mean_noise) <= C <= lam*(log2 k - E_H_kernel_noise).
-    An expectation given as an estimate (with .std_error and .n) adds its
-    standard error, scaled to bits/sec and as given, and its count to the
+    Each expectation is an EstimateWithError: its .value sets the rate, and
+    its .std_error (scaled to bits/sec, and as given) and .n go to the
     diagnostics.
     """
     if spec.channel.kind != "bijective":
@@ -200,12 +200,9 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
             expectation = noise_entropy_expectations[key]
         except (KeyError, TypeError):
             raise ValueError(f"missing noise entropy expectation {key!r}") from None
-        h = _value_of(expectation)
-        diagnostics[key] = h
-        se = getattr(expectation, "std_error", None)
-        if se is not None:
-            diagnostics.update(std_error=spec.lam * se, expectation_std_error=se,
-                               n=expectation.n)
+        h, se = float(expectation.value), expectation.std_error
+        diagnostics.update({key: h, "std_error": spec.lam * se,
+                            "expectation_std_error": se, "n": expectation.n})
         return CapacityResult(bits_per_sec=spec.lam * (log_k - h), method=method,
                               diagnostics=diagnostics)
 
@@ -216,16 +213,9 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
                     assumption=UNPREDICTABILITY_NOTE)
     lower = rate(H_MEAN_NOISE, METHOD_BOUND_LOWER, csir=False)
     upper = rate(E_H_KERNEL_NOISE, METHOD_BOUND_UPPER, csir=False)
-    diagnostics = {"csir": False}
-    if "n" in lower.diagnostics:
-        diagnostics["n"] = lower.diagnostics["n"]
     return CapacityResult(bits_per_sec=None, method=METHOD_BOUNDS,
-                          diagnostics=diagnostics, bounds=(lower, upper))
-
-
-def _value_of(x):
-    """Accept plain floats or estimate objects carrying .value."""
-    return float(getattr(x, "value", x))
+                          diagnostics={"csir": False, "n": lower.diagnostics["n"]},
+                          bounds=(lower, upper))
 
 
 def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):

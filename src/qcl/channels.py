@@ -13,8 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .numerics import as_rng
-
 ERASED = -1
 
 _PROB_SLACK = 1e-12
@@ -197,13 +195,12 @@ def _sample_categorical(probs, u):
 
 
 def apply_channel(channel, x, w, rng):
-    """Send symbol(s) x through the channel at wait(s) w.
+    """Send symbol(s) x through the channel at wait(s) w; rng is a Generator.
 
     Accepts scalars or aligned arrays; returns the same shape. Erasure outputs
     ERASED where the symbol is lost and never a wrong symbol.
     """
     import numpy as np
-    rng = as_rng(rng)
     scalar = np.isscalar(x) or (np.ndim(x) == 0)
     xs = np.atleast_1d(np.asarray(x, dtype=int))
     ws = np.broadcast_to(np.asarray(w, dtype=float), xs.shape)

@@ -50,6 +50,23 @@ def _writing(out):
         raise ConfigError(f"cannot write output: {out}: {err.strerror or err}") from None
 
 
+@contextlib.contextmanager
+def _replacing(out):
+    """Yield a temporary path beside out, created at once so that an
+    unwritable directory fails before any work. What the caller writes there
+    replaces out on success; on failure out is left as it was and the
+    temporary file is removed. An OSError is reported as by _writing."""
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with _writing(out):
+            open(tmp, "w").close()
+            yield tmp
+            os.replace(tmp, out)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
 def _capacity_payload(result):
     payload = {"bits_per_sec": result.bits_per_sec, "method": result.method}
     for name, bound in zip(("lower", "upper"), result.bounds):
@@ -117,30 +134,29 @@ def cmd_optimize(cfg):
 def cmd_sweep(cfg):
     _require_erasure(cfg, "sweep")
     out = cfg["out"] or "sweep.csv"
-    with _writing(out):
-        open(out, "a").close()  # fail now on an unwritable path; keep an old file
     from . import simulate
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            rows = simulate.sweep_rows(
-                cfg["grid"], cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
-                service=cfg["service"], alphabet=cfg["alphabet_size"],
-                convention=cfg["delay_convention"])
-        except ValueError as err:  # degenerate alpha at extreme kappa, or n == 1
-            raise ConfigError(f"cannot sweep: {err}") from None
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    with _writing(out), open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "kappa", "capacity_analytic", "capacity_mc",
-                         "mc_stderr"])
-        for row in rows:
-            writer.writerow([
-                repr(row["lambda"]), repr(row["kappa"]),
-                repr(row["capacity_analytic"]),
-                "" if row["capacity_mc"] is None else repr(row["capacity_mc"]),
-                "" if row["mc_stderr"] is None else repr(row["mc_stderr"])])
+    with _replacing(out) as tmp:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rows = simulate.sweep_rows(
+                    cfg["grid"], cfg["kappas"], n=cfg["n"], seed=cfg["seed"],
+                    service=cfg["service"], alphabet=cfg["alphabet_size"],
+                    convention=cfg["delay_convention"])
+            except ValueError as err:  # degenerate alpha at extreme kappa, or n == 1
+                raise ConfigError(f"cannot sweep: {err}") from None
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["lambda", "kappa", "capacity_analytic", "capacity_mc",
+                             "mc_stderr"])
+            for row in rows:
+                writer.writerow([
+                    repr(row["lambda"]), repr(row["kappa"]),
+                    repr(row["capacity_analytic"]),
+                    "" if row["capacity_mc"] is None else repr(row["capacity_mc"]),
+                    "" if row["mc_stderr"] is None else repr(row["mc_stderr"])])
     emit({"out": out, "rows": len(rows), "kappas": cfg["kappas"], "n": cfg["n"]})
     return EXIT_OK
 
@@ -148,16 +164,10 @@ def cmd_sweep(cfg):
 def cmd_simulate(cfg):
     from . import simulate
     spec = build_spec(cfg)
-    transcript = simulate.simulate_transmission(spec, cfg["n"], seed=cfg["seed"])
     out = cfg["out"] or "transcript.csv"
-    tmp = f"{out}.{os.getpid()}.tmp"  # a failed write leaves an old out intact
-    try:
-        with _writing(out):
-            transcript.to_csv(tmp)
-            os.replace(tmp, out)
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    with _replacing(out) as tmp:
+        transcript = simulate.simulate_transmission(spec, cfg["n"], seed=cfg["seed"])
+        transcript.to_csv(tmp)
     payload = {"out": out, "n": len(transcript), "seed": cfg["seed"]}
     est, bounds = simulate.estimate_capacity(transcript)
     if bounds is not None:

@@ -2,8 +2,9 @@
 
 The capacity formulas only ever need one-dimensional unimodal extremization and
 one improper integral, so the kernels here stay deliberately small. Randomness
-policy for the whole package also lives here: numpy Generator (PCG64) seeded
-through SeedSequence, so independent substreams can be split off a single seed.
+policy for the whole package also lives here: a seed becomes numpy Generators
+(PCG64) only at the entry points, through spawn_rngs or np.random.default_rng,
+and everything below them draws from a Generator it is given.
 """
 
 import math
@@ -22,14 +23,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
-
-
-def as_rng(seed):
-    """Coerce a seed (int, SeedSequence, Generator, or None) into a Generator."""
-    import numpy as np
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def spawn_rngs(seed, k):

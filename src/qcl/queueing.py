@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .numerics import as_rng
-
 
 class InstabilityError(ValueError):
     """Raised when the offered load is at or above service capacity.
@@ -49,7 +47,7 @@ class PoissonArrivals:
             raise ValueError("arrival rate must be a positive finite number")
 
     def sample_interarrival(self, rng, size=None):
-        return as_rng(rng).exponential(1.0 / self.rate, size=size)
+        return rng.exponential(1.0 / self.rate, size=size)
 
 
 class ServiceDistribution:
@@ -90,7 +88,7 @@ class Exponential(ServiceDistribution):
         return 1.0 / self.rate
 
     def sample(self, rng, size=None):
-        return as_rng(rng).exponential(self.mean, size=size)
+        return rng.exponential(self.mean, size=size)
 
     def laplace(self, s):
         return self.rate / (self.rate + s)
@@ -142,7 +140,7 @@ class Gamma(ServiceDistribution):
         return self.shape * self.scale
 
     def sample(self, rng, size=None):
-        return as_rng(rng).gamma(self.shape, self.scale, size=size)
+        return rng.gamma(self.shape, self.scale, size=size)
 
     def laplace(self, s):
         return (1.0 + self.scale * s) ** (-self.shape)
@@ -168,7 +166,7 @@ class Uniform(ServiceDistribution):
         return 0.5 * (self.low + self.high)
 
     def sample(self, rng, size=None):
-        return as_rng(rng).uniform(self.low, self.high, size=size)
+        return rng.uniform(self.low, self.high, size=size)
 
     def laplace(self, s):
         if s == 0.0:
@@ -215,7 +213,7 @@ class Empirical(ServiceDistribution):
         return float(self._data.mean())
 
     def sample(self, rng, size=None):
-        return as_rng(rng).choice(self._data, size=size, replace=True)
+        return rng.choice(self._data, size=size, replace=True)
 
     def laplace(self, s):
         import numpy as np
@@ -297,11 +295,13 @@ def stationary_wait_samples(arrival, service, n, seed=None,
 
     Raises InstabilityError when lambda >= mu.
     """
+    import numpy as np
     lam = arrival.rate
     mu = 1.0 / service.mean
     check_stability(lam, mu)
     if n < 1:
         raise ValueError("need n >= 1 samples")
     burn_in = default_burn_in(lam, mu)
-    *_, w = queue_path(arrival, service, n + burn_in, as_rng(seed), convention)
+    *_, w = queue_path(arrival, service, n + burn_in, np.random.default_rng(seed),
+                       convention)
     return WaitSampleSet(samples=w[burn_in:], burn_in=burn_in)

@@ -62,10 +62,6 @@ class Transcript:
     def __len__(self):
         return self.x.size
 
-    @property
-    def lam(self):
-        return self.spec.lam
-
     def to_csv(self, path_or_file):
         """Write `index,x,a,d,s,w,y` rows to the file at path_or_file, a path
         (perfbench/tracer.py reads the argument by this name); ERASED symbols
@@ -151,20 +147,6 @@ def simulate_transmission(spec, n, seed=None):
     y = apply_channel(spec.channel, x, w, noise_rng)
     return Transcript(x=x, a=a, d=d, s=s, w=w, y=np.asarray(y, dtype=int),
                       spec=spec)
-
-
-def estimate_erasure_capacity(transcript):
-    """Plug-in erasure capacity lam * log2(k) * (1 - erased fraction).
-
-    See _score_survival for the standard error. Raises ValueError for fewer
-    than 2 symbols, whose estimate would have no standard error.
-    """
-    if transcript.spec.channel.kind != "erasure":
-        raise TypeError("estimate_erasure_capacity needs an erasure transcript")
-    if len(transcript) < 2:
-        raise ValueError(f"need at least 2 symbols, got {len(transcript)}")
-    return _score_survival(transcript.y != ERASED, transcript.lam,
-                           transcript.spec.channel.size)
 
 
 def _score_survival(survived, lam, alphabet):
@@ -285,7 +267,8 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
 def estimate_capacity(transcript):
     """Capacity estimated from one transcript, as (estimate, bounds).
 
-    An erasure transcript is scored by its erased fraction and has no bounds.
+    An erasure transcript is scored as lam * log2(k) * (1 - erased fraction)
+    by _score_survival and has no bounds.
     A noise-permutation transcript is scored from its own delay column: bounds
     maps lower, upper and csir_exact to bits/sec estimates, and the estimate
     is csir_exact when the receiver knows the timing, else lower. Both are
@@ -296,7 +279,8 @@ def estimate_capacity(transcript):
     if len(transcript) < 2:
         return None, None
     if spec.channel.kind == "erasure":
-        return estimate_erasure_capacity(transcript), None
+        return _score_survival(transcript.y != ERASED, spec.lam,
+                               spec.channel.size), None
     lam, log_k = spec.lam, math.log2(spec.channel.size)
     h = estimate_bijective_bounds(spec, transcript.w)
     bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),

@@ -165,7 +165,7 @@ def check_mm1_erasure_formula(seed=None):
             formula = capacity.mm1_capacity_closed_form(lam, kappa).bits_per_sec
             tr = simulate.simulate_transmission(_erasure_spec(lam, kappa),
                                                 N_DEFAULT, seed=next(children))
-            rep = validate_formula(formula, simulate.estimate_erasure_capacity(tr))
+            rep = validate_formula(formula, simulate.estimate_capacity(tr)[0])
             out.note(rep.passed, f"lam={lam:g} kappa={kappa:g}: {rep}")
     return out
 
@@ -424,8 +424,7 @@ def check_noiseless_and_instability(seed=None):
         ("evaluate_capacity",
          lambda: capacity.evaluate_capacity(jspec, 10, seed=0)),
         ("bijective_capacity",
-         lambda: capacity.bijective_capacity(jspec, {capacity.H_MEAN_NOISE: 0.1},
-                                             assume_unpredictable=True)),
+         lambda: capacity.bijective_capacity(jspec, {}, assume_unpredictable=True)),
         ("simulate_transmission",
          lambda: simulate.simulate_transmission(spec, 10, seed=0)),
         ("estimate_bijective_bounds",
@@ -476,7 +475,7 @@ def check_optimizer_route_discrepancy(seed=None):
     for label, lam in (("transform", lam_pk), ("premise", lam_premise)):
         tr = simulate.simulate_transmission(_erasure_spec(lam, kappa), N_DEFAULT,
                                             seed=next(children))
-        estimates[label] = simulate.estimate_erasure_capacity(tr)
+        estimates[label] = simulate.estimate_capacity(tr)[0]
     margin = estimates["transform"].value - estimates["premise"].value
     joint = math.hypot(estimates["transform"].std_error,
                        estimates["premise"].std_error)

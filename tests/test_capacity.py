@@ -149,6 +149,11 @@ def test_optimal_lambda_scales_with_service_rate():
     assert fast == pytest.approx(2.0 * slow)
 
 
+def _h(value):
+    """A noise-entropy expectation as bijective_capacity takes it."""
+    return EstimateWithError(value=value, std_error=0.0, n=2)
+
+
 def _bsc_spec(lam, csir=False):
     return QueueChannelSpec(
         arrival=PoissonArrivals(lam), service=Exponential(1.0),
@@ -159,12 +164,12 @@ def _bsc_spec(lam, csir=False):
 def test_bsc_capacity_routes_on_timing_knowledge():
     # the binary symmetric channel is the k=2 bijective channel:
     # H(N(W)) = h(phi(W)) and H(E N(W)) = h(E phi(W))
-    with_timing = bijective_capacity(_bsc_spec(0.5, csir=True), {E_H_NOISE: 0.65})
+    with_timing = bijective_capacity(_bsc_spec(0.5, csir=True), {E_H_NOISE: _h(0.65)})
     assert with_timing.bits_per_sec == pytest.approx(0.5 * 0.35)
     assert with_timing.diagnostics["csir"] is True
     # E[phi(W)] = (1 - E[e^-W])/2 = 1/6 at lam=0.5, kappa=1
     blind = bijective_capacity(_bsc_spec(0.5),
-                               {H_MEAN_NOISE: binary_entropy(1.0 / 6.0)},
+                               {H_MEAN_NOISE: _h(binary_entropy(1.0 / 6.0))},
                                assume_unpredictable=True)
     assert blind.bits_per_sec == pytest.approx(0.17498878917582289, abs=1e-12)
     assert "assumption" in blind.diagnostics
@@ -179,14 +184,14 @@ def test_bsc_capacity_accepts_estimates_and_checks_keys():
     assert blind.diagnostics["expectation_std_error"] == 1e-4
     assert blind.diagnostics["n"] == 100
     with pytest.raises(ValueError, match="E_H_noise"):
-        bijective_capacity(_bsc_spec(0.5, csir=True), {H_MEAN_NOISE: 0.1})
+        bijective_capacity(_bsc_spec(0.5, csir=True), {H_MEAN_NOISE: _h(0.1)})
     with pytest.raises(ValueError, match="H_mean_noise"):
-        bijective_capacity(_bsc_spec(0.5), {E_H_NOISE: 0.1},
+        bijective_capacity(_bsc_spec(0.5), {E_H_NOISE: _h(0.1)},
                            assume_unpredictable=True)
     with pytest.raises(TypeError):
-        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: 0.1})
+        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: _h(0.1)})
     with pytest.raises(InstabilityError):
-        bijective_capacity(_bsc_spec(1.2), {H_MEAN_NOISE: 0.1},
+        bijective_capacity(_bsc_spec(1.2), {H_MEAN_NOISE: _h(0.1)},
                            assume_unpredictable=True)
 
 
@@ -200,13 +205,13 @@ def _bijective_spec(lam, csir=False):
 
 def test_bijective_capacity_timing_aware_value():
     result = bijective_capacity(_bijective_spec(0.5, csir=True),
-                                {E_H_NOISE: 0.4})
+                                {E_H_NOISE: _h(0.4)})
     assert result.bits_per_sec == pytest.approx(0.5 * 0.6)
     assert result.method == METHOD_MC
 
 
 def test_bijective_capacity_unpredictable_route():
-    result = bijective_capacity(_bijective_spec(0.5), {H_MEAN_NOISE: 0.65},
+    result = bijective_capacity(_bijective_spec(0.5), {H_MEAN_NOISE: _h(0.65)},
                                 assume_unpredictable=True)
     assert result.bits_per_sec == pytest.approx(0.5 * 0.35)
     assert "assumption" in result.diagnostics
@@ -214,7 +219,7 @@ def test_bijective_capacity_unpredictable_route():
 
 def test_bijective_capacity_bound_pair():
     result = bijective_capacity(
-        _bijective_spec(0.5), {H_MEAN_NOISE: 0.9, E_H_KERNEL_NOISE: 0.7})
+        _bijective_spec(0.5), {H_MEAN_NOISE: _h(0.9), E_H_KERNEL_NOISE: _h(0.7)})
     assert result.bits_per_sec is None
     assert result.method == METHOD_BOUNDS
     lower, upper = result.bounds
@@ -227,11 +232,11 @@ def test_bijective_capacity_bound_pair():
 
 def test_bijective_capacity_checks_inputs():
     with pytest.raises(ValueError, match="H_mean_noise"):
-        bijective_capacity(_bijective_spec(0.5), {E_H_KERNEL_NOISE: 0.7})
+        bijective_capacity(_bijective_spec(0.5), {E_H_KERNEL_NOISE: _h(0.7)})
     with pytest.raises(TypeError):
-        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: 0.5})
+        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: _h(0.5)})
     with pytest.raises(InstabilityError):
-        bijective_capacity(_bijective_spec(1.2), {H_MEAN_NOISE: 0.5},
+        bijective_capacity(_bijective_spec(1.2), {H_MEAN_NOISE: _h(0.5)},
                            assume_unpredictable=True)
 
 

@@ -683,6 +683,23 @@ def test_cli_sweep_checks_out_before_computing(capsys, tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_cli_simulate_checks_out_before_computing(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "simulate_transmission",
+                        lambda *a, **k: calls.append(a))
+    code, out, _ = _run(capsys, "simulate", "--n", "10", "--out",
+                        str(tmp_path / "missing" / "t.csv"))
+    assert code == 2
+    assert _payload(out)["error"] == "config"
+    assert calls == []
+    # a run that fails after the check leaves no file behind
+    monkeypatch.undo()
+    code, _, _ = _run(capsys, "simulate", "--lambda", "1.2", "--n", "10",
+                      "--out", str(tmp_path / "t.csv"))
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_sweep_replaces_out_only_after_computing(capsys, tmp_path, monkeypatch):
     target = tmp_path / "keep.csv"
     header = b"lambda,kappa,capacity_analytic,capacity_mc,mc_stderr\r\n"
@@ -723,7 +740,29 @@ def test_cli_sweep_rejects_one_symbol_per_cell(capsys, tmp_path):
     assert code == 2
     assert _payload(text) == {"error": "config", "message": "cannot sweep: need at "
                               "least 2 symbols per Monte Carlo cell, got 1"}
-    assert out.read_bytes() == b""
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_cli_sweep_write_failure_keeps_old_out(capsys, tmp_path, monkeypatch):
+    class FullDisk:
+        def __repr__(self):
+            raise OSError(28, "No space left on device")
+
+    row = {"lambda": 0.5, "kappa": 1.0, "capacity_analytic": 0.25,
+           "capacity_mc": None, "mc_stderr": None}
+    # the first row is written, then the write fails part-way
+    monkeypatch.setattr(simulate, "sweep_rows", lambda *a, **k: [
+        row, {**row, "capacity_analytic": FullDisk()}])
+    target = tmp_path / "keep.csv"
+    old = b"lambda,kappa,capacity_analytic,capacity_mc,mc_stderr\r\n0.5,1.0,,,\r\n"
+    target.write_bytes(old)
+    code, out, _ = _run(capsys, "sweep", "--n", "10", "--out", str(target))
+    assert code == 2
+    assert _payload(out) == {"error": "config", "message": "cannot write output: "
+                             f"{target}: No space left on device"}
+    assert target.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_cli_sweep_deterministic_csv(capsys, tmp_path):

@@ -62,7 +62,7 @@ def test_no_module_level_scipy_import(path):
 def test_scan_flags_a_module_level_scipy_import():
     assert _module_level_imports(
         "import numpy\nimport scipy.special\nfrom scipy import integrate\n"
-        "from .numerics import as_rng\n"
+        "from .numerics import spawn_rngs\n"
         "def f():\n    import scipy.linalg\n", "scipy") == ["scipy", "scipy.special"]
 
 

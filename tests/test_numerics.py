@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qcl.numerics import (QuadratureError, as_rng, batch_means,
-                          golden_section_extremize, quadrature_laplace,
-                          spawn_rngs)
+from qcl.numerics import (QuadratureError, batch_means, golden_section_extremize,
+                          quadrature_laplace, spawn_rngs)
 
 
 def test_batch_means_recovers_iid_mean_and_error():
@@ -96,14 +95,6 @@ def test_quadrature_raises_when_target_unreachable():
 def test_quadrature_rejects_nonpositive_u():
     with pytest.raises(ValueError):
         quadrature_laplace(lambda w: 1.0, 0.0)
-
-
-def test_as_rng_accepts_seed_forms():
-    a = as_rng(5).random(3)
-    b = as_rng(5).random(3)
-    assert np.array_equal(a, b)
-    gen = np.random.default_rng(9)
-    assert as_rng(gen) is gen
 
 
 def test_spawn_rngs_streams_are_reproducible_and_distinct():

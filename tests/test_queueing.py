@@ -222,6 +222,16 @@ def test_stationary_wait_samples_reproducible():
                                 seed=10)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+    # the seed may also be a SeedSequence, or a Generator, which is drawn
+    # from as given, so its stream advances
+    ss = stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5), 5000,
+                                 seed=np.random.SeedSequence(9))
+    assert np.array_equal(ss.samples, a.samples)
+    gen = np.random.default_rng(9)
+    first, second = (stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5),
+                                             5000, seed=gen) for _ in range(2))
+    assert np.array_equal(first.samples, a.samples)
+    assert not np.array_equal(second.samples, first.samples)
 
 
 def test_stationary_wait_samples_rejects_unstable_and_empty():
