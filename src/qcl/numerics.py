@@ -26,13 +26,11 @@ class QuadratureError(RuntimeError):
 
 
 def spawn_rngs(seed, k):
-    """Split one seed into k independent generators (stable child order)."""
+    """Split one seed (an int, None, a SeedSequence or a Generator) into k
+    independent generators (stable child order). Each call on the same
+    SeedSequence or Generator spawns new children."""
     import numpy as np
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(k)]
+    return np.random.default_rng(seed).spawn(k)
 
 
 def batch_means(x):

@@ -10,7 +10,6 @@ import math
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,8 +308,9 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     kappa * w <= E (probability exp(-kappa * w)). So the cells, each with its
     own batch-means mc_stderr, are correlated across lambda and kappa: at a
     fixed lambda capacity_mc cannot rise with kappa, and a repeated kappa
-    repeats its cells. The lambdas run on a pool of os.cpu_count() threads;
-    lambda = 0 scores 0 without running the queue, and alone draws nothing.
+    repeats its cells. The lambdas are mapped by fork_map, whose workers
+    inherit the one draw; lambda = 0 scores 0 without running the queue, and
+    alone draws nothing.
     """
     if 0 < n < 2:
         raise ValueError(f"need at least 2 symbols per Monte Carlo cell, got {n}")
@@ -352,8 +352,7 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
                     for kappa in kappas]
             return [(est.value, est.std_error) for est in ests]
 
-        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-            columns = list(pool.map(mc_column, kept))
+        columns = list(fork_map(mc_column, kept))
         # columns[i][j] is (lambda i, kappa j); rows run kappas outer
         cells = [cell for by_kappa in zip(*columns) for cell in by_kappa]
         for row, (value, stderr) in zip(rows, cells):

@@ -42,13 +42,12 @@ class ValidationReport:
 
 
 def validate_formula(formula_value, estimate):
-    """Compare a closed-form value against a Monte Carlo estimate.
+    """Compare a closed-form value against a Monte Carlo EstimateWithError.
 
     Passes when |estimate - formula| <= SIGMA_GATE * std_error; a
     zero-variance estimate must match exactly.
     """
-    value = float(getattr(estimate, "value", estimate))
-    se = float(getattr(estimate, "std_error", 0.0))
+    value, se = float(estimate.value), float(estimate.std_error)
     diff = abs(value - formula_value)
     if se == 0.0:
         passed = diff == 0.0

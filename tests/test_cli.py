@@ -921,6 +921,29 @@ def test_cli_validate_killed_worker_is_a_config_error(capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+def test_cli_sweep_killed_worker_is_a_config_error(capsys, tmp_path, monkeypatch):
+    def die_in_worker(services, gaps):
+        """A Lindley pass whose pool worker dies."""
+        # in the calling process, exiting would end the test run itself
+        assert multiprocessing.parent_process() is not None, "lambda run serially"
+        os._exit(1)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "lindley_waits", die_in_worker)
+    target = tmp_path / "s.csv"
+    code, out, _ = _run(capsys, "sweep", "--n", "50", "--seed", "1",
+                        "--out", str(target))
+    assert code == 2
+    payload = _payload(out)
+    assert payload["error"] == "config"
+    assert payload["message"].startswith("a worker process died: ")
+    assert multiprocessing.active_children() == []
+    assert not target.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"channel": "bijective", "noise": {"kind": "wait_geometric", "kappa": 0.5}},
      "unknown noise keys: kappa"),

@@ -82,6 +82,20 @@ def test_same_seed_reproduces_transcript():
     assert not np.array_equal(t1.y, t3.y)
 
 
+def test_generator_seed_reaches_both_entry_points():
+    # a Generator spawns from its seed sequence: its first children are its
+    # int seed's, and each reuse spawns new ones
+    g = np.random.default_rng(5)
+    first = simulate_transmission(_spec(), 500, seed=g)
+    again = simulate_transmission(_spec(), 500, seed=g)
+    assert np.array_equal(first.w, simulate_transmission(_spec(), 500, seed=5).w)
+    assert not np.array_equal(first.w, again.w)
+    g = np.random.default_rng(5)
+    rows = sweep_rows([0.5], [1.0], n=500, seed=g)
+    assert rows == sweep_rows([0.5], [1.0], n=500, seed=5)
+    assert rows != sweep_rows([0.5], [1.0], n=500, seed=g)
+
+
 def test_zero_length_and_unstable_transmission():
     empty = simulate_transmission(_spec(), 0, seed=1)
     assert len(empty) == 0
@@ -269,8 +283,7 @@ def test_validate_formula_reports():
     assert exact.passed
     off = validate_formula(2.0, EstimateWithError(2.1, 0.0, 1))
     assert not off.passed and math.isinf(off.sigma_distance)
-    # plain floats work too
-    assert validate_formula(0.5, 0.5).passed
+    assert validate_formula(0.5, EstimateWithError(0.5, 0.0, 1)).passed
 
 
 def test_sweep_rows_analytic_only():
@@ -295,9 +308,21 @@ def test_sweep_rows_drops_unstable_rates_with_warning():
     assert [r["lambda"] for r in rows] == [0.5]
 
 
-def test_sweep_rows_threaded_matches_serial():
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+def test_sweep_rows_pool_matches_serial(monkeypatch, pool_spy):
     lambdas, kappas = [0.2, 0.5, 0.8], [0.1, 1.0]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = sweep_rows(lambdas, kappas, n=2000, seed=21)
+    assert pool_spy == []
+    # two CPUs even on a one-CPU runner, so the pool maps the three lambdas
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = dict(vars(simulate))
     rows = sweep_rows(lambdas, kappas, n=2000, seed=21)
+    assert len(pool_spy) == 1
+    assert multiprocessing.active_children() == []
+    assert vars(simulate) == before
+    assert rows == serial
     # each pooled cell equals that cell recomputed alone from the sweep's
     # one draw: gaps, services and survival marks split from the seed
     gap_rng, service_rng, mark_rng = spawn_rngs(21, 3)
@@ -318,7 +343,9 @@ def test_sweep_rows_threaded_matches_serial():
 
 def _record_draws(monkeypatch):
     """Record the generators every sweep splits off its seed, and the gaps
-    of every Lindley pass it runs."""
+    of every Lindley pass it runs. One CPU keeps the passes in this process,
+    where the recorders run."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     streams, passes = [], []
     spawn, lindley = simulate.spawn_rngs, simulate.lindley_waits
     monkeypatch.setattr(simulate, "spawn_rngs",
