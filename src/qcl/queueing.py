@@ -229,23 +229,35 @@ def lindley_waits(services, interarrivals):
 
     services[j] is customer j's service time; interarrivals[j] is the gap
     between arrivals j-1 and j (entry 0 is the first arrival epoch and does not
-    influence waits). Returns the waiting-before-service times, using the
-    prefix-sum identity W_j = max(P_j, P_j - min_k<=j P_k) with P_j = sum of
-    (services - interarrivals) increments; the larger term is never negative.
-    It works in place: one temporary of n - 1 floats besides the output.
+    influence waits). Returns the waiting-before-service times of
+    waits_from_prefix_sums, with P_j the running sum of the increments
+    services[j-1] - interarrivals[j]. It works in place: one temporary of
+    n - 1 floats besides the output.
     """
     import numpy as np
     s = np.asarray(services, dtype=float)
     t = np.asarray(interarrivals, dtype=float)
     if s.shape != t.shape:
         raise ValueError("services and interarrivals must have equal length")
-    n = s.size
-    w = np.empty(n)
-    if n == 0:
+    w = np.empty(s.size)
+    if s.size == 0:
         return w
-    w[0] = 0.0
     p = np.subtract(s[:-1], t[1:])
     np.cumsum(p, out=p)
+    return waits_from_prefix_sums(p, w)
+
+
+def waits_from_prefix_sums(p, w):
+    """Waits W_0..W_{n-1} of a queue that starts empty, written into w (n
+    floats) and returned, from the n - 1 prefix sums
+    P_j = sum over i = 1..j of (S_{i-1} - T_i), services minus interarrival
+    gaps: W_0 = 0 and W_j = max(P_j, P_j - min_k<=j P_k), whose larger term
+    is never negative. p is read, not written. lindley_waits allocates w
+    before p, so that freeing p leaves no hole below w where the heap holds
+    arrays this size (as when the malloc thresholds are pinned).
+    """
+    import numpy as np
+    w[0] = 0.0
     tail = w[1:]
     np.minimum.accumulate(p, out=tail)
     np.subtract(p, tail, out=tail)

@@ -19,8 +19,8 @@ from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_means, spawn_rngs
-from .queueing import (DelayConvention, Exponential, PoissonArrivals, lindley_waits,
-                       queue_path)
+from .queueing import (DelayConvention, Exponential, PoissonArrivals, queue_path,
+                       waits_from_prefix_sums)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
@@ -150,14 +150,25 @@ def simulate_transmission(spec, n, seed=None):
 
 def _score_survival(survived, lam, alphabet):
     """Erasure capacity lam * log2(alphabet) * (surviving fraction) from the
-    survival indicators of consecutive symbols.
+    boolean survival indicators of consecutive symbols.
 
     The standard error is batch-means (the indicators inherit the delay
-    autocorrelation); the i.i.d. binomial error is kept in details.
+    autocorrelation); the i.i.d. binomial error is kept in details. The
+    fraction and batch means are integer counts over their sizes, bit for
+    bit what batch_means gives on the 0/1 floats, which still scores fewer
+    than 2 batches or a constant series.
     """
-    survived = np.asarray(survived, dtype=float)
+    survived = np.asarray(survived, dtype=bool)
     n = survived.size
-    frac, se, m = batch_means(survived)
+    count = int(np.count_nonzero(survived))
+    batch = math.ceil(math.sqrt(n))
+    m = n // batch
+    if m < 2 or count in (0, n):
+        frac, se, m = batch_means(survived.astype(float))
+    else:
+        frac = count / n
+        means = np.count_nonzero(survived[: m * batch].reshape(m, batch), axis=1) / batch
+        se = float(means.std(ddof=1) / math.sqrt(m))
     scale = lam * math.log2(alphabet)
     binomial_se = scale * math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
     return EstimateWithError(value=scale * frac, std_error=scale * se, n=n,
@@ -303,14 +314,20 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
 
     The Monte Carlo cells share one draw per sweep (common random numbers),
     split from seed: n standard exponential gaps G, n service times S and n
-    standard exponential survival marks E. Each lambda runs the queue on S
-    and G / lambda, and each kappa counts a delay w as survived when
-    kappa * w <= E (probability exp(-kappa * w)). So the cells, each with its
-    own batch-means mc_stderr, are correlated across lambda and kappa: at a
-    fixed lambda capacity_mc cannot rise with kappa, and a repeated kappa
-    repeats its cells. The lambdas are mapped by fork_map, whose workers
-    inherit the one draw; lambda = 0 scores 0 without running the queue, and
-    alone draws nothing.
+    standard exponential survival marks E. The running sums CG of G and CS
+    of S are taken once, in place (SOJOURN keeps S apart, to add it to the
+    waits); each lambda runs waits_from_prefix_sums on CS - CG / lambda, and
+    each kappa counts a delay w as survived when kappa * w <= E (probability
+    exp(-kappa * w)). So the cells, each with its own batch-means mc_stderr,
+    are correlated across lambda and kappa: at a fixed lambda capacity_mc
+    cannot rise with kappa, and a repeated kappa repeats its cells. The
+    lambdas are mapped by fork_map, whose workers inherit the one draw;
+    lambda = 0 scores 0 without running the queue, and alone draws nothing.
+
+    These waits differ from lindley_waits(S, G / lambda) in their last bits,
+    within sqrt(n) * eps * (CS[-1] + CG[-1] / lambda), eps the float64
+    machine epsilon: on the default grid at n = 10**6, seeds 0-9, by at most
+    3.0e-8 (under 6% of the bound), flipping no survival indicator.
     """
     if 0 < n < 2:
         raise ValueError(f"need at least 2 symbols per Monte Carlo cell, got {n}")
@@ -341,16 +358,27 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
             gaps = gap_rng.standard_exponential(n)
             services = service.sample(service_rng, size=n)
             marks = mark_rng.standard_exponential(n)
+            # the running sums every lambda shares; only SOJOURN reads S again
+            sojourn = convention is DelayConvention.SOJOURN
+            cum_gaps = np.cumsum(gaps[1:], out=gaps[1:])
+            cum_services = np.cumsum(services[:-1],
+                                     out=None if sojourn else services[:-1])
 
         def mc_column(lam):
             if lam == 0.0:
                 return [(0.0, 0.0)] * len(kappas)
-            w = lindley_waits(services, gaps / lam)
-            if convention is DelayConvention.SOJOURN:
+            w, scaled = np.empty(n), np.empty(n)  # scaled: P, then kappa * w
+            p = np.divide(cum_gaps, lam, out=scaled[1:])
+            waits_from_prefix_sums(np.subtract(cum_services, p, out=p), w)
+            if sojourn:
                 w += services
-            ests = [_score_survival(kappa * w <= marks, lam, alphabet)
-                    for kappa in kappas]
-            return [(est.value, est.std_error) for est in ests]
+            survived = np.empty(n, dtype=bool)
+            column = []
+            for kappa in kappas:
+                np.less_equal(np.multiply(kappa, w, out=scaled), marks, out=survived)
+                est = _score_survival(survived, lam, alphabet)
+                column.append((est.value, est.std_error))
+            return column
 
         columns = list(fork_map(mc_column, kept))
         # columns[i][j] is (lambda i, kappa j); rows run kappas outer

@@ -924,14 +924,14 @@ def test_cli_validate_killed_worker_is_a_config_error(capsys, monkeypatch):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the pool forks its workers")
 def test_cli_sweep_killed_worker_is_a_config_error(capsys, tmp_path, monkeypatch):
-    def die_in_worker(services, gaps):
+    def die_in_worker(prefix_sums, waits):
         """A Lindley pass whose pool worker dies."""
         # in the calling process, exiting would end the test run itself
         assert multiprocessing.parent_process() is not None, "lambda run serially"
         os._exit(1)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(simulate, "lindley_waits", die_in_worker)
+    monkeypatch.setattr(simulate, "waits_from_prefix_sums", die_in_worker)
     target = tmp_path / "s.csv"
     code, out, _ = _run(capsys, "sweep", "--n", "50", "--seed", "1",
                         "--out", str(target))

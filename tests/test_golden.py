@@ -43,6 +43,10 @@ CASES = {
     "sweep-n2000": (["sweep", "--n", "2000", "--seed", "21"],
                     {"grid": {"start": 0.1, "stop": 0.9, "step": 0.2},
                      "kappas": [0.1, 1.0]}, True, False),
+    "sweep-gamma-sojourn-n20001": (
+        ["sweep", "--n", "20001", "--seed", "4"],
+        {"grid": {"start": 0.1, "stop": 0.9, "step": 0.2}, "kappas": [0.1, 1.0],
+         "service": GAMMA, "delay_convention": "sojourn"}, True, False),
     "simulate-erasure": (["simulate", "--n", "500", "--seed", "3"], None, True,
                          False),
     "simulate-bsc-timing": (["simulate", "--n", "500", "--seed", "5"],
@@ -182,6 +186,15 @@ GOLDEN = {
             "n": 2000
         },
         "sha256": "2be460a9f62c4540511f3c4259184c763cbba1b91fdbffd3de66dbfb234e82f3"
+    },
+    "sweep-gamma-sojourn-n20001": {
+        "stdout": {
+            "out": "<out>",
+            "rows": 10,
+            "kappas": [0.1, 1.0],
+            "n": 20001
+        },
+        "sha256": "38982dbaf7ad61ac7189a7f925490d40a9fc39bd57bffd7faeab643d56657d25"
     },
     "simulate-erasure": {
         "stdout": {

@@ -22,7 +22,7 @@ from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
 from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, PoissonArrivals, lindley_waits,
-                          stationary_wait_samples)
+                          stationary_wait_samples, waits_from_prefix_sums)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, simulate_transmission, sweep_rows)
 from qcl.validation import validate_formula
@@ -324,13 +324,12 @@ def test_sweep_rows_pool_matches_serial(monkeypatch, pool_spy):
     assert vars(simulate) == before
     assert rows == serial
     # each pooled cell equals that cell recomputed alone from the sweep's
-    # one draw: gaps, services and survival marks split from the seed
-    gap_rng, service_rng, mark_rng = spawn_rngs(21, 3)
-    gaps = gap_rng.standard_exponential(2000)
-    services = Exponential(1.0).sample(service_rng, size=2000)
-    marks = mark_rng.standard_exponential(2000)
+    # one draw: gaps, services and survival marks split from the seed, and
+    # the running sums of gaps and services shared by every lambda
+    gaps, services, marks = _sweep_draws(21, 2000)
+    cum_gaps, cum_services = np.cumsum(gaps[1:]), np.cumsum(services[:-1])
     for i, lam in enumerate(lambdas):
-        w = lindley_waits(services, gaps / lam)
+        w = waits_from_prefix_sums(cum_services - cum_gaps / lam, np.empty(2000))
         for j, kappa in enumerate(kappas):
             mean, se, _ = batch_means(kappa * w <= marks)
             row = rows[j * len(lambdas) + i]
@@ -341,17 +340,30 @@ def test_sweep_rows_pool_matches_serial(monkeypatch, pool_spy):
                 6.0 * row["mc_stderr"]
 
 
+def _sweep_draws(seed, n):
+    """The gaps, services and survival marks sweep_rows draws from seed at
+    its default exponential service."""
+    gap_rng, service_rng, mark_rng = spawn_rngs(seed, 3)
+    return (gap_rng.standard_exponential(n), Exponential(1.0).sample(service_rng, size=n),
+            mark_rng.standard_exponential(n))
+
+
 def _record_draws(monkeypatch):
-    """Record the generators every sweep splits off its seed, and the gaps
-    of every Lindley pass it runs. One CPU keeps the passes in this process,
-    where the recorders run."""
+    """Record the generators every sweep splits off its seed, and the prefix
+    sums and waits of every Lindley pass it runs. One CPU keeps the passes in
+    this process, where the recorders run."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     streams, passes = [], []
-    spawn, lindley = simulate.spawn_rngs, simulate.lindley_waits
+    spawn, waits = simulate.spawn_rngs, simulate.waits_from_prefix_sums
+
+    def record(p, w):
+        # the sweep reuses the buffers once its cells are scored
+        passes.append((p.copy(), waits(p, w).copy()))
+        return w
+
     monkeypatch.setattr(simulate, "spawn_rngs",
                         lambda *a: streams.append(spawn(*a)) or streams[-1])
-    monkeypatch.setattr(simulate, "lindley_waits",
-                        lambda s, t: passes.append(t) or lindley(s, t))
+    monkeypatch.setattr(simulate, "waits_from_prefix_sums", record)
     return streams, passes
 
 
@@ -363,13 +375,63 @@ def test_sweep_rows_draws_once_and_runs_one_lindley_pass_per_lambda(monkeypatch)
     # one split of the seed, and each stream advanced by exactly one draw of n
     fresh = spawn_rngs(4, 3)
     gaps = fresh[0].standard_exponential(200)
-    Exponential(1.0).sample(fresh[1], size=200)
+    services = Exponential(1.0).sample(fresh[1], size=200)
     fresh[2].standard_exponential(200)
     [drawn] = streams
     assert [r.bit_generator.state for r in drawn] == \
         [r.bit_generator.state for r in fresh]
-    # one Lindley pass per lambda, each on the shared gaps scaled by 1/lambda
-    assert sorted(gaps[1] / t[1] for t in passes) == pytest.approx([0.2, 0.5, 0.8])
+    # one Lindley pass per lambda, in order, each on the shared running sums
+    # of services and gaps, the gaps scaled by 1/lambda
+    cum_gaps, cum_services = np.cumsum(gaps[1:]), np.cumsum(services[:-1])
+    assert [p.tolist() for p, _ in passes] == \
+        [(cum_services - cum_gaps / lam).tolist() for lam in (0.2, 0.5, 0.8)]
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 0.9, 0.99])
+def test_sweep_rows_waits_stay_within_their_bound_of_lindley(monkeypatch, lam):
+    # the bound of sweep_rows' docstring, at the n of the default sweep
+    n = 10 ** 6
+    _, passes = _record_draws(monkeypatch)
+    sweep_rows([lam], [1.0], n=n, seed=7)
+    [(_, w)] = passes
+    gaps, services, _ = _sweep_draws(7, n)
+    bound = math.sqrt(n) * np.finfo(float).eps * (services[:-1].sum() + gaps[1:].sum() / lam)
+    assert np.abs(w - lindley_waits(services, gaps / lam)).max() <= bound
+
+
+def test_sweep_rows_sums_its_draws_in_place(monkeypatch):
+    # three draws, then per lambda the prefix sums (reused for kappa * w), the
+    # waits and the survival booleans: about 5.2 * 8n. The old path, which
+    # scaled the gaps afresh for each lambda, peaked at 6.01 * 8n; prefix
+    # sums allocated apart from the draws would add 2 * 8n.
+    n = 100_000
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    sweep_rows([0.3], [1.0], n=n, seed=1)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        sweep_rows([0.3, 0.6, 0.9], [0.1, 1.0], n=n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n
+
+
+@pytest.mark.parametrize("survived", [
+    np.ones(100, dtype=bool), np.zeros(100, dtype=bool),
+    *(np.random.default_rng(n).random(n) < 0.5 for n in (2, 3, 4, 5)),
+    np.arange(4) < 2, np.random.default_rng(8).random(10_007) < 0.7,
+    *(np.random.default_rng(seed).random(n) < p
+      for seed, (n, p) in enumerate([(100, 0.5), (9999, 0.01), (40_000, 0.99),
+                                     (123_457, 0.3)]))],
+    ids=["all", "none", "n2", "n3", "n4", "n5", "n4-split", "tail",
+         "random-100", "random-9999", "random-40000", "random-123457"])
+def test_score_survival_counts_have_batch_means_bits(survived):
+    # the same bits as batch_means on the 0/1 floats, as Python numbers
+    est = simulate._score_survival(survived, 0.7, 2)
+    got = (est.value, est.std_error, est.details["batches"])
+    mean, se, m = batch_means(survived.astype(float))
+    assert got == (0.7 * mean, 0.7 * se, m)
+    assert all(type(x) in (float, int) for x in got)
 
 
 def test_sweep_rows_repeated_kappa_repeats_its_cells():
