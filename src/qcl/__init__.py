@@ -20,7 +20,7 @@ array functions.
 
 import importlib
 
-from .capacity import (CapacityResult, QueueChannelSpec, alpha_mg1,
+from .capacity import (CapacityResult, alpha_mg1,
                        bijective_capacity, erasure_capacity, evaluate_capacity,
                        mean_survival, mm1_capacity_closed_form,
                        optimal_lambda_mg1, pk_wait_transform)
@@ -32,7 +32,7 @@ from .config import ConfigError, build_spec, load_config, validate_config
 from .numerics import (OptimizationResult, QuadratureError, batch_means,
                        golden_section_extremize, quadrature_laplace, spawn_rngs)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
-                       Gamma, InstabilityError, PoissonArrivals,
+                       Gamma, InstabilityError, QueueChannelSpec,
                        ServiceDistribution, Uniform, WaitSampleSet,
                        check_stability, default_burn_in, lindley_waits,
                        stationary_wait_samples)
@@ -70,7 +70,6 @@ __all__ = [
     "Gamma",
     "InstabilityError",
     "OptimizationResult",
-    "PoissonArrivals",
     "QuadratureError",
     "QueueChannelSpec",
     "RandomBijective",

@@ -5,7 +5,9 @@ F(s) = E[exp(-s*S)] and the stationary-wait transform E[exp(-kappa*W)] given by
 the Pollaczek-Khinchin formula. Expectations with no transform expression
 (the entropy functionals of the permutation channels) are supplied by the
 caller, normally evaluate_capacity's sampling branch, the one place here that
-reaches qcl.simulate (and numpy).
+reaches qcl.simulate (and numpy). A queue comes either as a QueueChannelSpec,
+stable by construction (qcl.queueing), or as a bare arrival rate lam, which
+pk_wait_transform and mm1_capacity_closed_form check with check_stability.
 """
 
 import math
@@ -24,28 +26,6 @@ ALPHA_ROUNDING = 4 * math.ulp(1.0)  # how far above 1 a rounded alpha may land
 
 UNPREDICTABILITY_NOTE = ("no-timing-information value assumes the queue state is "
                          "unpredictable from past noise alone")
-
-
-@dataclass(frozen=True)
-class QueueChannelSpec:
-    """Complete experiment description: queue, channel, and conventions."""
-
-    arrival: object
-    service: object
-    channel: object
-    delay_convention: DelayConvention = DelayConvention.WAITING_BEFORE_SERVICE
-    receiver_knows_timing: bool = False
-
-    @property
-    def lam(self):
-        return self.arrival.rate
-
-    @property
-    def mu(self):
-        return 1.0 / self.service.mean
-
-    def check_stable(self):
-        check_stability(self.lam, self.mu)
 
 
 @dataclass(frozen=True)
@@ -104,7 +84,6 @@ def mean_survival(spec):
     multiplies in the service transform F(kappa).
     """
     kappa = spec.channel.decoherence.kappa
-    spec.check_stable()
     if kappa == 0.0:
         return 1.0
     value = pk_wait_transform(spec.lam, spec.service, kappa)
@@ -121,7 +100,6 @@ def erasure_capacity(spec):
     """
     if spec.channel.kind != "erasure":
         raise TypeError("erasure_capacity needs an Erasure channel")
-    spec.check_stable()
     k = spec.channel.size
     diagnostics = {"alphabet_size": k, "receiver_knows_timing_irrelevant": True}
     surv = mean_survival(spec)
@@ -139,8 +117,6 @@ def erasure_capacity(spec):
 def mm1_capacity_closed_form(lam, kappa):
     """Binary erasure capacity of the unit-rate exponential-service queue:
     lam*(1-lam)/(1 - alpha*lam) with alpha = 1/(1+kappa)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     check_stability(lam, 1.0)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -192,7 +168,6 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
     """
     if spec.channel.kind != "bijective":
         raise TypeError("bijective_capacity needs a RandomBijective channel")
-    spec.check_stable()
     log_k = math.log2(spec.channel.size)
 
     def rate(key, method, **diagnostics):
@@ -235,11 +210,10 @@ def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
         keys = (H_MEAN_NOISE,)
     else:
         keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
-    spec.check_stable()
     if n < 2:
         raise ValueError(f"need at least 2 delays, got {n}")
     from .simulate import estimate_bijective_bounds
-    waits = stationary_wait_samples(spec.arrival, spec.service, n, seed=seed,
+    waits = stationary_wait_samples(spec.lam, spec.service, n, seed=seed,
                                     convention=spec.delay_convention)
     expectations = estimate_bijective_bounds(spec, waits.samples, keys)
     return bijective_capacity(spec, expectations, assume_unpredictable)

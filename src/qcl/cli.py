@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import capacity
 from .config import ConfigError, build_channel, build_spec, load_config
 from .numerics import golden_section_extremize
-from .queueing import InstabilityError, PoissonArrivals
+from .queueing import InstabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,27 +41,19 @@ def emit(payload, stream=None):
 
 
 @contextlib.contextmanager
-def _writing(out):
-    """Report an output path that cannot be opened or written as a config
-    error naming out, not whatever file the failing call was writing."""
-    try:
-        yield
-    except OSError as err:
-        raise ConfigError(f"cannot write output: {out}: {err.strerror or err}") from None
-
-
-@contextlib.contextmanager
 def _replacing(out):
     """Yield a temporary path beside out, created at once so that an
     unwritable directory fails before any work. What the caller writes there
     replaces out on success; on failure out is left as it was and the
-    temporary file is removed. An OSError is reported as by _writing."""
+    temporary file is removed. An OSError is reported as a config error
+    naming out, not whatever file the failing call was writing."""
     tmp = f"{out}.{os.getpid()}.tmp"
     try:
-        with _writing(out):
-            open(tmp, "w").close()
-            yield tmp
-            os.replace(tmp, out)
+        open(tmp, "w").close()
+        yield tmp
+        os.replace(tmp, out)
+    except OSError as err:
+        raise ConfigError(f"cannot write output: {out}: {err.strerror or err}") from None
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -87,8 +79,6 @@ def cmd_capacity(cfg):
         result = capacity.evaluate_capacity(
             spec, cfg["n"], seed=cfg["seed"],
             assume_unpredictable=cfg["assume_unpredictable"])
-    except InstabilityError:
-        raise
     except ValueError as err:  # too few samples for a Monte Carlo expectation
         raise ConfigError(f"cannot estimate capacity: {err}") from None
     emit(_capacity_payload(result))
@@ -116,7 +106,7 @@ def cmd_optimize(cfg):
     spec = build_spec({**cfg, "lambda": lam_star})
 
     def capacity_at(lam):
-        spec_at = replace(spec, arrival=PoissonArrivals(lam))
+        spec_at = replace(spec, lam=lam)
         return capacity.erasure_capacity(spec_at).bits_per_sec
 
     mu = 1.0 / service.mean

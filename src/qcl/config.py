@@ -11,12 +11,11 @@ import math
 import os
 from dataclasses import MISSING, fields
 
-from .capacity import QueueChannelSpec
 from .channels import (DecoherenceModel, Erasure, RandomBijective,
                        bernoulli_noise, load_bijection, wait_geometric_noise,
                        xor_table)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
-                       Gamma, PoissonArrivals, Uniform)
+                       Gamma, QueueChannelSpec, Uniform)
 
 SEED_ENV_VAR = "QCL_SEED"
 MAX_GRID_POINTS = 10 ** 5
@@ -253,7 +252,7 @@ def build_spec(cfg):
     """QueueChannelSpec from a validated config. Requires lambda > 0."""
     if cfg["lambda"] <= 0.0:
         raise ConfigError("lambda must be positive to build a queue spec")
-    return QueueChannelSpec(arrival=PoissonArrivals(cfg["lambda"]),
+    return QueueChannelSpec(lam=cfg["lambda"],
                             service=cfg["service"], channel=build_channel(cfg),
                             delay_convention=cfg["delay_convention"],
                             receiver_knows_timing=cfg["receiver_knows_timing"])

@@ -1,8 +1,9 @@
 """Single-server FIFO queue primitives.
 
-Arrival/service sampling, the Lindley waiting-time recursion, and stationary
-waiting-time sample sets with burn-in. Everything here is about the delay
-process only; what the delay does to a transmitted symbol lives in
+The experiment description QueueChannelSpec and its stability rule, service
+laws, Poisson arrival sampling, the Lindley waiting-time recursion, and
+stationary waiting-time sample sets with burn-in. Everything here is about
+the delay process; what the delay does to a transmitted symbol lives in
 qcl.channels.
 """
 
@@ -20,6 +21,11 @@ class InstabilityError(ValueError):
 
 
 def check_stability(lam, mu):
+    """Reject an arrival rate lam that is not a positive finite number
+    (ValueError), then one at or above the service rate mu: the queue is
+    stable only for lam < mu (InstabilityError)."""
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ValueError("arrival rate must be a positive finite number")
     if lam >= mu:
         raise InstabilityError(f"unstable: lambda >= mu (lambda={lam:g}, mu={mu:g})")
 
@@ -37,17 +43,23 @@ class DelayConvention(Enum):
 
 
 @dataclass(frozen=True)
-class PoissonArrivals:
-    """Memoryless arrival stream: i.i.d. exponential interarrival gaps."""
+class QueueChannelSpec:
+    """Complete experiment description: Poisson(lam) arrivals, a service law,
+    the channel, and conventions. Building one (dataclasses.replace too) runs
+    check_stability(lam, mu), so every spec describes a stable queue."""
 
-    rate: float
+    lam: float
+    service: object
+    channel: object
+    delay_convention: DelayConvention = DelayConvention.WAITING_BEFORE_SERVICE
+    receiver_knows_timing: bool = False
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ValueError("arrival rate must be a positive finite number")
+        check_stability(self.lam, self.mu)
 
-    def sample_interarrival(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
+    @property
+    def mu(self):
+        return 1.0 / self.service.mean
 
 
 class ServiceDistribution:
@@ -281,39 +293,39 @@ class WaitSampleSet:
         return self.samples.size
 
 
-def queue_path(arrival, service, n, rng, convention):
-    """Run n symbols through the queue from empty, drawing the interarrival
-    gaps and then the service times from rng. Returns (gaps, services, waits
-    before service, delays), each delay under the given DelayConvention."""
+def queue_path(lam, service, n, rng, convention):
+    """Run n symbols through the queue from empty, drawing the Poisson(lam)
+    interarrival gaps and then the service times from rng. Returns (gaps,
+    services, waits before service, delays), each delay under the given
+    DelayConvention."""
     import numpy as np
-    t = arrival.sample_interarrival(rng, size=n)
+    t = rng.exponential(1.0 / lam, size=n)
     s = np.asarray(service.sample(rng, size=n), dtype=float)
     wq = lindley_waits(s, t)
     return t, s, wq, (wq + s if convention is DelayConvention.SOJOURN else wq)
 
 
-def stationary_wait_samples(arrival, service, n, seed=None,
+def stationary_wait_samples(lam, service, n, seed=None,
                             convention=DelayConvention.WAITING_BEFORE_SERVICE):
     """Sample n stationary delays: run the queue from empty and discard the
     first default_burn_in(lambda, mu) of them.
 
     Args:
-        arrival: PoissonArrivals with rate lambda < 1/service.mean.
+        lam: Poisson arrival rate, 0 < lambda < 1/service.mean.
         service: a ServiceDistribution.
         n: samples to keep after the burn-in.
         seed: int seed, SeedSequence, or Generator.
         convention: with SOJOURN, each emitted sample is the queue wait plus
             the symbol's own service time.
 
-    Raises InstabilityError when lambda >= mu.
+    Raises check_stability's errors for a bad lambda.
     """
     import numpy as np
-    lam = arrival.rate
     mu = 1.0 / service.mean
     check_stability(lam, mu)
     if n < 1:
         raise ValueError("need n >= 1 samples")
     burn_in = default_burn_in(lam, mu)
-    *_, w = queue_path(arrival, service, n + burn_in, np.random.default_rng(seed),
+    *_, w = queue_path(lam, service, n + burn_in, np.random.default_rng(seed),
                        convention)
     return WaitSampleSet(samples=w[burn_in:], burn_in=burn_in)

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                       QueueChannelSpec, erasure_capacity)
+                       erasure_capacity)
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_means, spawn_rngs
-from .queueing import (DelayConvention, Exponential, PoissonArrivals, queue_path,
-                       waits_from_prefix_sums)
+from .queueing import (DelayConvention, Exponential, QueueChannelSpec,
+                       queue_path, waits_from_prefix_sums)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
@@ -134,11 +134,10 @@ def simulate_transmission(spec, n, seed=None):
     independent substreams (queue, inputs, channel noise) are split from the
     seed, so the draw order is stable across versions.
     """
-    spec.check_stable()
     if n < 0:
         raise ValueError("n must be nonnegative")
     queue_rng, input_rng, noise_rng = spawn_rngs(seed, 3)
-    t, s, wq, w = queue_path(spec.arrival, spec.service, n, queue_rng,
+    t, s, wq, w = queue_path(spec.lam, spec.service, n, queue_rng,
                              spec.delay_convention)
     a = np.cumsum(t)
     d = a + wq + s
@@ -207,7 +206,6 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     """
     if spec.channel.kind != "bijective":
         raise TypeError("estimate_bijective_bounds needs a RandomBijective channel")
-    spec.check_stable()
     w = np.asarray(w, dtype=float)
     if w.size < 2:
         raise ValueError(f"need at least 2 delays, got {w.size}")
@@ -345,7 +343,7 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
                 analytic = 0.0
             else:
                 spec = QueueChannelSpec(
-                    arrival=PoissonArrivals(lam), service=service,
+                    lam=lam, service=service,
                     channel=Erasure(DecoherenceModel(kappa), alphabet),
                     delay_convention=convention)
                 analytic = erasure_capacity(spec).bits_per_sec

@@ -16,7 +16,7 @@ from .channels import (DecoherenceModel, Erasure, RandomBijective,
                        binary_entropy, wait_geometric_noise)
 from .numerics import batch_means, golden_section_extremize, quadrature_laplace
 from .queueing import (DelayConvention, Deterministic, Exponential, Gamma,
-                       InstabilityError, PoissonArrivals, Uniform,
+                       InstabilityError, QueueChannelSpec, Uniform,
                        default_burn_in, lindley_waits, stationary_wait_samples)
 
 N_DEFAULT = 10 ** 6
@@ -88,16 +88,14 @@ def _seed_for(base, index):
 
 
 def _erasure_spec(lam, kappa):
-    return capacity.QueueChannelSpec(
-        arrival=PoissonArrivals(lam), service=Exponential(1.0),
-        channel=Erasure(DecoherenceModel(kappa), alphabet_size=2))
+    return QueueChannelSpec(lam=lam, service=Exponential(1.0),
+                            channel=Erasure(DecoherenceModel(kappa), alphabet_size=2))
 
 
 def _bsc_spec(lam, kappa, service=None, convention=DelayConvention.WAITING_BEFORE_SERVICE,
               csir=False):
-    return capacity.QueueChannelSpec(
-        arrival=PoissonArrivals(lam),
-        service=service if service is not None else Exponential(1.0),
+    return QueueChannelSpec(
+        lam=lam, service=service if service is not None else Exponential(1.0),
         channel=RandomBijective.binary_symmetric(DecoherenceModel(kappa)),
         delay_convention=convention,
         receiver_knows_timing=csir)
@@ -178,7 +176,7 @@ def check_wait_transform(seed=None):
         for lam in (0.3, 0.7):
             for kappa in (0.1, 1.0):
                 formula = capacity.pk_wait_transform(lam, service, kappa)
-                waits = stationary_wait_samples(PoissonArrivals(lam), service,
+                waits = stationary_wait_samples(lam, service,
                                                 N_DEFAULT, seed=next(children))
                 mean, se, _ = batch_means(np.exp(-kappa * waits.samples))
                 rep = validate_formula(formula, simulate.EstimateWithError(
@@ -250,7 +248,7 @@ def check_bsc_service_dominance(seed=None):
     for lam in witness:
         rng = np.random.default_rng(next(children))
         burn = default_burn_in(lam, 1.0)
-        gaps = PoissonArrivals(lam).sample_interarrival(rng, size=n + burn)
+        gaps = rng.exponential(1.0 / lam, size=n + burn)
         u_service = rng.random(n + burn)
         v_service = rng.random(n + burn)
         # (mean, batch means) of phi(W) per service law and kappa
@@ -300,7 +298,7 @@ def check_csir_ordering(seed=None):
         # both expectations over one shared wait sample set, so the ordering
         # is the concavity gap itself, not a Monte Carlo race
         waits = stationary_wait_samples(
-            spec.arrival, spec.service, 200_000, seed=int(rng.integers(2 ** 63)),
+            spec.lam, spec.service, 200_000, seed=int(rng.integers(2 ** 63)),
             convention=convention)
         with_t, without = _bsc_pair(spec, waits.samples)
         gap = with_t.bits_per_sec - without.bits_per_sec
@@ -340,8 +338,7 @@ def check_bijective_bounds(seed=None):
         service = services[rng.integers(len(services))]
         channel = RandomBijective(tuple(range(k)), table,
                                   wait_geometric_noise(DecoherenceModel(kappa), k))
-        spec = capacity.QueueChannelSpec(arrival=PoissonArrivals(lam), service=service,
-                                         channel=channel)
+        spec = QueueChannelSpec(lam=lam, service=service, channel=channel)
         lower, upper = capacity.evaluate_capacity(
             spec, n, seed=int(rng.integers(2 ** 63))).bounds
         # an independent replicate of the exact unpredictable-queue value
@@ -409,25 +406,25 @@ def check_noiseless_and_instability(seed=None):
         c_det = lam * capacity.pk_wait_transform(lam, Deterministic(1.0), 1e-6)
         out.note(abs(c_det - lam) <= 1e-3,
                  f"deterministic-service lam={lam:g}: capacity {c_det:.6f} within 1e-3")
+    # an unstable spec cannot be built, so the spec entry points raise there
     lam = 1.2
-    spec = _erasure_spec(lam, 1.0)
-    jspec = _bsc_spec(lam, 1.0)
     entry_points = [
         ("stationary_wait_samples",
-         lambda: stationary_wait_samples(spec.arrival, spec.service, 10)),
+         lambda: stationary_wait_samples(lam, Exponential(1.0), 10)),
         ("pk_wait_transform",
          lambda: capacity.pk_wait_transform(lam, Exponential(1.0), 1.0)),
-        ("erasure_capacity", lambda: capacity.erasure_capacity(spec)),
+        ("erasure_capacity",
+         lambda: capacity.erasure_capacity(_erasure_spec(lam, 1.0))),
         ("mm1_capacity_closed_form",
          lambda: capacity.mm1_capacity_closed_form(lam, 1.0)),
         ("evaluate_capacity",
-         lambda: capacity.evaluate_capacity(jspec, 10, seed=0)),
+         lambda: capacity.evaluate_capacity(_bsc_spec(lam, 1.0), 10, seed=0)),
         ("bijective_capacity",
-         lambda: capacity.bijective_capacity(jspec, {}, assume_unpredictable=True)),
+         lambda: capacity.bijective_capacity(_bsc_spec(lam, 1.0), {})),
         ("simulate_transmission",
-         lambda: simulate.simulate_transmission(spec, 10, seed=0)),
+         lambda: simulate.simulate_transmission(_erasure_spec(lam, 1.0), 10, seed=0)),
         ("estimate_bijective_bounds",
-         lambda: simulate.estimate_bijective_bounds(jspec, np.zeros(10))),
+         lambda: simulate.estimate_bijective_bounds(_bsc_spec(lam, 1.0), np.zeros(10))),
     ]
     for label, fn in entry_points:
         out.expect_raises(InstabilityError, fn, f"lam=1.2: {label}")

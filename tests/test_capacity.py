@@ -8,21 +8,19 @@ import pytest
 from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           METHOD_CLOSED_FORM_MM1, METHOD_BOUNDS, METHOD_MC,
                           METHOD_PK, E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE,
-                          QueueChannelSpec,
                           alpha_mg1, bijective_capacity, erasure_capacity, mean_survival,
                           mm1_capacity_closed_form, optimal_lambda_mg1,
                           pk_wait_transform)
 from qcl.channels import (DecoherenceModel, Erasure, RandomBijective,
                           bernoulli_noise, binary_entropy, xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential, Gamma,
-                          InstabilityError, PoissonArrivals, Uniform)
+                          InstabilityError, QueueChannelSpec, Uniform)
 from qcl.simulate import EstimateWithError
 
 
 def _erasure_spec(lam, kappa, service=None, k=2, convention=None):
     return QueueChannelSpec(
-        arrival=PoissonArrivals(lam),
-        service=service or Exponential(1.0),
+        lam=lam, service=service or Exponential(1.0),
         channel=Erasure(DecoherenceModel(kappa), k),
         delay_convention=convention or DelayConvention.WAITING_BEFORE_SERVICE)
 
@@ -33,13 +31,13 @@ def test_spec_properties_and_decoherence_routing():
     assert spec.mu == 1.0
     assert spec.channel.decoherence.kappa == 1.0
     bsc = QueueChannelSpec(
-        arrival=PoissonArrivals(0.5), service=Exponential(1.0),
+        lam=0.5, service=Exponential(1.0),
         channel=RandomBijective.binary_symmetric(DecoherenceModel(2.0)))
     # Bernoulli(p(w)/2) noise with p(w) = 1 - exp(-2w)
     assert bsc.channel.noise_law(0.5) == pytest.approx([0.5 + 0.5 * math.exp(-1.0),
                                                         0.5 - 0.5 * math.exp(-1.0)])
     with pytest.raises(InstabilityError):
-        _erasure_spec(1.5, 1.0).check_stable()
+        _erasure_spec(1.5, 1.0)  # an unstable spec cannot be built
 
 
 def test_alpha_values():
@@ -156,7 +154,7 @@ def _h(value):
 
 def _bsc_spec(lam, csir=False):
     return QueueChannelSpec(
-        arrival=PoissonArrivals(lam), service=Exponential(1.0),
+        lam=lam, service=Exponential(1.0),
         channel=RandomBijective.binary_symmetric(DecoherenceModel(1.0)),
         receiver_knows_timing=csir)
 
@@ -198,8 +196,7 @@ def test_bsc_capacity_accepts_estimates_and_checks_keys():
 def _bijective_spec(lam, csir=False):
     channel = RandomBijective((0, 1), xor_table(2),
                               bernoulli_noise(DecoherenceModel(1.0)))
-    return QueueChannelSpec(arrival=PoissonArrivals(lam),
-                            service=Exponential(1.0), channel=channel,
+    return QueueChannelSpec(lam=lam, service=Exponential(1.0), channel=channel,
                             receiver_knows_timing=csir)
 
 

@@ -687,16 +687,25 @@ def test_cli_simulate_checks_out_before_computing(capsys, tmp_path, monkeypatch)
     calls = []
     monkeypatch.setattr(simulate, "simulate_transmission",
                         lambda *a, **k: calls.append(a))
-    code, out, _ = _run(capsys, "simulate", "--n", "10", "--out",
-                        str(tmp_path / "missing" / "t.csv"))
+    missing = str(tmp_path / "missing" / "t.csv")
+    code, out, _ = _run(capsys, "simulate", "--n", "10", "--out", missing)
     assert code == 2
     assert _payload(out)["error"] == "config"
     assert calls == []
-    # a run that fails after the check leaves no file behind
-    monkeypatch.undo()
-    code, _, _ = _run(capsys, "simulate", "--lambda", "1.2", "--n", "10",
-                      "--out", str(tmp_path / "t.csv"))
+    # the queue is checked before the output: an unstable one exits 3 first
+    code, out, _ = _run(capsys, "simulate", "--lambda", "1.2", "--n", "10",
+                        "--out", missing)
     assert code == 3
+    assert _payload(out)["error"] == "instability"
+    assert list(tmp_path.iterdir()) == []
+
+    # a run that fails after the check leaves no file behind
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("transcript too large")
+
+    monkeypatch.setattr(simulate, "simulate_transmission", out_of_memory)
+    code, _, _ = _run(capsys, "simulate", "--n", "10", "--out", str(tmp_path / "t.csv"))
+    assert code == 2
     assert list(tmp_path.iterdir()) == []
 
 

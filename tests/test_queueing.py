@@ -1,16 +1,19 @@
-"""Unit tests for the queueing layer: service laws, the Lindley recursion,
-and stationary wait sampling."""
+"""Unit tests for the queueing layer: the spec and its stability rule,
+service laws, the Lindley recursion, and stationary wait sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qcl.capacity import mm1_capacity_closed_form, pk_wait_transform
+from qcl.channels import DecoherenceModel, Erasure
 from qcl.numerics import batch_means
 from qcl.queueing import (DelayConvention, Deterministic, Empirical,
                           Exponential, Gamma, InstabilityError,
-                          PoissonArrivals, Uniform, check_stability,
-                          default_burn_in, lindley_waits,
+                          QueueChannelSpec, Uniform, check_stability,
+                          default_burn_in, lindley_waits, queue_path,
                           stationary_wait_samples)
 
 
@@ -24,17 +27,38 @@ def test_check_stability_message_and_threshold():
 
 
 def test_poisson_arrivals_gap_moments():
-    gaps = PoissonArrivals(2.0).sample_interarrival(np.random.default_rng(3),
-                                                    size=200_000)
+    gaps, *_ = queue_path(2.0, Exponential(4.0), 200_000, np.random.default_rng(3),
+                          DelayConvention.WAITING_BEFORE_SERVICE)
     assert gaps.min() >= 0.0
     # exponential(1/2): mean 0.5, sd 0.5
     assert gaps.mean() == pytest.approx(0.5, abs=4 * 0.5 / math.sqrt(gaps.size))
 
 
-def test_poisson_arrivals_rejects_bad_rate():
-    for rate in (0.0, -1.0, math.inf):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate)
+def _spec(lam, service=Exponential(1.0)):
+    return QueueChannelSpec(lam=lam, service=service,
+                            channel=Erasure(DecoherenceModel(1.0), 2))
+
+
+def test_arrival_rate_rule_at_every_entry_point():
+    entry_points = (lambda lam: check_stability(lam, 1.0),
+                    lambda lam: pk_wait_transform(lam, Exponential(1.0), 1.0),
+                    lambda lam: mm1_capacity_closed_form(lam, 1.0),
+                    lambda lam: stationary_wait_samples(lam, Exponential(1.0), 10),
+                    _spec)
+    for fn in entry_points:
+        for lam in (math.nan, -0.1, 0.0, math.inf):
+            with pytest.raises(ValueError, match="^arrival rate must be a positive "
+                                                 "finite number$"):
+                fn(lam)
+
+
+def test_queue_channel_spec_is_stable_by_construction():
+    spec = _spec(0.25, Deterministic(2.0))
+    assert (spec.lam, spec.mu) == (0.25, 0.5)
+    with pytest.raises(InstabilityError):
+        _spec(0.5, Deterministic(2.0))  # lam == mu
+    with pytest.raises(InstabilityError):
+        replace(spec, lam=spec.mu)  # replace builds, and checks, a new spec
 
 
 def test_service_means():
@@ -195,8 +219,7 @@ def test_default_burn_in_floor_and_heavy_traffic():
 
 def test_stationary_wait_mean_matches_mm1():
     # E[Wq] = lam / (mu*(mu - lam)) = 1.0 at lam=0.5, mu=1
-    waits = stationary_wait_samples(PoissonArrivals(0.5), Exponential(1.0),
-                                    400_000, seed=31)
+    waits = stationary_wait_samples(0.5, Exponential(1.0), 400_000, seed=31)
     mean, se, _ = batch_means(waits.samples)
     assert mean == pytest.approx(1.0, abs=4 * se)
     assert len(waits) == 400_000
@@ -204,39 +227,34 @@ def test_stationary_wait_mean_matches_mm1():
 
 
 def test_sojourn_convention_adds_service_time():
-    waits = stationary_wait_samples(PoissonArrivals(0.5), Deterministic(1.0),
-                                    200_000, seed=32,
+    waits = stationary_wait_samples(0.5, Deterministic(1.0), 200_000, seed=32,
                                     convention=DelayConvention.SOJOURN)
     assert waits.samples.min() >= 1.0  # every sojourn includes the service
-    queue_only = stationary_wait_samples(PoissonArrivals(0.5),
-                                         Deterministic(1.0), 200_000, seed=32)
+    queue_only = stationary_wait_samples(0.5, Deterministic(1.0), 200_000, seed=32)
     assert np.allclose(waits.samples, queue_only.samples + 1.0)
 
 
 def test_stationary_wait_samples_reproducible():
-    a = stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5), 5000,
-                                seed=9)
-    b = stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5), 5000,
-                                seed=9)
-    c = stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5), 5000,
-                                seed=10)
+    a = stationary_wait_samples(0.3, Gamma(2.0, 0.5), 5000, seed=9)
+    b = stationary_wait_samples(0.3, Gamma(2.0, 0.5), 5000, seed=9)
+    c = stationary_wait_samples(0.3, Gamma(2.0, 0.5), 5000, seed=10)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
     # the seed may also be a SeedSequence, or a Generator, which is drawn
     # from as given, so its stream advances
-    ss = stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5), 5000,
+    ss = stationary_wait_samples(0.3, Gamma(2.0, 0.5), 5000,
                                  seed=np.random.SeedSequence(9))
     assert np.array_equal(ss.samples, a.samples)
     gen = np.random.default_rng(9)
-    first, second = (stationary_wait_samples(PoissonArrivals(0.3), Gamma(2.0, 0.5),
-                                             5000, seed=gen) for _ in range(2))
+    first, second = (stationary_wait_samples(0.3, Gamma(2.0, 0.5), 5000, seed=gen)
+                     for _ in range(2))
     assert np.array_equal(first.samples, a.samples)
     assert not np.array_equal(second.samples, first.samples)
 
 
 def test_stationary_wait_samples_rejects_unstable_and_empty():
     with pytest.raises(InstabilityError):
-        stationary_wait_samples(PoissonArrivals(1.2), Exponential(1.0), 10)
+        stationary_wait_samples(1.2, Exponential(1.0), 10)
     with pytest.raises(ValueError):
-        stationary_wait_samples(PoissonArrivals(0.5), Exponential(1.0), 0)
+        stationary_wait_samples(0.5, Exponential(1.0), 0)
 

@@ -15,13 +15,13 @@ import pytest
 
 from qcl import channels, simulate
 from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                          QueueChannelSpec, erasure_capacity, evaluate_capacity)
+                          erasure_capacity, evaluate_capacity)
 from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
                           apply_channel, bernoulli_noise, discrete_entropy,
                           wait_geometric_noise, xor_table)
 from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
-                          InstabilityError, PoissonArrivals, lindley_waits,
+                          InstabilityError, QueueChannelSpec, lindley_waits,
                           stationary_wait_samples, waits_from_prefix_sums)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, simulate_transmission, sweep_rows)
@@ -31,8 +31,7 @@ from qcl.validation import validate_formula
 def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
           csir=False):
     return QueueChannelSpec(
-        arrival=PoissonArrivals(lam),
-        service=service or Exponential(1.0),
+        lam=lam, service=service or Exponential(1.0),
         channel=channel or Erasure(DecoherenceModel(kappa), 2),
         delay_convention=convention or DelayConvention.WAITING_BEFORE_SERVICE,
         receiver_knows_timing=csir)
@@ -222,7 +221,7 @@ def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
     # 4971 = 71 * 70 + 1 delays: with every key set some chunk holds one row
     # (the remainder after whole batches, or W_0 beside the kernel)
     spec = _geometric_spec(k)
-    w = stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
+    w = stationary_wait_samples(spec.lam, spec.service, 4971, seed=k).samples
     monkeypatch.setattr(channels, "CHUNK_CELLS", cells)
     for keys in _KEY_SETS:
         got = estimate_bijective_bounds(spec, w, keys)
@@ -233,7 +232,7 @@ def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
 @pytest.mark.parametrize("k", [2, 5, 8])
 def test_chunked_noise_draws_match_across_chunk_sizes(monkeypatch, k):
     spec = _geometric_spec(k)
-    w = stationary_wait_samples(spec.arrival, spec.service, 4971, seed=k).samples
+    w = stationary_wait_samples(spec.lam, spec.service, 4971, seed=k).samples
     x = np.random.default_rng(1).integers(0, k, size=w.size)
     runs = []
     for cells in (channels.CHUNK_CELLS, 1, 1000):
