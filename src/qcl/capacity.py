@@ -46,7 +46,9 @@ def alpha_mg1(service, kappa):
     """The load-independent factor (1 - F(kappa)) / kappa for unit-mean service.
 
     For general service means the formulas below use the normalized version
-    mu * alpha, which always lies in (0, 1) for kappa > 0.
+    mu * alpha, which lies in (0, 1] for kappa > 0. It is below 1 in exact
+    arithmetic; _alpha_normalized rounds a value a few ulps above 1 down to
+    exactly 1, a case optimal_lambda_mg1 rejects.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")

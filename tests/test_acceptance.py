@@ -31,9 +31,9 @@ EVIDENCE_SHA256 = {
     "optimal-rate-closed-form-vs-numeric":
         "421e9a092262153c511419d4490cc9107c0db7bd8d97ecfe54438de49001e69a",
     "erasure-deterministic-service-dominance":
-        "39a71207f92ba565ba514a411d01bab513ce6889fffcb1eb0315459ea8b4c4be",
+        "c546b424283c6aec643f2fdbc1086536be11292bb75a4f4ac9d29db466b49841",
     "bsc-deterministic-service-dominance":
-        "bf6af1880eef58d7ea57e315abd1573bb2ca07500d201f201066e047e653e0c7",
+        "adc0c61241e37a484f0016072de367e28342f165125f485657e113e48641a0c9",
     "bsc-csir-ordering-and-degenerate-equality":
         "6f1ef17deb0a5e5ea8c62989168122fa6211a43a6a7f3611cfa8311ddafc5dc7",
     "bijective-bound-sandwich":
@@ -41,9 +41,9 @@ EVIDENCE_SHA256 = {
     "sweep-curve-shape":
         "2a738a100c51a615632158b40ae49375582a96eaee9adda1643a10f12ce19b11",
     "noiseless-limit-and-instability":
-        "ab07864153135cfcac74eeec8ff69e2301b3573edf7d19f4c6f92923825d3bca",
+        "c79c3ada107e10992233c73b4adf87c76151172b661a2204f9304a18cd61ebf3",
     "numerics-gates":
-        "8e3721c0bd6ef85c0d6f0a0593cfa46655c4da2a785d99d77cf910ddd242c118",
+        "382a26207b635598174c2a8d0f64f8083fc49afe9c5e8bb388ac7ee294f61825",
     "optimal-rate-route-discrepancy":
         "a9af3a403d51ff7332bde50eaa1e52f36d865b32b7b0bd4b64eb050f126814ec",
 }

@@ -1,11 +1,24 @@
-"""Tests of the validation checks themselves: their gates can fail, and the
-flip-channel dominance check keeps its common-random-numbers design."""
+"""Tests of the validation checks themselves: their gates can fail, the
+flip-channel dominance check keeps its common-random-numbers design, and the
+alpha criterion of the dominance checks orders the capacities it stands for."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcl import validation
+from qcl.capacity import alpha_mg1, pk_wait_transform
+from qcl.channels import binary_entropy
 from qcl.queueing import Deterministic, Exponential, Gamma, Uniform
+
+ALPHA_LINES = [
+    "pass: kappa=0.1: normalized alpha deterministic 0.951626 vs exponential "
+    "0.909091, gamma 0.929705, uniform 0.947855 (thinnest lead 3.771e-03); "
+    "a strict lead covers every stable lam",
+    "pass: kappa=1: normalized alpha deterministic 0.632121 vs exponential "
+    "0.500000, gamma 0.555556, uniform 0.616600 (thinnest lead 1.552e-02); "
+    "a strict lead covers every stable lam"]
 
 
 def test_bsc_dominance_fails_when_an_alternative_ties(monkeypatch):
@@ -14,22 +27,33 @@ def test_bsc_dominance_fails_when_an_alternative_ties(monkeypatch):
         Exponential(1.0), Deterministic(1.0), Uniform(0.5, 1.5)))
     outcome = validation.check_bsc_service_dominance(seed=0)
     assert outcome.passed is False
-    analytic = [line for line in outcome.lines if "strict at all 27" in line]
+    analytic = [line for line in outcome.lines if "normalized alpha" in line]
     assert len(analytic) == 2
-    assert all(line.startswith("FAIL: ") for line in analytic)
+    # a zero lead is not strict
+    assert all(line.startswith("FAIL: ") and "thinnest lead 0.000e+00" in line
+               for line in analytic)
 
 
 def test_dominance_analytic_lines_pinned(monkeypatch):
-    # seed-independent: both checks evaluate their 27-point grid in closed form
+    # seed-independent: both checks compare the laws' alphas in closed form
     monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
-    erasure = validation.check_erasure_service_dominance(seed=0).lines
-    bsc = validation.check_bsc_service_dominance(seed=0).lines[:2]
-    assert erasure == [
-        "pass: kappa=0.1: strict at all 27 grid points (thinnest margin 4.143e-05)",
-        "pass: kappa=1: strict at all 27 grid points (thinnest margin 1.589e-04)"]
-    assert bsc == [
-        "pass: kappa=0.1: strict at all 27 grid points (thinnest margin 1.759e-04)",
-        "pass: kappa=1: strict at all 27 grid points (thinnest margin 4.459e-04)"]
+    assert validation.check_erasure_service_dominance(seed=0).lines == ALPHA_LINES
+    assert validation.check_bsc_service_dominance(seed=0).lines[:2] == ALPHA_LINES
+
+
+LAWS = (Deterministic(1.0), Exponential(1.0), Gamma(2.0, 0.5), Uniform(0.5, 1.5))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(lam=st.floats(0.01, 0.99), kappa=st.sampled_from((0.01, 0.1, 1.0, 10.0)))
+def test_capacities_order_service_laws_as_alpha_does(lam, kappa):
+    alpha = [alpha_mg1(s, kappa) / s.mean for s in LAWS]
+    order = sorted(range(len(LAWS)), key=lambda i: -alpha[i])
+    assert order[0] == 0  # deterministic first
+    transform = [pk_wait_transform(lam, s, kappa) for s in LAWS]
+    flip = [lam * (1.0 - binary_entropy(0.5 * (1.0 - t))) for t in transform]
+    for values in (transform, flip):
+        assert all(values[i] > values[j] for i, j in zip(order, order[1:]))
 
 
 def test_bsc_dominance_shares_one_queue_path_per_witness_rate(monkeypatch):
