@@ -24,10 +24,10 @@ from .capacity import (CapacityResult, alpha_mg1,
                        bijective_capacity, erasure_capacity, evaluate_capacity,
                        mean_survival, mm1_capacity_closed_form,
                        optimal_lambda_mg1, pk_wait_transform)
-from .channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
-                       apply_channel, bernoulli_noise, binary_entropy,
-                       discrete_entropy, load_bijection,
-                       wait_geometric_noise, xor_table)
+from .channels import (ERASED, BernoulliNoise, DecoherenceModel, Erasure,
+                       RandomBijective, WaitGeometricNoise, apply_channel,
+                       binary_entropy, discrete_entropy, load_bijection,
+                       xor_table)
 from .config import ConfigError, build_spec, load_config, validate_config
 from .numerics import (OptimizationResult, QuadratureError, batch_means,
                        golden_section_extremize, quadrature_laplace, spawn_rngs)
@@ -57,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ERASED",
+    "BernoulliNoise",
     "CapacityResult",
     "CheckOutcome",
     "ConfigError",
@@ -78,11 +79,11 @@ __all__ = [
     "Transcript",
     "Uniform",
     "ValidationReport",
+    "WaitGeometricNoise",
     "WaitSampleSet",
     "alpha_mg1",
     "apply_channel",
     "batch_means",
-    "bernoulli_noise",
     "bijective_capacity",
     "binary_entropy",
     "build_spec",
@@ -108,6 +109,5 @@ __all__ = [
     "sweep_rows",
     "validate_config",
     "validate_formula",
-    "wait_geometric_noise",
     "xor_table",
 ]

@@ -2,11 +2,11 @@
 
 A symbol that waited w in the queue has depolarized with probability
 p(w) = 1 - exp(-kappa*w), the one law, stated by DecoherenceModel(kappa).
-It is erased with probability p(w), or permuted by a noise symbol whose
-distribution depends on w. The binary symmetric channel is the k=2
-permutation channel with XOR table and Bernoulli(p(w)/2) noise, the
-depolarizing flip. Symbols are integer indices 0..k-1; erasure output uses
-the ERASED sentinel (rendered "?" in transcripts).
+It is erased with probability p(w), or permuted by a noise symbol drawn
+from a noise law of w, a value: BernoulliNoise, the depolarizing flip
+Bernoulli(p(w)/2) that the XOR table makes the binary symmetric channel,
+or WaitGeometricNoise. Symbols are integer indices 0..k-1; erasure output
+uses the ERASED sentinel (rendered "?" in transcripts).
 """
 
 import json
@@ -35,7 +35,8 @@ class DecoherenceModel:
     def error_prob(self, w):
         """p(w) at a scalar or array of waits."""
         import numpy as np
-        return -np.expm1(-self.kappa * np.asarray(w, dtype=float))
+        w = np.asarray(w, dtype=float)  # kappa=0: p(inf) is 0, not -0*inf = NaN
+        return -np.expm1(-self.kappa * w) if self.kappa else np.zeros_like(w)
 
     def laplace(self, u):
         """The transform integral of exp(-u*w) p(w) dw, kappa/(u*(u+kappa))."""
@@ -70,45 +71,79 @@ class Erasure:
 
 
 @dataclass(frozen=True)
+class BernoulliNoise:
+    """Binary noise law N ~ Bernoulli(p(w)/2) for a DecoherenceModel p: the
+    depolarizing flip, whose value saturates at one half. With xor_table(2)
+    this is the binary symmetric channel (RandomBijective.binary_symmetric)."""
+
+    decoherence: DecoherenceModel
+    size = 2
+
+    def __call__(self, w):
+        import numpy as np
+        q = self.decoherence.error_prob(w)
+        q *= 0.5
+        return np.stack([1.0 - q, q], axis=-1)
+
+
+@dataclass(frozen=True)
+class WaitGeometricNoise:
+    """Truncated-geometric noise law spreading with the delay:
+    P(j | w) proportional to p(w)**j for j = 0..size-1, for a
+    DecoherenceModel p. A point mass at 0 when w = 0, flattening toward
+    uniform as w grows."""
+
+    decoherence: DecoherenceModel
+    size: int
+
+    def __post_init__(self):
+        if int(self.size) < 2:
+            raise ValueError("need at least two noise symbols")
+
+    def __call__(self, w):
+        import numpy as np
+        q = self.decoherence.error_prob(w)
+        weights = np.power(q[..., None], np.arange(int(self.size)))
+        return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@dataclass(frozen=True)
 class RandomBijective:
-    """Channel y = g(x, n): noise index n drawn from noise_law(w), then a
-    per-input permutation. The table must be a Latin square: its rows make
-    the output, given (x, w), an invertible function of the noise, and its
-    columns make a uniform input give a uniform output.
+    """Channel y = table[x][n]: noise index n drawn from noise_law(w), then a
+    per-input permutation. The k x k table must be a Latin square: its rows
+    make the output, given (x, w), an invertible function of the noise, and
+    its columns make a uniform input give a uniform output.
     """
 
-    alphabet: tuple
     table: tuple
     noise_law: object
     kind = "bijective"
 
     def __post_init__(self):
         import numpy as np
-        alphabet = tuple(self.alphabet)
-        k = len(alphabet)
-        if k < 2:
-            raise ValueError("alphabet needs at least two symbols")
-        if len(set(alphabet)) != k:
-            raise ValueError("alphabet symbols must be distinct")
         table = np.asarray(self.table, dtype=int)
-        if table.shape != (k, k):
-            raise ValueError(f"table must be {k}x{k} (inputs x noise symbols)")
+        k = len(table) if table.ndim else 0
+        if k < 2 or table.shape != (k, k):
+            raise ValueError("table must be k x k (inputs x noise symbols), k >= 2")
         want = np.arange(k)
         if not all((np.sort(rows, axis=1) == want).all() for rows in (table, table.T)):
             raise ValueError("table must be a Latin square: every row and column a "
                              "permutation of the outputs")
-        object.__setattr__(self, "alphabet", alphabet)
+        if not isinstance(self.noise_law, (BernoulliNoise, WaitGeometricNoise)):
+            raise TypeError("noise_law must be a BernoulliNoise or a WaitGeometricNoise")
+        if self.noise_law.size != k:
+            raise ValueError(f"noise law has {self.noise_law.size} symbols, table {k}")
         object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in table))
         object.__setattr__(self, "_table_arr", table)
 
     @staticmethod
     def binary_symmetric(decoherence):
         """The binary symmetric channel: XOR table, Bernoulli(p(w)/2) noise."""
-        return RandomBijective((0, 1), xor_table(2), bernoulli_noise(decoherence))
+        return RandomBijective(xor_table(2), BernoulliNoise(decoherence))
 
     @property
     def size(self):
-        return len(self.alphabet)
+        return len(self.table)
 
     def apply(self, x, w, rng):
         """Outputs for aligned symbol and wait arrays: table[x, noise].
@@ -126,54 +161,13 @@ class RandomBijective:
         return self._table_arr[x, noise.reshape(x.shape)]
 
     def noise_dist(self, w):
-        """Noise distribution(s) at wait(s) w, validated as a simplex vector."""
-        import numpy as np
-        probs = np.asarray(self.noise_law(w), dtype=float)
-        if probs.shape[-1] != self.size:
-            raise ValueError("noise_law must return one probability per noise symbol")
-        if np.any(probs < -_PROB_SLACK):
-            raise ValueError("noise probabilities must be nonnegative")
-        sums = probs.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValueError("noise probabilities must sum to 1")
-        return np.clip(probs, 0.0, None)
+        """Noise distribution(s) at wait(s) w >= 0, one row per wait."""
+        return self.noise_law(w)
 
 
 def xor_table(k=2):
     """The modular-shift table g(x, n) = (x + n) mod k; XOR for k=2."""
     return tuple(tuple((x + n) % k for n in range(k)) for x in range(k))
-
-
-def bernoulli_noise(decoherence):
-    """Binary noise law N ~ Bernoulli(p(w)/2) for a DecoherenceModel p: the
-    depolarizing flip, whose value saturates at one half. With xor_table(2)
-    this is the binary symmetric channel (RandomBijective.binary_symmetric)."""
-
-    def law(w):
-        import numpy as np
-        q = decoherence.error_prob(w)
-        q *= 0.5
-        return np.stack([1.0 - q, q], axis=-1)
-
-    return law
-
-
-def wait_geometric_noise(decoherence, size):
-    """Truncated-geometric noise law spreading with the delay:
-    P(j | w) proportional to p(w)**j for j = 0..size-1, for a
-    DecoherenceModel p. A point mass at 0 when w = 0, flattening toward
-    uniform as w grows."""
-    import numpy as np
-    if int(size) < 2:
-        raise ValueError("need at least two noise symbols")
-    powers = np.arange(int(size))
-
-    def law(w):
-        q = decoherence.error_prob(w)
-        weights = np.power(q[..., None], powers)
-        return weights / weights.sum(axis=-1, keepdims=True)
-
-    return law
 
 
 def row_chunks(rows, k, unit=1):
@@ -204,7 +198,7 @@ def apply_channel(channel, x, w, rng):
     scalar = np.isscalar(x) or (np.ndim(x) == 0)
     xs = np.atleast_1d(np.asarray(x, dtype=int))
     ws = np.broadcast_to(np.asarray(w, dtype=float), xs.shape)
-    if np.any(ws < 0):
+    if not np.all(ws >= 0):  # NaN fails this too
         raise ValueError("waits must be nonnegative")
     if not isinstance(channel, (Erasure, RandomBijective)):
         raise TypeError(f"unknown channel kind: {type(channel).__name__}")
@@ -244,12 +238,13 @@ def discrete_entropy(dist):
 
 
 def load_bijection(source):
-    """Read an (alphabet, table) pair from the JSON wire format.
+    """Read a table of symbol indices from the JSON wire format.
 
     Format: {"alphabet": [...], "g": {"<symbol>": [output symbols indexed by
     noise]}}. Keys of "g" are string forms of the alphabet symbols; the table
     must be a Latin square, each row and each column a permutation of the
-    alphabet. Accepts a path or an already-parsed dict.
+    alphabet. The symbols only name table entries: symbol i of the alphabet
+    becomes index i. Accepts a path or an already-parsed dict.
     """
     if isinstance(source, dict):
         doc = source
@@ -280,4 +275,4 @@ def load_bijection(source):
         except KeyError as exc:
             raise ValueError(f"row for {key!r} contains a symbol outside the alphabet") from exc
     # the Latin-square property is checked by the channel constructor
-    return alphabet, tuple(table)
+    return tuple(table)

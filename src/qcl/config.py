@@ -11,9 +11,8 @@ import math
 import os
 from dataclasses import MISSING, fields
 
-from .channels import (DecoherenceModel, Erasure, RandomBijective,
-                       bernoulli_noise, load_bijection, wait_geometric_noise,
-                       xor_table)
+from .channels import (BernoulliNoise, DecoherenceModel, Erasure, RandomBijective,
+                       WaitGeometricNoise, load_bijection, xor_table)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
                        Gamma, QueueChannelSpec, Uniform)
 
@@ -230,18 +229,17 @@ def build_channel(cfg):
         if kind == "bsc":
             return RandomBijective.binary_symmetric(decoherence)
         if cfg["bijection"] is None:
-            alphabet = tuple(range(cfg["alphabet_size"]))
             table = xor_table(cfg["alphabet_size"])
         else:
-            alphabet, table = load_bijection(cfg["bijection"])
+            table = load_bijection(cfg["bijection"])
         noise = cfg["noise"] or {"kind": "bernoulli"}
         if noise["kind"] == "bernoulli":
-            if len(alphabet) != 2:
+            if len(table) != 2:
                 raise ConfigError("bernoulli noise needs a binary alphabet")
-            law = bernoulli_noise(decoherence)
+            law = BernoulliNoise(decoherence)
         else:
-            law = wait_geometric_noise(decoherence, len(alphabet))
-        return RandomBijective(tuple(alphabet), table, law)
+            law = WaitGeometricNoise(decoherence, len(table))
+        return RandomBijective(table, law)
     except ConfigError:
         raise
     except (OSError, ValueError) as bad:

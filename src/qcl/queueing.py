@@ -217,6 +217,8 @@ class Empirical(ServiceDistribution):
             raise ValueError("empirical service law needs at least one sample")
         if np.any(data < 0) or not np.all(np.isfinite(data)):
             raise ValueError("empirical service samples must be finite and nonnegative")
+        if not data.mean() > 0.0:  # every formula divides by the mean
+            raise ValueError("empirical service samples need a positive mean")
         object.__setattr__(self, "samples", tuple(float(v) for v in data))
         object.__setattr__(self, "_data", data)
 

@@ -209,6 +209,8 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     w = np.asarray(w, dtype=float)
     if w.size < 2:
         raise ValueError(f"need at least 2 delays, got {w.size}")
+    if not np.all(w >= 0):  # NaN fails this too
+        raise ValueError("waits must be nonnegative")
     kernel = E_H_KERNEL_NOISE in keys
     first = 1 if kernel else 0
     noise_dist, k = spec.channel.noise_dist, spec.channel.size

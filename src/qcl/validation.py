@@ -13,7 +13,7 @@ import numpy as np
 
 from . import capacity, simulate
 from .channels import (DecoherenceModel, Erasure, RandomBijective,
-                       binary_entropy, wait_geometric_noise)
+                       WaitGeometricNoise, binary_entropy)
 from .numerics import batch_means, golden_section_extremize, quadrature_laplace
 from .queueing import (DelayConvention, Deterministic, Exponential, Gamma,
                        InstabilityError, QueueChannelSpec, Uniform,
@@ -336,8 +336,7 @@ def check_bijective_bounds(seed=None):
         kappa = 10.0 ** rng.uniform(-1.0, 0.3)
         lam = rng.uniform(0.2, 0.8)
         service = services[rng.integers(len(services))]
-        channel = RandomBijective(tuple(range(k)), table,
-                                  wait_geometric_noise(DecoherenceModel(kappa), k))
+        channel = RandomBijective(table, WaitGeometricNoise(DecoherenceModel(kappa), k))
         spec = QueueChannelSpec(lam=lam, service=service, channel=channel)
         lower, upper = capacity.evaluate_capacity(
             spec, n, seed=int(rng.integers(2 ** 63))).bounds

@@ -11,8 +11,8 @@ from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           alpha_mg1, bijective_capacity, erasure_capacity, mean_survival,
                           mm1_capacity_closed_form, optimal_lambda_mg1,
                           pk_wait_transform)
-from qcl.channels import (DecoherenceModel, Erasure, RandomBijective,
-                          bernoulli_noise, binary_entropy, xor_table)
+from qcl.channels import (BernoulliNoise, DecoherenceModel, Erasure,
+                          RandomBijective, binary_entropy, xor_table)
 from qcl.queueing import (DelayConvention, Deterministic, Exponential, Gamma,
                           InstabilityError, QueueChannelSpec, Uniform)
 from qcl.simulate import EstimateWithError
@@ -194,8 +194,7 @@ def test_bsc_capacity_accepts_estimates_and_checks_keys():
 
 
 def _bijective_spec(lam, csir=False):
-    channel = RandomBijective((0, 1), xor_table(2),
-                              bernoulli_noise(DecoherenceModel(1.0)))
+    channel = RandomBijective(xor_table(2), BernoulliNoise(DecoherenceModel(1.0)))
     return QueueChannelSpec(lam=lam, service=Exponential(1.0), channel=channel,
                             receiver_knows_timing=csir)
 

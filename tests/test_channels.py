@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
-                          apply_channel, bernoulli_noise, binary_entropy,
-                          discrete_entropy, load_bijection,
-                          wait_geometric_noise, xor_table)
+from qcl.channels import (ERASED, BernoulliNoise, DecoherenceModel, Erasure,
+                          RandomBijective, WaitGeometricNoise, apply_channel,
+                          binary_entropy, discrete_entropy, load_bijection,
+                          xor_table)
+from qcl.config import MAX_ALPHABET
 
 
 def test_decoherence_exponential_family_shape():
@@ -27,6 +30,7 @@ def test_decoherence_noiseless_and_invalid_kappa():
     silent = DecoherenceModel(0.0)
     assert np.all(silent.error_prob(np.array([0.0, 3.0, 100.0])) == 0.0)
     assert silent.laplace(2.0) == 0.0
+    assert silent.error_prob(math.inf) == 0.0  # not -0*inf = NaN
     for kappa in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             DecoherenceModel(kappa)
@@ -34,7 +38,7 @@ def test_decoherence_noiseless_and_invalid_kappa():
 
 def test_bit_flip_stays_below_one_half():
     # Bernoulli noise flips with probability p(w)/2, saturating at one half
-    law = bernoulli_noise(DecoherenceModel(2.0))
+    law = BernoulliNoise(DecoherenceModel(2.0))
     assert law(0.0)[1] == 0.0
     assert law(100.0)[1] == pytest.approx(0.5)
     assert np.all(law(np.linspace(0, 10, 50))[:, 1] <= 0.5)
@@ -48,33 +52,58 @@ def test_channel_constructors_validate():
 
 
 def test_random_bijective_table_validation():
-    noise = bernoulli_noise(DecoherenceModel(1.0))
-    ch = RandomBijective((0, 1), ((0, 1), (1, 0)), noise)
+    noise = BernoulliNoise(DecoherenceModel(1.0))
+    ch = RandomBijective(((0, 1), (1, 0)), noise)
     assert ch.size == 2
     with pytest.raises(ValueError):  # row is not a permutation
-        RandomBijective((0, 1), ((0, 0), (1, 0)), noise)
+        RandomBijective(((0, 0), (1, 0)), noise)
+    geometric3 = WaitGeometricNoise(DecoherenceModel(1.0), 3)
     with pytest.raises(ValueError, match="Latin square"):  # column is not one
-        RandomBijective((0, 1, 2), ((0, 1, 2), (1, 2, 0), (0, 2, 1)), noise)
-    with pytest.raises(ValueError):  # wrong shape
-        RandomBijective((0, 1, 2), ((0, 1), (1, 0)), noise)
-    with pytest.raises(ValueError):  # duplicate symbols
-        RandomBijective((0, 0), ((0, 1), (1, 0)), noise)
+        RandomBijective(((0, 1, 2), (1, 2, 0), (0, 2, 1)), geometric3)
+    with pytest.raises(ValueError):  # not square
+        RandomBijective(((0, 1), (1, 0), (0, 1)), noise)
     with pytest.raises(ValueError):  # single symbol
-        RandomBijective((0,), ((0,),), noise)
+        RandomBijective(((0,),), noise)
 
 
-def test_noise_dist_is_validated_simplex():
-    ch = RandomBijective((0, 1), xor_table(2),
-                         bernoulli_noise(DecoherenceModel(1.0)))
+def test_random_bijective_accepts_only_a_matching_noise_law():
+    ch = RandomBijective(xor_table(2), BernoulliNoise(DecoherenceModel(1.0)))
     probs = ch.noise_dist(np.array([0.0, 1.0, 10.0]))
     assert probs.shape == (3, 2)
     assert np.allclose(probs.sum(axis=1), 1.0)
-    bad = RandomBijective((0, 1), xor_table(2), lambda w: np.array([0.9, 0.9]))
-    with pytest.raises(ValueError):
-        bad.noise_dist(1.0)
-    short = RandomBijective((0, 1), xor_table(2), lambda w: np.array([1.0]))
-    with pytest.raises(ValueError):
-        short.noise_dist(1.0)
+    with pytest.raises(TypeError, match="noise_law"):  # no arbitrary callables
+        RandomBijective(xor_table(2), lambda w: np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="noise law has 2 symbols"):
+        RandomBijective(xor_table(3), BernoulliNoise(DecoherenceModel(1.0)))
+    with pytest.raises(ValueError, match="noise law has 4 symbols"):
+        RandomBijective(xor_table(3), WaitGeometricNoise(DecoherenceModel(1.0), 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(w=st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.just(math.inf)),
+       kappa=st.floats(0.0, 1e3), size=st.integers(2, MAX_ALPHABET),
+       geometric=st.booleans())
+def test_noise_laws_return_simplex_rows(w, kappa, size, geometric):
+    # the guarantee that lets noise_dist skip validating its rows
+    model = DecoherenceModel(kappa)
+    law = WaitGeometricNoise(model, size) if geometric else BernoulliNoise(model)
+    with np.errstate(over="ignore"):  # kappa * w may overflow to inf: p = 1
+        rows = law(np.array([w, 0.0]))
+    assert rows.shape == (2, law.size)
+    assert np.all(rows >= 0.0)
+    assert np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-12)
+
+
+def test_channels_compare_and_hash_by_value():
+    def wide():
+        return RandomBijective(xor_table(4), WaitGeometricNoise(DecoherenceModel(0.5), 4))
+    assert wide() == wide() and hash(wide()) == hash(wide())
+    assert (RandomBijective.binary_symmetric(DecoherenceModel(1.0))
+            == RandomBijective(((0, 1), (1, 0)), BernoulliNoise(DecoherenceModel(1.0))))
+    assert wide() != RandomBijective(xor_table(4),
+                                     WaitGeometricNoise(DecoherenceModel(0.6), 4))
+    assert BernoulliNoise(DecoherenceModel(1.0)) != WaitGeometricNoise(
+        DecoherenceModel(1.0), 2)
 
 
 def test_xor_table_is_group_table():
@@ -88,14 +117,15 @@ def test_xor_table_is_group_table():
 
 
 def test_bernoulli_noise_law():
-    law = bernoulli_noise(DecoherenceModel(1.0))
+    law = BernoulliNoise(DecoherenceModel(1.0))
+    assert law.size == 2
     assert np.allclose(law(0.0), [1.0, 0.0])
     q = -0.5 * math.expm1(-2.0)
     assert np.allclose(law(2.0), [1.0 - q, q])
 
 
 def test_wait_geometric_noise_limits():
-    law = wait_geometric_noise(DecoherenceModel(1.0), 4)
+    law = WaitGeometricNoise(DecoherenceModel(1.0), 4)
     assert np.allclose(law(0.0), [1.0, 0.0, 0.0, 0.0])
     spread = law(200.0)
     assert np.allclose(spread, 0.25, atol=1e-6)  # flattens toward uniform
@@ -105,7 +135,7 @@ def test_wait_geometric_noise_limits():
     # heavier waits push mass to higher noise symbols
     assert rows[0, 0] > rows[2, 0]
     with pytest.raises(ValueError):
-        wait_geometric_noise(DecoherenceModel(1.0), 1)
+        WaitGeometricNoise(DecoherenceModel(1.0), 1)
 
 
 def test_erasure_never_outputs_wrong_symbol():
@@ -153,7 +183,7 @@ def test_xor_bernoulli_matches_bsc_distribution():
     flip = DecoherenceModel(1.0)
     bsc = RandomBijective.binary_symmetric(flip)
     assert bsc.table == xor_table(2)
-    assert np.allclose(bsc.noise_dist(1.5), bernoulli_noise(flip)(1.5))
+    assert np.allclose(bsc.noise_dist(1.5), BernoulliNoise(flip)(1.5))
     rng_w = np.random.default_rng(58)
     w = rng_w.exponential(1.0, size=200_000)
     x = rng_w.integers(0, 2, size=200_000)
@@ -166,8 +196,7 @@ def test_apply_channel_scalar_round_trip():
     ch = Erasure(DecoherenceModel(1.0))
     y = apply_channel(ch, 1, 0.0, np.random.default_rng(0))
     assert isinstance(y, int) and y == 1
-    ch2 = RandomBijective((0, 1), xor_table(2),
-                          bernoulli_noise(DecoherenceModel(1.0)))
+    ch2 = RandomBijective(xor_table(2), BernoulliNoise(DecoherenceModel(1.0)))
     assert apply_channel(ch2, 0, 0.0, np.random.default_rng(0)) == 0
 
 
@@ -176,16 +205,18 @@ def test_apply_channel_input_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         apply_channel(ch, 2, 1.0, rng)  # outside binary alphabet
-    with pytest.raises(ValueError):
-        apply_channel(ch, 0, -1.0, rng)  # negative wait
+    bsc = RandomBijective.binary_symmetric(DecoherenceModel(1.0))
+    for channel in (ch, bsc):
+        for bad in (-1.0, math.nan, [1.0, math.nan, 2.0]):
+            with pytest.raises(ValueError, match="waits must be nonnegative"):
+                apply_channel(channel, np.zeros(np.size(bad), dtype=int), bad, rng)
     with pytest.raises(TypeError):
         apply_channel(object(), 0, 1.0, rng)
 
 
 def test_apply_channel_bijective_uses_table_rows():
     table = ((1, 0, 2), (2, 1, 0), (0, 2, 1))
-    ch = RandomBijective((0, 1, 2), table,
-                         wait_geometric_noise(DecoherenceModel(1.0), 3))
+    ch = RandomBijective(table, WaitGeometricNoise(DecoherenceModel(1.0), 3))
     y = apply_channel(ch, np.array([0, 1, 2]), np.zeros(3),
                       np.random.default_rng(0))
     # zero wait pins the noise symbol to 0, so y = table[x][0]
@@ -232,12 +263,11 @@ def test_discrete_entropy_values():
 def test_bijection_json_round_trip(tmp_path):
     doc = {"alphabet": ["a", "b", "c"],
            "g": {"a": ["b", "c", "a"], "b": ["a", "b", "c"], "c": ["c", "a", "b"]}}
-    alphabet = ("a", "b", "c")
-    table = ((1, 2, 0), (0, 1, 2), (2, 0, 1))
-    assert load_bijection(doc) == (alphabet, table)
+    table = ((1, 2, 0), (0, 1, 2), (2, 0, 1))  # "a", "b", "c" are 0, 1, 2
+    assert load_bijection(doc) == table
     path = tmp_path / "bijection.json"
     path.write_text(json.dumps(doc))
-    assert load_bijection(str(path)) == (alphabet, table)
+    assert load_bijection(str(path)) == table
 
 
 def test_load_bijection_rejects_malformed_documents():

@@ -272,7 +272,7 @@ def test_build_channel_kinds():
     assert isinstance(bij, RandomBijective)
     wide = build_channel(_cfg(channel="bijective", alphabet_size=4, kappa=1.0,
                               noise={"kind": "wait_geometric"}))
-    assert len(wide.alphabet) == 4
+    assert wide.size == 4 and wide.table == xor_table(4)
     with pytest.raises(ConfigError, match="binary"):
         build_channel(_cfg(channel="bijective", alphabet_size=3))
 
@@ -283,7 +283,21 @@ def test_build_channel_inline_bijection(tmp_path):
     path.write_text(json.dumps(doc))
     channel = build_channel(_cfg(channel="bijective", bijection=str(path), kappa=0.5,
                                  noise={"kind": "wait_geometric"}))
-    assert channel.alphabet == ("a", "b")
+    assert channel.size == 2 and channel.table == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("over", [
+    {"channel": "bsc"},
+    {"channel": "bijective", "noise": {"kind": "bernoulli"}},
+    {"channel": "bijective", "noise": {"kind": "wait_geometric"},
+     "bijection": {"alphabet": ["a", "b", "c"],
+                   "g": {"a": ["c", "a", "b"], "b": ["b", "c", "a"],
+                         "c": ["a", "b", "c"]}}},
+])
+def test_build_spec_is_a_value(over):
+    # noise laws are data, so one config builds equal, equally hashed specs
+    first, second = build_spec(_cfg(**over)), build_spec(_cfg(**over))
+    assert first == second and hash(first) == hash(second)
 
 
 @pytest.mark.parametrize("bijection", [

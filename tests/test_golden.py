@@ -19,6 +19,11 @@ from qcl.cli import main
 GAMMA = {"kind": "gamma", "shape": 2.0, "scale": 0.5}
 K8 = {"channel": "bijective", "alphabet_size": 8, "noise": {"kind": "wait_geometric"}}
 BERNOULLI = {"channel": "bijective", "kappa": 0.3, "noise": {"kind": "bernoulli"}}
+# a named 3-symbol Latin table: transcripts print the indices 0..2, not the names
+NAMED = {"channel": "bijective", "noise": {"kind": "wait_geometric"},
+         "bijection": {"alphabet": ["a", "b", "c"],
+                       "g": {"a": ["c", "a", "b"], "b": ["b", "c", "a"],
+                             "c": ["a", "b", "c"]}}}
 
 # name -> (argv, config document or None, writes an output file,
 #          diagnostics may gain keys)
@@ -37,6 +42,8 @@ CASES = {
                            {"channel": "bsc"}, False, True),
     "capacity-bijective-bernoulli-bounds": (["capacity", "--n", "5000", "--seed", "11"],
                                             BERNOULLI, False, True),
+    "capacity-bijective-named-bounds": (["capacity", "--n", "5000", "--seed", "11"],
+                                        NAMED, False, True),
     "optimize-exponential": (["optimize", "--kappa", "1.0"], None, False, False),
     "optimize-gamma": (["optimize"], {"service": GAMMA}, False, False),
     "sweep-n0": (["sweep", "--n", "0"], None, True, False),
@@ -52,6 +59,8 @@ CASES = {
     "simulate-bsc-timing": (["simulate", "--n", "500", "--seed", "5"],
                             {"channel": "bsc", "receiver_knows_timing": True}, True,
                             False),
+    "simulate-bijective-named": (["simulate", "--n", "500", "--seed", "11"], NAMED,
+                                 True, False),
 }
 
 GOLDEN = {
@@ -138,6 +147,26 @@ GOLDEN = {
                 "bits_per_sec": 0.30582087796034285,
                 "method": "Bound-Upper",
                 "std_error": 0.0033436708800658878
+            },
+            "diagnostics": {
+                "csir": False,
+                "n": 4999
+            }
+        }
+    },
+    "capacity-bijective-named-bounds": {
+        "stdout": {
+            "bits_per_sec": None,
+            "method": "Bounds",
+            "lower": {
+                "bits_per_sec": 0.27386271711790044,
+                "method": "Bound-Lower",
+                "std_error": 0.009907259160140798
+            },
+            "upper": {
+                "bits_per_sec": 0.3208747379508656,
+                "method": "Bound-Upper",
+                "std_error": 0.004592889478783961
             },
             "diagnostics": {
                 "csir": False,
@@ -232,6 +261,25 @@ GOLDEN = {
             }
         },
         "sha256": "b930ca0cd09e4bc22fd6ab59a36a744b207a30b3fbf621679491193d7bf9a536"
+    },
+    "simulate-bijective-named": {
+        "stdout": {
+            "out": "<out>",
+            "n": 500,
+            "seed": 11,
+            "bounds": {
+                "lower": 0.2768544111687321,
+                "upper": 0.32910292008565456,
+                "csir_exact": 0.4629139958440344
+            },
+            "estimate": {
+                "bits_per_sec": 0.2768544111687321,
+                "std_error": 0.031974121764890964,
+                "method": "MonteCarlo",
+                "details": {}
+            }
+        },
+        "sha256": "67c7b5e9cf7145823e5907b062e7e3b90298d7f796f8c6d2c032ded97e12cc63"
     }
 }
 

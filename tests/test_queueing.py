@@ -137,6 +137,14 @@ def test_service_parameter_validation():
         Empirical((1.0, -2.0))
 
 
+@pytest.mark.parametrize("samples", [(0.0, 0.0), (0.0, 5e-324)])
+def test_empirical_rejects_a_zero_mean(samples):
+    # every formula and the spec divide by the mean
+    with pytest.raises(ValueError, match="positive mean"):
+        Empirical(samples)
+    assert Empirical((0.0, 1e-300)).mean > 0.0
+
+
 @pytest.mark.parametrize("law, params", [
     (Gamma, (math.inf, 1.0)), (Gamma, (1.0, math.inf)), (Gamma, (math.nan, 1.0)),
     (Uniform, (0.0, math.inf)), (Uniform, (math.inf, math.inf)), (Uniform, (0.0, math.nan)),

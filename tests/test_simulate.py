@@ -16,9 +16,9 @@ import pytest
 from qcl import channels, simulate
 from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
                           erasure_capacity, evaluate_capacity)
-from qcl.channels import (ERASED, DecoherenceModel, Erasure, RandomBijective,
-                          apply_channel, bernoulli_noise, discrete_entropy,
-                          wait_geometric_noise, xor_table)
+from qcl.channels import (ERASED, BernoulliNoise, DecoherenceModel, Erasure,
+                          RandomBijective, WaitGeometricNoise, apply_channel,
+                          discrete_entropy, xor_table)
 from qcl.numerics import batch_means, spawn_rngs
 from qcl.queueing import (DelayConvention, Deterministic, Exponential,
                           InstabilityError, QueueChannelSpec, lindley_waits,
@@ -43,13 +43,12 @@ def _bsc_spec(lam=0.5, kappa=1.0, **kw):
 
 
 def _bijective8_spec():
-    return _spec(channel=RandomBijective(tuple(range(8)), xor_table(8),
-                                         wait_geometric_noise(DecoherenceModel(1.0), 8)))
+    return _spec(channel=RandomBijective(xor_table(8),
+                                         WaitGeometricNoise(DecoherenceModel(1.0), 8)))
 
 
 def _bijective_spec(lam=0.5, kappa=1.0):
-    channel = RandomBijective((0, 1), xor_table(2),
-                              bernoulli_noise(DecoherenceModel(kappa)))
+    channel = RandomBijective(xor_table(2), BernoulliNoise(DecoherenceModel(kappa)))
     return _spec(lam, channel=channel)
 
 
@@ -175,7 +174,7 @@ def test_evaluate_capacity_needs_two_delays(timing, unpredictable, n):
 
 def _geometric_spec(k, kappa=0.7):
     return _spec(0.6, channel=RandomBijective(
-        tuple(range(k)), xor_table(k), wait_geometric_noise(DecoherenceModel(kappa), k)))
+        xor_table(k), WaitGeometricNoise(DecoherenceModel(kappa), k)))
 
 
 def _whole_matrix_bounds(spec, w, keys):
@@ -261,15 +260,17 @@ def test_one_decoherence_law_read_by_every_consumer():
     m = DecoherenceModel(0.7)
     w = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 40.0])
     p = m.error_prob(w)
-    assert np.array_equal(bernoulli_noise(m)(w)[..., 1], 0.5 * p)
+    assert np.array_equal(BernoulliNoise(m)(w)[..., 1], 0.5 * p)
     weights = p[:, None] ** np.arange(5)
-    assert np.array_equal(wait_geometric_noise(m, 5)(w),
+    assert np.array_equal(WaitGeometricNoise(m, 5)(w),
                           weights / weights.sum(axis=-1, keepdims=True))
-    # a negative delay gives a negative p, which the noise simplex rejects
-    for law in (bernoulli_noise(m), wait_geometric_noise(m, 2)):
-        spec = _spec(channel=RandomBijective((0, 1), xor_table(2), law))
-        with pytest.raises(ValueError, match="noise probabilities must be nonnegative"):
-            estimate_bijective_bounds(spec, np.array([1.0, -0.5, 2.0]))
+    # a negative or NaN delay would give a negative or NaN p: the bounds'
+    # wait check rejects it before any noise law is built
+    for law in (BernoulliNoise(m), WaitGeometricNoise(m, 2)):
+        spec = _spec(channel=RandomBijective(xor_table(2), law))
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="waits must be nonnegative"):
+                estimate_bijective_bounds(spec, np.array([1.0, bad, 2.0, 0.5]))
 
 
 def test_validate_formula_reports():
