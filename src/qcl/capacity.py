@@ -165,8 +165,8 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
     with bits_per_sec None and the bound pair
     lam*(log2 k - H_mean_noise) <= C <= lam*(log2 k - E_H_kernel_noise).
     Each expectation is an EstimateWithError: its .value sets the rate, and
-    its .std_error (scaled to bits/sec, and as given) and .n go to the
-    diagnostics.
+    its .std_error (scaled to bits/sec, and as given; None stays None) and
+    .n go to the diagnostics.
     """
     if spec.channel.kind != "bijective":
         raise TypeError("bijective_capacity needs a RandomBijective channel")
@@ -178,7 +178,8 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
         except (KeyError, TypeError):
             raise ValueError(f"missing noise entropy expectation {key!r}") from None
         h, se = float(expectation.value), expectation.std_error
-        diagnostics.update({key: h, "std_error": spec.lam * se,
+        diagnostics.update({key: h,
+                            "std_error": None if se is None else spec.lam * se,
                             "expectation_std_error": se, "n": expectation.n})
         return CapacityResult(bits_per_sec=spec.lam * (log_k - h), method=method,
                               diagnostics=diagnostics)
@@ -201,8 +202,8 @@ def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
     An erasure channel has a transform closed form and draws nothing. A
     noise-permutation channel is estimated over n stationary delays drawn
     from seed (see stationary_wait_samples), computing only the expectations
-    bijective_capacity reads for this spec. Raises ValueError for n < 2: one
-    delay gives an estimate without a standard error.
+    bijective_capacity reads for this spec. Raises estimate_bijective_bounds'
+    ValueError for n < 2 before stationary_wait_samples can refuse n = 0.
     """
     if spec.channel.kind == "erasure":
         return erasure_capacity(spec)

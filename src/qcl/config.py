@@ -63,12 +63,10 @@ def _finite(v):
     return v if math.isfinite(v) else None
 
 
-def _require_number(doc, key, minimum=None, positive=False):
+def _require_number(doc, key, minimum=None):
     v = _finite(doc[key])
     if v is None:
         raise ConfigError(f"{key} must be a finite number, got {doc[key]!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{key} must be positive, got {v:g}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{key} must be >= {minimum:g}, got {v:g}")
     return v
@@ -208,15 +206,9 @@ def build_service(doc):
         raise ConfigError(f"unknown {kind} service keys: {', '.join(extra)}")
     values = {f.name: _service_value(kind, f, doc) for f in fields(law)}
     try:
-        service = law(**values)
+        return law(**values)
     except ValueError as bad:
         raise ConfigError(f"bad {kind} service parameters: {bad}") from None
-    # every formula divides by the mean, so mu = 1/mean must be finite too
-    mean = service.mean
-    if not (mean > 0.0 and math.isfinite(mean) and math.isfinite(1.0 / mean)):
-        raise ConfigError(f"{kind} service needs a positive finite mean with a "
-                          f"finite rate, got mean {mean!r}")
-    return service
 
 
 def build_channel(cfg):

@@ -4,7 +4,8 @@ The capacity formulas only ever need one-dimensional unimodal extremization and
 one improper integral, so the kernels here stay deliberately small. Randomness
 policy for the whole package also lives here: a seed becomes numpy Generators
 (PCG64) only at the entry points, through spawn_rngs or np.random.default_rng,
-and everything below them draws from a Generator it is given.
+and everything below them draws from a Generator it is given. So does the
+rule for error bars: every standard error comes from batch_error.
 """
 
 import math
@@ -33,27 +34,41 @@ def spawn_rngs(seed, k):
     return np.random.default_rng(seed).spawn(k)
 
 
-def batch_means(x):
-    """Mean and standard error of a correlated series via batch means.
-
-    Splits x into batches of ceil(sqrt(n)) so batch averages decorrelate for
-    Markov-dependent inputs (waiting-time functionals). Returns
-    (mean, std_error, n_batches).
-    """
+def batch_averages(x):
+    """The averages of the n // b leading batches of b = ceil(sqrt(n)) values
+    of the n-array x, which decorrelate Markov-dependent series. A boolean x
+    is counted, with no float copy and the bits of its 0/1 floats."""
     import numpy as np
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n == 0:
+    b = math.ceil(math.sqrt(x.size))
+    head = x[: x.size // b * b].reshape(-1, b)
+    if x.dtype == bool:
+        return np.count_nonzero(head, axis=1) / b
+    return head.mean(axis=1)
+
+
+def batch_error(means):
+    """The one rule for a sampled number's standard error: std(ddof=1)/sqrt(m)
+    over m batch means, or None when m < 2 or they do not vary, as then the
+    sample cannot show its spread and a 0.0 would claim an exact value."""
+    import numpy as np
+    means = np.asarray(means, dtype=float)
+    if means.size < 2 or np.ptp(means) == 0.0:
+        return None
+    return float(means.std(ddof=1) / math.sqrt(means.size)) or None
+
+
+def batch_means(x):
+    """(mean, batch_error(batch_averages(x)), m) of a correlated series x of
+    m batches; the error is None below 2 batches (n = 1, 2, 3 or 5) or for
+    equal batch averages, as of a constant x. A boolean x is counted."""
+    import numpy as np
+    x = np.asarray(x)
+    if x.size == 0:
         raise ValueError("batch_means needs at least one sample")
-    if np.ptp(x) == 0.0:
-        return float(x[0]), 0.0, 1
-    batch_size = math.ceil(math.sqrt(n))
-    m = n // batch_size
-    if m < 2:
-        se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return float(x.mean()), se, 1
-    means = x[: m * batch_size].reshape(m, batch_size).mean(axis=1)
-    return float(x.mean()), float(means.std(ddof=1) / math.sqrt(m)), m
+    x = x if x.dtype == bool else x.astype(float, copy=False)
+    means = batch_averages(x)
+    mean = int(np.count_nonzero(x)) / x.size if x.dtype == bool else float(x.mean())
+    return mean, batch_error(means), means.size
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,17 @@ class QueueChannelSpec:
 class ServiceDistribution:
     """Base class for nonnegative service-time laws.
 
-    Subclasses provide the mean, a sampler, and the Laplace transform
-    E[exp(-s*S)]; `one_minus_laplace` exists so small-s evaluations do not lose
-    precision to cancellation (it feeds the alpha factor at tiny kappa).
+    Subclasses provide a `kind`, the mean, a sampler, the Laplace transform
+    E[exp(-s*S)] and `one_minus_laplace`, which keeps small-s evaluations
+    from cancellation (it feeds the alpha factor at tiny kappa). Each ends
+    its __post_init__ in this one: every formula divides by the mean or mu.
     """
 
-    kind = "service"
+    def __post_init__(self):
+        mean = self.mean
+        if not (mean > 0.0 and math.isfinite(mean) and math.isfinite(1.0 / mean)):
+            raise ValueError(f"{self.kind} service needs a positive mean, with the "
+                             f"mean and the rate 1/mean finite, got mean {mean!r}")
 
     @property
     def mean(self):
@@ -82,9 +87,6 @@ class ServiceDistribution:
     def laplace(self, s):
         raise NotImplementedError
 
-    def one_minus_laplace(self, s):
-        return 1.0 - self.laplace(s)
-
 
 @dataclass(frozen=True)
 class Exponential(ServiceDistribution):
@@ -94,6 +96,7 @@ class Exponential(ServiceDistribution):
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValueError("service rate must be a positive finite number")
+        super().__post_init__()
 
     @property
     def mean(self):
@@ -113,10 +116,6 @@ class Exponential(ServiceDistribution):
 class Deterministic(ServiceDistribution):
     value: float = 1.0
     kind = "deterministic"
-
-    def __post_init__(self):
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError("deterministic service time must be positive")
 
     @property
     def mean(self):
@@ -144,8 +143,7 @@ class Gamma(ServiceDistribution):
     def __post_init__(self):
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise ValueError("gamma shape and scale must be positive")
-        if not (math.isfinite(self.shape) and math.isfinite(self.scale)):
-            raise ValueError("gamma shape and scale must be finite")
+        super().__post_init__()
 
     @property
     def mean(self):
@@ -170,8 +168,7 @@ class Uniform(ServiceDistribution):
     def __post_init__(self):
         if not (0.0 <= self.low < self.high):
             raise ValueError("uniform service needs 0 <= low < high")
-        if not math.isfinite(self.high):
-            raise ValueError("uniform service needs a finite high")
+        super().__post_init__()
 
     @property
     def mean(self):
@@ -217,10 +214,9 @@ class Empirical(ServiceDistribution):
             raise ValueError("empirical service law needs at least one sample")
         if np.any(data < 0) or not np.all(np.isfinite(data)):
             raise ValueError("empirical service samples must be finite and nonnegative")
-        if not data.mean() > 0.0:  # every formula divides by the mean
-            raise ValueError("empirical service samples need a positive mean")
         object.__setattr__(self, "samples", tuple(float(v) for v in data))
         object.__setattr__(self, "_data", data)
+        super().__post_init__()
 
     @property
     def mean(self):

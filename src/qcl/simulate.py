@@ -18,7 +18,7 @@ from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
                        erasure_capacity)
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
-from .numerics import batch_means, spawn_rngs
+from .numerics import batch_error, batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, QueueChannelSpec,
                        queue_path, waits_from_prefix_sums)
 
@@ -28,7 +28,7 @@ CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """A Monte Carlo estimate with its standard error and sample count."""
+    """A Monte Carlo estimate, its standard error (or None) and sample count."""
 
     value: float
     std_error: float
@@ -36,7 +36,7 @@ class EstimateWithError:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if self.std_error is not None and self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -151,26 +151,17 @@ def _score_survival(survived, lam, alphabet):
     """Erasure capacity lam * log2(alphabet) * (surviving fraction) from the
     boolean survival indicators of consecutive symbols.
 
-    The standard error is batch-means (the indicators inherit the delay
-    autocorrelation); the i.i.d. binomial error is kept in details. The
-    fraction and batch means are integer counts over their sizes, bit for
-    bit what batch_means gives on the 0/1 floats, which still scores fewer
-    than 2 batches or a constant series.
+    The fraction and its standard error are batch_means' on the booleans
+    (the indicators inherit the delay autocorrelation), so the error is None
+    below 2 batches or when every symbol survived or every one was erased.
+    The i.i.d. binomial error is kept in details, None with it.
     """
-    survived = np.asarray(survived, dtype=bool)
+    frac, se, m = batch_means(survived)
     n = survived.size
-    count = int(np.count_nonzero(survived))
-    batch = math.ceil(math.sqrt(n))
-    m = n // batch
-    if m < 2 or count in (0, n):
-        frac, se, m = batch_means(survived.astype(float))
-    else:
-        frac = count / n
-        means = np.count_nonzero(survived[: m * batch].reshape(m, batch), axis=1) / batch
-        se = float(means.std(ddof=1) / math.sqrt(m))
     scale = lam * math.log2(alphabet)
-    binomial_se = scale * math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
-    return EstimateWithError(value=scale * frac, std_error=scale * se, n=n,
+    binomial_se = None if se is None else scale * math.sqrt(frac * (1.0 - frac) / n)
+    return EstimateWithError(value=scale * frac,
+                             std_error=None if se is None else scale * se, n=n,
                              details={"erased_fraction": 1.0 - frac,
                                       "binomial_std_error": binomial_se,
                                       "batches": m})
@@ -188,13 +179,15 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     timing-aware value, the unpredictable-queue value and the no-timing bounds.
 
     w may be stationary samples or a transcript's delay column, at least 2 of
-    them, as one delay gives no standard error. Returns a dict
-    mapping each requested key to an EstimateWithError in bits per symbol:
+    them. Returns a dict mapping each requested key to an EstimateWithError
+    in bits per symbol, with a std_error from numerics.batch_error:
       - E_H_noise: mean of the per-delay noise entropies;
       - H_mean_noise: entropy of the delay-averaged noise law;
       - E_H_kernel_noise: mean entropy of the one-step-ahead averaged noise
         law, where the one-step kernel is estimated from consecutive delay
         pairs bucketed into BUCKETS delay quantiles.
+
+    H_mean_noise is recomputed per batch of max(2, floor(sqrt(rows))) delays.
 
     When E_H_kernel_noise is requested, H_mean_noise averages over the same
     successor delays w[1:], so by entropy concavity the lower bound stays
@@ -226,7 +219,6 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     # chunks hold whole batches of their batch means
     rows = w.size - first
     m = max(2, math.isqrt(rows))
-    nb = rows // m
     total, batch_dists = None, []
     for chunk in row_chunks(rows, k, m):
         lo, hi = first + chunk.start, first + chunk.stop
@@ -254,8 +246,7 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
 
     if H_MEAN_NOISE in keys:
         h_mean = discrete_entropy(total / rows)
-        se_mean = (float(discrete_entropy(np.concatenate(batch_dists)).std(ddof=1)
-                         / math.sqrt(nb)) if nb >= 2 else 0.0)
+        se_mean = batch_error(discrete_entropy(np.concatenate(batch_dists)))
         out[H_MEAN_NOISE] = EstimateWithError(value=h_mean, std_error=se_mean, n=rows)
 
     if kernel:
@@ -294,7 +285,8 @@ def estimate_capacity(transcript):
     lam, log_k = spec.lam, math.log2(spec.channel.size)
     h = estimate_bijective_bounds(spec, transcript.w)
     bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),
-                                      std_error=lam * h[key].std_error,
+                                      std_error=(None if h[key].std_error is None
+                                                 else lam * h[key].std_error),
                                       n=h[key].n)
               for name, key in (("lower", H_MEAN_NOISE), ("upper", E_H_KERNEL_NOISE),
                                 ("csir_exact", E_H_NOISE))}
@@ -318,9 +310,10 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     of S are taken once, in place (SOJOURN keeps S apart, to add it to the
     waits); each lambda runs waits_from_prefix_sums on CS - CG / lambda, and
     each kappa counts a delay w as survived when kappa * w <= E (probability
-    exp(-kappa * w)). So the cells, each with its own batch-means mc_stderr,
-    are correlated across lambda and kappa: at a fixed lambda capacity_mc
-    cannot rise with kappa, and a repeated kappa repeats its cells. The
+    exp(-kappa * w)). So the cells, each with its own batch-means mc_stderr
+    or None, are correlated across lambda and kappa: at a fixed lambda
+    capacity_mc cannot rise with kappa, and a repeated kappa repeats its
+    cells. The
     lambdas are mapped by fork_map, whose workers inherit the one draw;
     lambda = 0 scores 0 without running the queue, and alone draws nothing.
 

@@ -14,7 +14,8 @@ import numpy as np
 from . import capacity, simulate
 from .channels import (DecoherenceModel, Erasure, RandomBijective,
                        WaitGeometricNoise, binary_entropy)
-from .numerics import batch_means, golden_section_extremize, quadrature_laplace
+from .numerics import (batch_averages, batch_error, batch_means,
+                       golden_section_extremize, quadrature_laplace)
 from .queueing import (DelayConvention, Deterministic, Exponential, Gamma,
                        InstabilityError, QueueChannelSpec, Uniform,
                        default_burn_in, lindley_waits, stationary_wait_samples)
@@ -41,13 +42,19 @@ class ValidationReport:
                 f"({self.sigma_distance:.2f} sigma, gate {self.gate:g})")
 
 
+def _sigma(*errors):
+    """The joint standard error hypot(*errors) of independent estimates, NaN
+    if one has none (None): every sigma gate then fails, and its line prints."""
+    return math.hypot(*(math.nan if se is None else se for se in errors))
+
+
 def validate_formula(formula_value, estimate):
     """Compare a closed-form value against a Monte Carlo EstimateWithError.
 
-    Passes when |estimate - formula| <= SIGMA_GATE * std_error; a
-    zero-variance estimate must match exactly.
+    Passes when |estimate - formula| <= SIGMA_GATE * std_error; a std_error
+    of 0.0 demands an exact match, and a std_error of None fails.
     """
-    value, se = float(estimate.value), float(estimate.std_error)
+    value, se = float(estimate.value), _sigma(estimate.std_error)
     diff = abs(value - formula_value)
     if se == 0.0:
         passed = diff == 0.0
@@ -242,8 +249,6 @@ def check_bsc_service_dominance(seed=None):
     witness = (0.5, 0.9)
     children = iter(_seed_for(seed, 5).spawn(len(witness)))
     n = N_DEFAULT
-    b = math.ceil(math.sqrt(n))
-    m = n // b
     for lam in witness:
         rng = np.random.default_rng(next(children))
         burn = default_burn_in(lam, 1.0)
@@ -257,7 +262,7 @@ def check_bsc_service_dominance(seed=None):
                                gaps)[burn:]
             for kappa in _DOMINANCE_KAPPAS:
                 p = 0.5 * DecoherenceModel(kappa).error_prob(wq)
-                phi[i, kappa] = p.mean(), p[: m * b].reshape(m, b).mean(axis=1)
+                phi[i, kappa] = p.mean(), batch_averages(p)
         for kappa in _DOMINANCE_KAPPAS:
             h_det = binary_entropy(phi[0, kappa][0])
             hb_det = binary_entropy(phi[0, kappa][1])
@@ -267,11 +272,12 @@ def check_bsc_service_dominance(seed=None):
             for i, alt in enumerate(services[1:], start=1):
                 margin = lam * (binary_entropy(phi[i, kappa][0]) - h_det)
                 paired = lam * (binary_entropy(phi[i, kappa][1]) - hb_det)
-                se = paired.std(ddof=1) / math.sqrt(m)
-                sigmas.append(f"{alt.kind} {margin / se if se > 0 else math.inf:.1f}")
+                se = _sigma(batch_error(paired))
+                sigmas.append(f"{alt.kind} {margin / se:.1f}")
                 ok = ok and margin > SIGMA_GATE * se
                 closed = lam * (_flip_entropy(lam, alt, kappa) - closed_det)
-                rep = validate_formula(closed, simulate.EstimateWithError(margin, se, m))
+                rep = validate_formula(closed, simulate.EstimateWithError(
+                    margin, se, paired.size))
                 out.note(rep.passed, f"witness lam={lam:g} kappa={kappa:g} {alt.kind} "
                                      f"margin: {rep}")
             out.note(ok, f"witness lam={lam:g} kappa={kappa:g}: paired margins over "
@@ -311,12 +317,11 @@ def check_csir_ordering(seed=None):
     spec = _bsc_spec(1e-4, 1.0, Deterministic(1.0), DelayConvention.SOJOURN)
     tr = simulate.simulate_transmission(spec, N_DEFAULT, seed=_seed_for(seed, 66))
     with_t, without = _bsc_pair(spec, tr.w)
-    joint = math.hypot(with_t.diagnostics["std_error"],
-                       without.diagnostics["std_error"])
+    joint = _sigma(with_t.diagnostics["std_error"], without.diagnostics["std_error"])
     diff = abs(with_t.bits_per_sec - without.bits_per_sec)
     out.note(diff <= SIGMA_GATE * joint,
              f"deterministic service, lam=1e-4, sojourn: |csir - blind| = {diff:.2e}"
-             f" = {diff / joint:.2f} joint sigma" if joint > 0 else "degenerate")
+             f" = {diff / joint:.2f} joint sigma")
     return out
 
 
@@ -346,10 +351,8 @@ def check_bijective_bounds(seed=None):
         se_lower, se_upper, se_exact = (r.diagnostics["std_error"]
                                         for r in (lower, upper, exact))
         ordered = lower.bits_per_sec <= upper.bits_per_sec + 1e-12
-        lo_gap = (exact.bits_per_sec - lower.bits_per_sec) / math.hypot(se_lower,
-                                                                         se_exact)
-        hi_gap = (upper.bits_per_sec - exact.bits_per_sec) / math.hypot(se_upper,
-                                                                         se_exact)
+        lo_gap = (exact.bits_per_sec - lower.bits_per_sec) / _sigma(se_lower, se_exact)
+        hi_gap = (upper.bits_per_sec - exact.bits_per_sec) / _sigma(se_upper, se_exact)
         ok = ordered and lo_gap >= -SIGMA_GATE and hi_gap >= -SIGMA_GATE
         out.note(ok, f"spec {i}: k={k} lam={lam:.3f} kappa={kappa:.3f} "
                      f"{service.kind}: lower {lower.bits_per_sec:.4f} <= exact "
@@ -360,7 +363,7 @@ def check_bijective_bounds(seed=None):
     stationary = capacity.evaluate_capacity(xor_spec, n, seed=_seed_for(seed, 77))
     transcript, _ = simulate.estimate_capacity(
         simulate.simulate_transmission(xor_spec, n, seed=_seed_for(seed, 78)))
-    joint = math.hypot(stationary.diagnostics["std_error"], transcript.std_error)
+    joint = _sigma(stationary.diagnostics["std_error"], transcript.std_error)
     diff = abs(stationary.bits_per_sec - transcript.value)
     out.note(diff <= SIGMA_GATE * joint,
              f"XOR/Bernoulli stationary vs transcript route: |diff| = {diff:.2e} "
@@ -459,8 +462,7 @@ def check_optimizer_route_discrepancy(seed=None):
                                             seed=next(children))
         estimates[label] = simulate.estimate_capacity(tr)[0]
     margin = estimates["transform"].value - estimates["premise"].value
-    joint = math.hypot(estimates["transform"].std_error,
-                       estimates["premise"].std_error)
+    joint = _sigma(estimates["transform"].std_error, estimates["premise"].std_error)
     out.note(margin > SIGMA_GATE * joint,
              f"measured capacity {estimates['transform'].value:.6f} vs "
              f"{estimates['premise'].value:.6f}: margin {margin / joint:.1f} "

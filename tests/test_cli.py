@@ -443,6 +443,40 @@ def test_cli_capacity_bijective_timing_aware(capsys, tmp_path):
     assert "at least 2 delays" in _payload(out)["message"]
 
 
+@pytest.mark.parametrize("timing", [False, True])
+def test_cli_capacity_too_few_batches_prints_no_error(capsys, tmp_path, timing):
+    # 3 delays make fewer than 2 batches: the standard error is null, not 0.0
+    # (bounds) or an i.i.d. error (timing-aware)
+    cfg = tmp_path / "bij.json"
+    cfg.write_text(json.dumps({"channel": "bijective", "alphabet_size": 4,
+                               "noise": {"kind": "wait_geometric"},
+                               "receiver_knows_timing": timing}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg), "--n", "3",
+                        "--seed", "1")
+    assert code == 0
+    payload = _payload(out)
+    if timing:
+        assert payload["diagnostics"]["std_error"] is None
+        assert payload["diagnostics"]["expectation_std_error"] is None
+    else:
+        assert payload["lower"]["std_error"] is None
+        assert payload["upper"]["std_error"] is None
+    assert "null" in out
+
+
+def test_cli_simulate_constant_sample_prints_no_error(capsys, tmp_path):
+    # at lambda = 1e-4 every wait is 0 and every symbol survives: the sample
+    # cannot show its spread, so neither error is 0.0
+    code, out, _ = _run(capsys, "simulate", "--lambda", "0.0001", "--n", "1000",
+                        "--seed", "1", "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    estimate = _payload(out)["estimate"]
+    assert estimate["bits_per_sec"] == 0.0001
+    assert estimate["std_error"] is None
+    assert estimate["details"]["binomial_std_error"] is None
+    assert estimate["details"]["erased_fraction"] == 0.0
+
+
 def test_cli_optimize_payload(capsys):
     code, out, _ = _run(capsys, "optimize", "--kappa", "1.0")
     assert code == 0

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, none of
 them is scipy, which only `qcl validate` needs, none of the modules the
-closed forms run on imports numpy when it loads, and no function but
-fork_map's worker hook rebinds a module global."""
+closed forms run on imports numpy when it loads, no function but fork_map's
+worker hook rebinds a module global, and no module but numerics computes a
+standard error."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,24 @@ def test_scan_flags_a_global_statement():
         "x = y = 0\ndef f():\n    def g():\n        global x\n    return g\n"
         "class A:\n    def h(self):\n        global x, y\nglobal y\n") == [
             ("g", ("x",)), ("h", ("x", "y")), (None, ("y",))]
+
+
+def _ddof_lines(source):
+    """Line numbers of the calls in source that pass a `ddof` keyword."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and any(keyword.arg == "ddof" for keyword in node.keywords)]
+
+
+def test_only_numerics_computes_a_standard_error():
+    # numerics.batch_error alone decides whether a sampled number carries a
+    # standard error; a hand-rolled std(ddof=1) elsewhere would skip its rule
+    found = [(path.stem, line) for path in SOURCES if path.stem != "numerics"
+             for line in _ddof_lines(path.read_text())]
+    assert found == []
+
+
+def test_scan_flags_a_ddof_keyword():
+    assert _ddof_lines(
+        "import numpy as np\nx = np.ones(3)\nse = x.std(ddof=1)\n"
+        "v = np.var(x, ddof=0)\nm = x.std()\n# x.std(ddof=1) in a comment\n") == [3, 4]

@@ -1,13 +1,20 @@
-"""Unit tests for the shared numeric kernels: batch means, golden-section
-search, Laplace quadrature, and seeded RNG plumbing."""
+"""Unit tests for the shared numeric kernels: batch means and the one rule
+for standard errors, golden-section search, Laplace quadrature, and seeded
+RNG plumbing."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcl.numerics import (QuadratureError, batch_means, golden_section_extremize,
-                          quadrature_laplace, spawn_rngs)
+from qcl import simulate
+from qcl.channels import (DecoherenceModel, RandomBijective, WaitGeometricNoise,
+                          xor_table)
+from qcl.numerics import (QuadratureError, batch_error, batch_means,
+                          golden_section_extremize, quadrature_laplace, spawn_rngs)
+from qcl.queueing import Exponential, QueueChannelSpec
 
 
 def test_batch_means_recovers_iid_mean_and_error():
@@ -36,9 +43,49 @@ def test_batch_means_widens_error_for_correlated_series():
     assert se > 2.5 * naive
 
 
-def test_batch_means_constant_series_has_zero_error():
+def test_batch_means_constant_series_has_no_error():
+    # a constant sample cannot show its spread: no standard error, not 0.0
     mean, se, m = batch_means(np.full(1000, 7.5))
-    assert (mean, se, m) == (7.5, 0.0, 1)
+    assert (mean, se, m) == (7.5, None, 31)
+
+
+def test_batch_means_below_two_batches_has_no_error():
+    # 3 values make one batch of 2: no i.i.d. error in its place
+    assert batch_means([1.0, 2.0, 4.0]) == (7.0 / 3.0, None, 1)
+    assert batch_error([0.5]) is None and batch_error([]) is None
+
+
+# values on a 1/64 grid: sums of up to 20 of them are exact, and unequal
+# batch means are far enough apart that their spread cannot underflow
+_GRID = st.integers(-2 ** 20, 2 ** 20).map(lambda i: i / 64)
+_SERIES = st.integers(1, 400).flatmap(lambda n: st.one_of(
+    st.lists(_GRID, min_size=n, max_size=n), _GRID.map(lambda v: [v] * n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.booleans().map(lambda v: [v] * n)))
+# a float series, made nonnegative, also serves as delays
+_K3 = QueueChannelSpec(lam=0.5, service=Exponential(1.0), channel=RandomBijective(
+    xor_table(3), WaitGeometricNoise(DecoherenceModel(1.0), 3)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=_SERIES)
+def test_one_rule_decides_every_standard_error(values):
+    x = np.array(values)
+    mean, se, m = batch_means(x)
+    b = math.ceil(math.sqrt(x.size))
+    means = {sum(values[i * b:(i + 1) * b]) / b for i in range(x.size // b)}
+    assert m == x.size // b
+    assert (se is None) == (m < 2 or len(means) == 1)
+    assert se is None or se > 0.0
+    if x.dtype == bool:  # counted, with the bits of the 0/1 floats
+        assert (mean, se, m) == batch_means(x.astype(float))
+        scored = simulate._score_survival(x, 0.5, 2)
+        assert scored.std_error is None or scored.std_error > 0.0
+        assert (scored.std_error is None) == (se is None)
+        assert (scored.details["binomial_std_error"] is None) == (se is None)
+    elif x.size >= 2:
+        for est in simulate.estimate_bijective_bounds(_K3, np.abs(x)).values():
+            assert est.std_error is None or est.std_error > 0.0
 
 
 def test_batch_means_rejects_empty():

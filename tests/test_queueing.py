@@ -146,6 +146,19 @@ def test_empirical_rejects_a_zero_mean(samples):
 
 
 @pytest.mark.parametrize("law, params", [
+    (Uniform, (0.0, 5e-324)), (Gamma, (1e-200, 1e-200)),  # the mean underflows to 0
+    (Exponential, (5e-324,)),  # the mean overflows to inf, so mu = 0
+    (Deterministic, (5e-324,)),  # mu = 1/mean overflows to inf
+])
+def test_service_laws_need_a_mean_and_rate_every_formula_can_divide_by(law, params):
+    # one rule, checked as each law is built: no law reaches a spec to raise
+    # ZeroDivisionError or an InstabilityError at mu = 0 there, or to run at
+    # an infinite rate
+    with pytest.raises(ValueError, match="positive mean"):
+        law(*params)
+
+
+@pytest.mark.parametrize("law, params", [
     (Gamma, (math.inf, 1.0)), (Gamma, (1.0, math.inf)), (Gamma, (math.nan, 1.0)),
     (Uniform, (0.0, math.inf)), (Uniform, (math.inf, math.inf)), (Uniform, (0.0, math.nan)),
 ])

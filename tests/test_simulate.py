@@ -189,7 +189,7 @@ def _whole_matrix_bounds(spec, w, keys):
     if H_MEAN_NOISE in keys:
         m = max(2, math.isqrt(mixed.shape[0]))
         nb = mixed.shape[0] // m
-        se = 0.0
+        se = None
         if nb >= 2:
             batch_dists = mixed[: nb * m].reshape(nb, m, -1).mean(axis=1)
             se = float(discrete_entropy(batch_dists).std(ddof=1) / math.sqrt(nb))
@@ -426,12 +426,16 @@ def test_sweep_rows_sums_its_draws_in_place(monkeypatch):
     ids=["all", "none", "n2", "n3", "n4", "n5", "n4-split", "tail",
          "random-100", "random-9999", "random-40000", "random-123457"])
 def test_score_survival_counts_have_batch_means_bits(survived):
-    # the same bits as batch_means on the 0/1 floats, as Python numbers
+    # the same bits as batch_means on the 0/1 floats, as Python numbers; below
+    # 2 batches or for a constant series there is no standard error on
+    # either side, and no binomial error either
     est = simulate._score_survival(survived, 0.7, 2)
     got = (est.value, est.std_error, est.details["batches"])
     mean, se, m = batch_means(survived.astype(float))
-    assert got == (0.7 * mean, 0.7 * se, m)
-    assert all(type(x) in (float, int) for x in got)
+    assert (se is None) == (m < 2 or survived.all() or not survived.any())
+    assert got == (0.7 * mean, None if se is None else 0.7 * se, m)
+    assert (est.details["binomial_std_error"] is None) == (se is None)
+    assert all(type(x) in (float, int, type(None)) for x in got)
 
 
 def test_sweep_rows_repeated_kappa_repeats_its_cells():

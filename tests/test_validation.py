@@ -1,6 +1,9 @@
-"""Tests of the validation checks themselves: their gates can fail, the
-flip-channel dominance check keeps its common-random-numbers design, and the
-alpha criterion of the dominance checks orders the capacities it stands for."""
+"""Tests of the validation checks themselves: their gates can fail, a missing
+standard error fails them, the flip-channel dominance check keeps its
+common-random-numbers design, and the alpha criterion of the dominance checks
+orders the capacities it stands for."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from qcl import validation
 from qcl.capacity import alpha_mg1, pk_wait_transform
 from qcl.channels import binary_entropy
 from qcl.queueing import Deterministic, Exponential, Gamma, Uniform
+from qcl.simulate import EstimateWithError
+from qcl.validation import validate_formula
 
 ALPHA_LINES = [
     "pass: kappa=0.1: normalized alpha deterministic 0.951626 vs exponential "
@@ -32,6 +37,29 @@ def test_bsc_dominance_fails_when_an_alternative_ties(monkeypatch):
     # a zero lead is not strict
     assert all(line.startswith("FAIL: ") and "thinnest lead 0.000e+00" in line
                for line in analytic)
+
+
+def test_a_missing_standard_error_fails_its_gate(monkeypatch):
+    # None is a FAIL line, never a traceback; 0.0 still demands an exact match
+    report = validate_formula(1.0, EstimateWithError(1.0, None, 3))
+    assert not report.passed and str(report).startswith("FAIL: ")
+    assert validate_formula(1.0, EstimateWithError(1.0, 0.0, 3)).passed
+    monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
+    monkeypatch.setattr(validation, "batch_error", lambda means: None)
+    witness = [line for line in validation.check_bsc_service_dominance(seed=0).lines
+               if "witness" in line]
+    assert len(witness) == 16
+    assert all(line.startswith("FAIL: ") and "nan" in line for line in witness)
+    pair = validation._bsc_pair
+
+    def blind_without_error(spec, w):
+        with_t, without = pair(spec, w)
+        return with_t, replace(without, diagnostics={**without.diagnostics,
+                                                     "std_error": None})
+
+    monkeypatch.setattr(validation, "_bsc_pair", blind_without_error)
+    last = validation.check_csir_ordering(seed=0).lines[-1]
+    assert last.startswith("FAIL: ") and "nan joint sigma" in last
 
 
 def test_dominance_analytic_lines_pinned(monkeypatch):
