@@ -126,7 +126,6 @@ def cmd_sweep(cfg):
     out = cfg["out"] or "sweep.csv"
     from . import simulate
     with _replacing(out) as tmp:
-        _pin_malloc_thresholds()  # before the fork, so every worker inherits it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -173,10 +172,11 @@ def cmd_simulate(cfg):
 
 def _pin_malloc_thresholds():
     """Pin glibc malloc's mmap threshold at 32 MB and its trim threshold at
-    64 MB (Linux only), for `sweep` and `validate`. Left dynamic, both settle
-    wherever the largest block freed so far puts them, and below that the
-    n-length arrays of sweep cells and checks are handed back to the OS and
-    faulted in again on every call."""
+    64 MB (Linux only), for `validate`. Left dynamic, both settle wherever
+    the largest block freed so far puts them, and below that the n-length
+    arrays of checks are handed back to the OS and faulted in again on every
+    call. (`sweep` columns allocate only blocks and boolean rows, and gain
+    nothing from it.)"""
     if sys.platform.startswith("linux"):
         import ctypes
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

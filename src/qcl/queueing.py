@@ -172,7 +172,7 @@ class Uniform(ServiceDistribution):
 
     @property
     def mean(self):
-        return 0.5 * (self.low + self.high)
+        return 0.5 * self.low + 0.5 * self.high
 
     def sample(self, rng, size=None):
         return rng.uniform(self.low, self.high, size=size)
@@ -239,10 +239,11 @@ def lindley_waits(services, interarrivals):
 
     services[j] is customer j's service time; interarrivals[j] is the gap
     between arrivals j-1 and j (entry 0 is the first arrival epoch and does not
-    influence waits). Returns the waiting-before-service times of
-    waits_from_prefix_sums, with P_j the running sum of the increments
-    services[j-1] - interarrivals[j]. It works in place: one temporary of
-    n - 1 floats besides the output.
+    influence waits). Returns the waiting-before-service times: W_0 = 0, then
+    waits_from_prefix_sums' from floor 0, with P_j the running sum of the
+    increments services[j-1] - interarrivals[j]. It works in place: one
+    temporary of n - 1 floats besides the output, allocated after it, so that
+    freeing it leaves no hole below w where the heap holds arrays this size.
     """
     import numpy as np
     s = np.asarray(services, dtype=float)
@@ -254,25 +255,28 @@ def lindley_waits(services, interarrivals):
         return w
     p = np.subtract(s[:-1], t[1:])
     np.cumsum(p, out=p)
-    return waits_from_prefix_sums(p, w)
+    w[0] = 0.0
+    waits_from_prefix_sums(p, w[1:])
+    return w
 
 
-def waits_from_prefix_sums(p, w):
-    """Waits W_0..W_{n-1} of a queue that starts empty, written into w (n
-    floats) and returned, from the n - 1 prefix sums
-    P_j = sum over i = 1..j of (S_{i-1} - T_i), services minus interarrival
-    gaps: W_0 = 0 and W_j = max(P_j, P_j - min_k<=j P_k), whose larger term
-    is never negative. p is read, not written. lindley_waits allocates w
-    before p, so that freeing p leaves no hole below w where the heap holds
-    arrays this size (as when the malloc thresholds are pinned).
+def waits_from_prefix_sums(p, w, floor=0.0):
+    """Waits W_j = P_j - min(floor, P_1, ..., P_j), written into w (as long
+    as p), from prefix sums P_j = sum over i = 1..j of (S_{i-1} - T_i),
+    services minus interarrival gaps; floor is the running minimum before p,
+    0 for a queue that starts empty (whose W_0 = 0 comes before P_1). Returns
+    the running minimum after p, the floor of the block that follows, so a
+    long path can be taken block by block with the bits of one whole pass.
+    These bits equal those of max(P_j, P_j - min(P_1, ..., P_j)) from floor
+    0; np.fmin.accumulate gives np.minimum.accumulate's bits on NaN-free
+    sums, faster. p is read, not written.
     """
     import numpy as np
-    w[0] = 0.0
-    tail = w[1:]
-    np.minimum.accumulate(p, out=tail)
-    np.subtract(p, tail, out=tail)
-    np.maximum(p, tail, out=tail)
-    return w
+    np.fmin.accumulate(p, out=w)
+    np.fmin(w, floor, out=w)
+    floor = w[-1] if w.size else floor
+    np.subtract(p, w, out=w)
+    return floor
 
 
 def default_burn_in(lam, mu):

@@ -24,6 +24,7 @@ from .queueing import (DelayConvention, Exponential, QueueChannelSpec,
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
+SWEEP_BLOCK = 1 << 14  # waits per block of a sweep column, fastest at n = 10**6
 
 
 @dataclass(frozen=True)
@@ -308,14 +309,17 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     split from seed: n standard exponential gaps G, n service times S and n
     standard exponential survival marks E. The running sums CG of G and CS
     of S are taken once, in place (SOJOURN keeps S apart, to add it to the
-    waits); each lambda runs waits_from_prefix_sums on CS - CG / lambda, and
-    each kappa counts a delay w as survived when kappa * w <= E (probability
-    exp(-kappa * w)). So the cells, each with its own batch-means mc_stderr
-    or None, are correlated across lambda and kappa: at a fixed lambda
-    capacity_mc cannot rise with kappa, and a repeated kappa repeats its
-    cells. The
-    lambdas are mapped by fork_map, whose workers inherit the one draw;
-    lambda = 0 scores 0 without running the queue, and alone draws nothing.
+    waits). Each lambda walks them once, in blocks of SWEEP_BLOCK that stay
+    in a core's L2 cache: per block the prefix sums CS - CG / lambda, their
+    waits by waits_from_prefix_sums (the running minimum carried from block
+    to block, so the bits are those of one whole pass), and for each kappa
+    the survivals kappa * w <= E (probability exp(-kappa * w)), one boolean
+    row of n per kappa and no n-length float array per column. So the cells,
+    each with its own batch-means mc_stderr or None, are correlated across
+    lambda and kappa: at a fixed lambda capacity_mc cannot rise with kappa,
+    and a repeated kappa repeats its cells. The lambdas are mapped by
+    fork_map, whose workers inherit the one draw; lambda = 0 scores 0
+    without running the queue, and alone draws nothing.
 
     These waits differ from lindley_waits(S, G / lambda) in their last bits,
     within sqrt(n) * eps * (CS[-1] + CG[-1] / lambda), eps the float64
@@ -360,18 +364,27 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
         def mc_column(lam):
             if lam == 0.0:
                 return [(0.0, 0.0)] * len(kappas)
-            w, scaled = np.empty(n), np.empty(n)  # scaled: P, then kappa * w
-            p = np.divide(cum_gaps, lam, out=scaled[1:])
-            waits_from_prefix_sums(np.subtract(cum_services, p, out=p), w)
-            if sojourn:
-                w += services
-            survived = np.empty(n, dtype=bool)
-            column = []
-            for kappa in kappas:
-                np.less_equal(np.multiply(kappa, w, out=scaled), marks, out=survived)
-                est = _score_survival(survived, lam, alphabet)
-                column.append((est.value, est.std_error))
-            return column
+            # one pass over the running sums in cache-resident blocks: per
+            # block the prefix sums P = CS - CG / lambda (in p), their waits
+            # (the running minimum carried in floor), then p = kappa * w
+            survived = np.empty((len(kappas), n), dtype=bool)
+            first = services[0] if sojourn else 0.0  # W_0 of the empty queue
+            for row, kappa in zip(survived, kappas):
+                row[0] = kappa * first <= marks[0]
+            buffers, floor = np.empty((2, SWEEP_BLOCK)), 0.0
+            for lo in range(1, n, SWEEP_BLOCK):
+                hi = min(lo + SWEEP_BLOCK, n)
+                p, w = buffers[:, : hi - lo]
+                np.divide(cum_gaps[lo - 1: hi - 1], lam, out=p)
+                np.subtract(cum_services[lo - 1: hi - 1], p, out=p)
+                floor = waits_from_prefix_sums(p, w, floor)
+                if sojourn:
+                    w += services[lo:hi]
+                for row, kappa in zip(survived, kappas):
+                    np.less_equal(np.multiply(kappa, w, out=p), marks[lo:hi],
+                                  out=row[lo:hi])
+            return [(est.value, est.std_error) for est in
+                    (_score_survival(row, lam, alphabet) for row in survived)]
 
         columns = list(fork_map(mc_column, kept))
         # columns[i][j] is (lambda i, kappa j); rows run kappas outer

@@ -981,7 +981,7 @@ def test_cli_validate_killed_worker_is_a_config_error(capsys, monkeypatch):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the pool forks its workers")
 def test_cli_sweep_killed_worker_is_a_config_error(capsys, tmp_path, monkeypatch):
-    def die_in_worker(prefix_sums, waits):
+    def die_in_worker(prefix_sums, waits, floor):
         """A Lindley pass whose pool worker dies."""
         # in the calling process, exiting would end the test run itself
         assert multiprocessing.parent_process() is not None, "lambda run serially"

@@ -14,7 +14,7 @@ from qcl.queueing import (DelayConvention, Deterministic, Empirical,
                           Exponential, Gamma, InstabilityError,
                           QueueChannelSpec, Uniform, check_stability,
                           default_burn_in, lindley_waits, queue_path,
-                          stationary_wait_samples)
+                          stationary_wait_samples, waits_from_prefix_sums)
 
 
 def test_check_stability_message_and_threshold():
@@ -167,6 +167,11 @@ def test_service_laws_reject_non_finite_parameters(law, params):
         law(*params)
 
 
+def test_uniform_mean_of_huge_endpoints_does_not_overflow():
+    # low + high overflows to inf; the halves sum to a finite mean
+    assert Uniform(1e308, 1.7e308).mean == pytest.approx(1.35e308, rel=1e-15)
+
+
 def test_lindley_waits_matches_scalar_recursion():
     rng = np.random.default_rng(21)
     s = rng.exponential(1.0, 1500)
@@ -196,6 +201,26 @@ def test_lindley_waits_is_bit_identical_to_its_scalar_prefix_sums(rho):
         expected[j] = max(p, p - low)
     got = lindley_waits(s, t)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9, 0.99])
+def test_waits_running_minimum_has_minimum_accumulate_bits(rho):
+    # np.fmin.accumulate and np.minimum.accumulate differ only on NaNs; the
+    # waits, whole or in blocks that carry the running minimum, have the
+    # bits of max(P, P - running minimum)
+    rng = np.random.default_rng(26)
+    n = 100_000
+    p = np.cumsum(rng.exponential(1.0, n) - rng.exponential(1.0 / rho, n))
+    running = np.minimum.accumulate(p)
+    assert np.array_equal(np.fmin.accumulate(p).view(np.int64), running.view(np.int64))
+    expected = np.maximum(p, p - running)
+    whole = np.empty(n)
+    assert waits_from_prefix_sums(p, whole) == min(0.0, running[-1])
+    assert np.array_equal(whole.view(np.int64), expected.view(np.int64))
+    blocks, floor = np.empty(n), 0.0
+    for lo, hi in zip([0, 1, 2, 777, 4096, 50_000], [1, 2, 777, 4096, 50_000, n]):
+        floor = waits_from_prefix_sums(p[lo:hi], blocks[lo:hi], floor)
+    assert np.array_equal(blocks.view(np.int64), expected.view(np.int64))
 
 
 def test_lindley_waits_holds_one_temporary():

@@ -329,7 +329,8 @@ def test_sweep_rows_pool_matches_serial(monkeypatch, pool_spy):
     gaps, services, marks = _sweep_draws(21, 2000)
     cum_gaps, cum_services = np.cumsum(gaps[1:]), np.cumsum(services[:-1])
     for i, lam in enumerate(lambdas):
-        w = waits_from_prefix_sums(cum_services - cum_gaps / lam, np.empty(2000))
+        w = np.zeros(2000)
+        waits_from_prefix_sums(cum_services - cum_gaps / lam, w[1:])
         for j, kappa in enumerate(kappas):
             mean, se, _ = batch_means(kappa * w <= marks)
             row = rows[j * len(lambdas) + i]
@@ -348,18 +349,25 @@ def _sweep_draws(seed, n):
             mark_rng.standard_exponential(n))
 
 
-def _record_draws(monkeypatch):
-    """Record the generators every sweep splits off its seed, and the prefix
-    sums and waits of every Lindley pass it runs. One CPU keeps the passes in
-    this process, where the recorders run."""
+def _record_draws(monkeypatch, n):
+    """Record the generators every sweep of n symbols splits off its seed,
+    and the prefix sums and waits (W_0 = 0 first) of every Lindley pass it
+    runs, each joined from the blocks of its lambda column. One CPU keeps
+    the passes in this process, where the recorders run."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    streams, passes = [], []
+    streams, passes, blocks = [], [], []
     spawn, waits = simulate.spawn_rngs, simulate.waits_from_prefix_sums
+    per_pass = math.ceil((n - 1) / simulate.SWEEP_BLOCK)
 
-    def record(p, w):
-        # the sweep reuses the buffers once its cells are scored
-        passes.append((p.copy(), waits(p, w).copy()))
-        return w
+    def record(p, w, floor):
+        floor = waits(p, w, floor)
+        # the sweep reuses its block buffers once the block is marked
+        blocks.append((p.copy(), w.copy()))
+        if len(blocks) == per_pass:
+            ps, ws = zip(*blocks)
+            passes.append((np.concatenate(ps), np.concatenate([[0.0], *ws])))
+            blocks.clear()
+        return floor
 
     monkeypatch.setattr(simulate, "spawn_rngs",
                         lambda *a: streams.append(spawn(*a)) or streams[-1])
@@ -368,7 +376,7 @@ def _record_draws(monkeypatch):
 
 
 def test_sweep_rows_draws_once_and_runs_one_lindley_pass_per_lambda(monkeypatch):
-    streams, passes = _record_draws(monkeypatch)
+    streams, passes = _record_draws(monkeypatch, 200)
     monkeypatch.setattr(simulate, "queue_path", None)  # not on this path
     rows = sweep_rows([0.2, 0.5, 0.8], [0.1, 1.0, 3.0], n=200, seed=4)
     assert len(rows) == 9 and all(r["capacity_mc"] is not None for r in rows)
@@ -391,7 +399,7 @@ def test_sweep_rows_draws_once_and_runs_one_lindley_pass_per_lambda(monkeypatch)
 def test_sweep_rows_waits_stay_within_their_bound_of_lindley(monkeypatch, lam):
     # the bound of sweep_rows' docstring, at the n of the default sweep
     n = 10 ** 6
-    _, passes = _record_draws(monkeypatch)
+    _, passes = _record_draws(monkeypatch, n)
     sweep_rows([lam], [1.0], n=n, seed=7)
     [(_, w)] = passes
     gaps, services, _ = _sweep_draws(7, n)
@@ -400,10 +408,10 @@ def test_sweep_rows_waits_stay_within_their_bound_of_lindley(monkeypatch, lam):
 
 
 def test_sweep_rows_sums_its_draws_in_place(monkeypatch):
-    # three draws, then per lambda the prefix sums (reused for kappa * w), the
-    # waits and the survival booleans: about 5.2 * 8n. The old path, which
-    # scaled the gaps afresh for each lambda, peaked at 6.01 * 8n; prefix
-    # sums allocated apart from the draws would add 2 * 8n.
+    # three draws, then per lambda a boolean row per kappa and two blocks:
+    # about 3.7 * 8n at this n. The old path, which scaled the gaps afresh
+    # for each lambda, peaked at 6.01 * 8n; prefix sums allocated apart from
+    # the draws would add 2 * 8n.
     n = 100_000
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     sweep_rows([0.3], [1.0], n=n, seed=1)  # numpy's first-call allocations
@@ -414,6 +422,56 @@ def test_sweep_rows_sums_its_draws_in_place(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 8 * n
+
+
+def test_sweep_column_holds_no_float_temporary_of_n(monkeypatch):
+    # the three draws, one survival boolean per kappa and symbol, and the
+    # two float buffers of one block: a column that made an n-length float
+    # array would pass the bound
+    n, kappas = 200_000, [0.1, 1.0]
+    assert 2 * 8 * simulate.SWEEP_BLOCK < 4 * n
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    sweep_rows([0.3], [1.0], n=n, seed=1)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        sweep_rows([0.3, 0.6, 0.9], kappas, n=n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + len(kappas) * n + 4 * n
+
+
+def _whole_array_cells(lambdas, kappas, n, seed, convention):
+    """sweep_rows' (capacity_mc, mc_stderr) cells, kappas outer, from whole
+    arrays: the draws split from seed, each lambda's waits from
+    np.minimum.accumulate over all its prefix sums at once."""
+    gaps, services, marks = _sweep_draws(seed, n)
+    cum_gaps, cum_services = np.cumsum(gaps[1:]), np.cumsum(services[:-1])
+    cells = []
+    for kappa in kappas:
+        for lam in lambdas:
+            if lam == 0.0:
+                cells.append((0.0, 0.0))
+                continue
+            p = cum_services - cum_gaps / lam
+            w = np.concatenate([[0.0], np.maximum(p, p - np.minimum.accumulate(p))])
+            if convention is DelayConvention.SOJOURN:
+                w = w + services
+            est = simulate._score_survival(kappa * w <= marks, lam, 2)
+            cells.append((est.value, est.std_error))
+    return cells
+
+
+@pytest.mark.parametrize("convention", list(DelayConvention))
+@pytest.mark.parametrize("n", [2, 3, simulate.SWEEP_BLOCK, simulate.SWEEP_BLOCK + 1,
+                               simulate.SWEEP_BLOCK + 2, 2 * simulate.SWEEP_BLOCK + 1])
+def test_sweep_rows_blocks_give_the_whole_array_bits(monkeypatch, n, convention):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    lambdas, kappas = [0.0, 0.3, 0.8, 0.97], [0.5, 3.0, 0.5]
+    rows = sweep_rows(lambdas, kappas, n=n, seed=11, convention=convention)
+    # repr tells the bits of two floats apart, as the sweep CSV writes them
+    assert [repr((r["capacity_mc"], r["mc_stderr"])) for r in rows] == \
+        list(map(repr, _whole_array_cells(lambdas, kappas, n, 11, convention)))
 
 
 @pytest.mark.parametrize("survived", [
@@ -447,7 +505,7 @@ def test_sweep_rows_repeated_kappa_repeats_its_cells():
 
 
 def test_sweep_rows_zero_rate_draws_no_queue(monkeypatch):
-    streams, passes = _record_draws(monkeypatch)
+    streams, passes = _record_draws(monkeypatch, 500)
     rows = sweep_rows([0.0, 0.4], [0.5, 2.0], n=500, seed=1)
     zero = [r for r in rows if r["lambda"] == 0.0]
     assert len(zero) == 2
