@@ -10,7 +10,8 @@ table (RandomBijective.binary_symmetric), flips with probability p(w)/2, the
 depolarizing flip. The package pairs closed-form capacity expressions with a
 discrete-event Monte Carlo simulator and a check suite that holds the two
 against each other; evaluate_capacity and estimate_capacity are the one
-evaluation path per channel that the command line renders.
+evaluation path per channel that the command line renders. Both return a
+CapacityResult, which carries a sampled value's std_error and n with it.
 
 numpy is imported only by the code that draws or holds arrays, so the
 closed forms start without it: the names of qcl.simulate and qcl.validation

@@ -32,13 +32,16 @@ UNPREDICTABILITY_NOTE = ("no-timing-information value assumes the queue state is
 class CapacityResult:
     """A capacity value in bits per unit time with provenance diagnostics.
 
-    When only an interval is known, bits_per_sec is None and bounds holds the
-    (lower, upper) pair as CapacityResults of their own.
+    A sampled value carries its std_error (bits/sec, or None) and sample count
+    n; a closed form has neither. When only an interval is known, bits_per_sec
+    is None and bounds holds the (lower, upper) pair as CapacityResults.
     """
 
     bits_per_sec: float
     method: str
     diagnostics: dict = field(default_factory=dict)
+    std_error: float = None
+    n: int = None
     bounds: tuple = ()
 
 
@@ -164,9 +167,9 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
     caller asserts the queue is unpredictable from past noise, else a result
     with bits_per_sec None and the bound pair
     lam*(log2 k - H_mean_noise) <= C <= lam*(log2 k - E_H_kernel_noise).
-    Each expectation is an EstimateWithError: its .value sets the rate, and
-    its .std_error (scaled to bits/sec, and as given; None stays None) and
-    .n go to the diagnostics.
+    Each expectation is an EstimateWithError: its .value sets the rate and,
+    with its .std_error, goes to the diagnostics; the result's std_error is
+    that scaled to bits/sec (None stays None), and its n is .n.
     """
     if spec.channel.kind != "bijective":
         raise TypeError("bijective_capacity needs a RandomBijective channel")
@@ -178,11 +181,10 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
         except (KeyError, TypeError):
             raise ValueError(f"missing noise entropy expectation {key!r}") from None
         h, se = float(expectation.value), expectation.std_error
-        diagnostics.update({key: h,
-                            "std_error": None if se is None else spec.lam * se,
-                            "expectation_std_error": se, "n": expectation.n})
-        return CapacityResult(bits_per_sec=spec.lam * (log_k - h), method=method,
-                              diagnostics=diagnostics)
+        return CapacityResult(spec.lam * (log_k - h), method,
+                              {**diagnostics, key: h, "expectation_std_error": se},
+                              std_error=None if se is None else spec.lam * se,
+                              n=expectation.n)
 
     if spec.receiver_knows_timing:
         return rate(E_H_NOISE, METHOD_MC, csir=True)
@@ -191,8 +193,7 @@ def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=Fa
                     assumption=UNPREDICTABILITY_NOTE)
     lower = rate(H_MEAN_NOISE, METHOD_BOUND_LOWER, csir=False)
     upper = rate(E_H_KERNEL_NOISE, METHOD_BOUND_UPPER, csir=False)
-    return CapacityResult(bits_per_sec=None, method=METHOD_BOUNDS,
-                          diagnostics={"csir": False, "n": lower.diagnostics["n"]},
+    return CapacityResult(None, METHOD_BOUNDS, {"csir": False}, n=lower.n,
                           bounds=(lower, upper))
 
 
@@ -202,8 +203,8 @@ def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
     An erasure channel has a transform closed form and draws nothing. A
     noise-permutation channel is estimated over n stationary delays drawn
     from seed (see stationary_wait_samples), computing only the expectations
-    bijective_capacity reads for this spec. Raises estimate_bijective_bounds'
-    ValueError for n < 2 before stationary_wait_samples can refuse n = 0.
+    bijective_capacity reads for this spec. Raises ValueError for n < 2, as
+    one delay gives no standard error, before drawing any.
     """
     if spec.channel.kind == "erasure":
         return erasure_capacity(spec)

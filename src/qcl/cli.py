@@ -63,16 +63,20 @@ def _capacity_payload(result):
     payload = {"bits_per_sec": result.bits_per_sec, "method": result.method}
     for name, bound in zip(("lower", "upper"), result.bounds):
         payload[name] = {"bits_per_sec": bound.bits_per_sec, "method": bound.method,
-                         "std_error": bound.diagnostics["std_error"]}
+                         "std_error": bound.std_error}
     payload["diagnostics"] = dict(result.diagnostics)
+    if result.n is not None:  # sampled; an interval's std_errors are its bounds'
+        if not result.bounds:
+            payload["diagnostics"]["std_error"] = result.std_error
+        payload["diagnostics"]["n"] = result.n
     return payload
 
 
 def cmd_capacity(cfg):
     if cfg["lambda"] == 0.0:
         build_channel(cfg)  # a bad channel is an error at every rate
-        emit({"bits_per_sec": 0.0, "method": "ZeroRate",
-              "diagnostics": {"note": "no arrivals, no throughput"}})
+        emit(_capacity_payload(capacity.CapacityResult(
+            0.0, "ZeroRate", {"note": "no arrivals, no throughput"})))
         return EXIT_OK
     spec = build_spec(cfg)
     try:
@@ -161,11 +165,12 @@ def cmd_simulate(cfg):
     payload = {"out": out, "n": len(transcript), "seed": cfg["seed"]}
     est, bounds = simulate.estimate_capacity(transcript)
     if bounds is not None:
-        payload["bounds"] = {name: b.value for name, b in bounds.items()}
+        payload["bounds"] = {name: b.bits_per_sec for name, b in bounds.items()}
     if est is not None:
-        payload["estimate"] = {"bits_per_sec": est.value, "std_error": est.std_error,
+        payload["estimate"] = {"bits_per_sec": est.bits_per_sec,
+                               "std_error": est.std_error,
                                "method": capacity.METHOD_MC,
-                               "details": dict(est.details)}
+                               "details": {} if bounds else dict(est.diagnostics)}
     emit(payload)
     return EXIT_OK
 

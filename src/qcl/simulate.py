@@ -10,12 +10,12 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                       erasure_capacity)
+from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE, METHOD_MC,
+                       CapacityResult, bijective_capacity, erasure_capacity)
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_error, batch_means, spawn_rngs
@@ -25,16 +25,16 @@ from .queueing import (DelayConvention, Exponential, QueueChannelSpec,
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
 SWEEP_BLOCK = 1 << 14  # waits per block of a sweep column, fastest at n = 10**6
+SWEEP_KAPPAS = 16  # survival rows a sweep column holds, one per kappa
 
 
 @dataclass(frozen=True)
 class EstimateWithError:
-    """A Monte Carlo estimate, its standard error (or None) and sample count."""
+    """A Monte Carlo expectation in bits per symbol, its std_error (or None), n."""
 
     value: float
     std_error: float
     n: int
-    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.std_error is not None and self.std_error < 0:
@@ -155,17 +155,17 @@ def _score_survival(survived, lam, alphabet):
     The fraction and its standard error are batch_means' on the booleans
     (the indicators inherit the delay autocorrelation), so the error is None
     below 2 batches or when every symbol survived or every one was erased.
-    The i.i.d. binomial error is kept in details, None with it.
+    The i.i.d. binomial error is kept in the diagnostics, None with it.
     """
     frac, se, m = batch_means(survived)
     n = survived.size
     scale = lam * math.log2(alphabet)
     binomial_se = None if se is None else scale * math.sqrt(frac * (1.0 - frac) / n)
-    return EstimateWithError(value=scale * frac,
-                             std_error=None if se is None else scale * se, n=n,
-                             details={"erased_fraction": 1.0 - frac,
-                                      "binomial_std_error": binomial_se,
-                                      "batches": m})
+    return CapacityResult(bits_per_sec=scale * frac, method=METHOD_MC,
+                          diagnostics={"erased_fraction": 1.0 - frac,
+                                       "binomial_std_error": binomial_se,
+                                       "batches": m},
+                          std_error=None if se is None else scale * se, n=n)
 
 
 def _quantile_buckets(w):
@@ -260,22 +260,22 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
         h_bucket = np.zeros(BUCKETS)
         h_bucket[occupied] = discrete_entropy(kernel_dists[occupied])
         mean_hk, se_hk, _ = batch_means(h_bucket[idx])
-        out[E_H_KERNEL_NOISE] = EstimateWithError(
-            value=mean_hk, std_error=se_hk, n=w.size - 1,
-            details={"buckets": int(occupied.sum())})
+        out[E_H_KERNEL_NOISE] = EstimateWithError(value=mean_hk, std_error=se_hk,
+                                                  n=w.size - 1)
     return out
 
 
 def estimate_capacity(transcript):
-    """Capacity estimated from one transcript, as (estimate, bounds).
+    """Capacity estimated from one transcript, as (estimate, bounds) of
+    sampled CapacityResults.
 
     An erasure transcript is scored as lam * log2(k) * (1 - erased fraction)
     by _score_survival and has no bounds.
-    A noise-permutation transcript is scored from its own delay column: bounds
-    maps lower, upper and csir_exact to bits/sec estimates, and the estimate
-    is csir_exact when the receiver knows the timing, else lower. Both are
-    None for a transcript of fewer than 2 symbols, whose estimate would have
-    no standard error.
+    A noise-permutation transcript is scored from its own delay column by
+    bijective_capacity: bounds maps lower, upper and csir_exact to its
+    results, and the estimate is csir_exact when the receiver knows the
+    timing, else lower. Both are None for a transcript of fewer than 2
+    symbols, whose estimate would have no standard error.
     """
     spec = transcript.spec
     if len(transcript) < 2:
@@ -283,15 +283,12 @@ def estimate_capacity(transcript):
     if spec.channel.kind == "erasure":
         return _score_survival(transcript.y != ERASED, spec.lam,
                                spec.channel.size), None
-    lam, log_k = spec.lam, math.log2(spec.channel.size)
     h = estimate_bijective_bounds(spec, transcript.w)
-    bounds = {name: EstimateWithError(value=lam * (log_k - h[key].value),
-                                      std_error=(None if h[key].std_error is None
-                                                 else lam * h[key].std_error),
-                                      n=h[key].n)
-              for name, key in (("lower", H_MEAN_NOISE), ("upper", E_H_KERNEL_NOISE),
-                                ("csir_exact", E_H_NOISE))}
-    return bounds["csir_exact" if spec.receiver_knows_timing else "lower"], bounds
+    lower, upper = bijective_capacity(replace(spec, receiver_knows_timing=False),
+                                      h).bounds
+    exact = bijective_capacity(replace(spec, receiver_knows_timing=True), h)
+    bounds = {"lower": lower, "upper": upper, "csir_exact": exact}
+    return exact if spec.receiver_knows_timing else lower, bounds
 
 
 def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
@@ -309,15 +306,16 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     split from seed: n standard exponential gaps G, n service times S and n
     standard exponential survival marks E. The running sums CG of G and CS
     of S are taken once, in place (SOJOURN keeps S apart, to add it to the
-    waits). Each lambda walks them once, in blocks of SWEEP_BLOCK that stay
-    in a core's L2 cache: per block the prefix sums CS - CG / lambda, their
-    waits by waits_from_prefix_sums (the running minimum carried from block
-    to block, so the bits are those of one whole pass), and for each kappa
-    the survivals kappa * w <= E (probability exp(-kappa * w)), one boolean
-    row of n per kappa and no n-length float array per column. So the cells,
-    each with its own batch-means mc_stderr or None, are correlated across
-    lambda and kappa: at a fixed lambda capacity_mc cannot rise with kappa,
-    and a repeated kappa repeats its cells. The lambdas are mapped by
+    waits). Each lambda walks them once per SWEEP_KAPPAS kappas, in blocks
+    of SWEEP_BLOCK that stay in a core's L2 cache: per block the prefix sums
+    CS - CG / lambda, their waits by waits_from_prefix_sums (the running
+    minimum carried from block to block, so the bits are those of one whole
+    pass), and for each kappa of the walk the survivals kappa * w <= E
+    (probability exp(-kappa * w)), one boolean row of n per kappa and no
+    n-length float array. So the cells, each with its own batch-means
+    mc_stderr or None, are correlated across lambda and kappa: at a fixed
+    lambda capacity_mc cannot rise with kappa, and a repeated kappa repeats
+    its cells. The lambdas are mapped by
     fork_map, whose workers inherit the one draw; lambda = 0 scores 0
     without running the queue, and alone draws nothing.
 
@@ -361,15 +359,15 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
             cum_services = np.cumsum(services[:-1],
                                      out=None if sojourn else services[:-1])
 
-        def mc_column(lam):
+        def mc_column(lam, group):
             if lam == 0.0:
-                return [(0.0, 0.0)] * len(kappas)
+                return [(0.0, 0.0)] * len(group)
             # one pass over the running sums in cache-resident blocks: per
             # block the prefix sums P = CS - CG / lambda (in p), their waits
             # (the running minimum carried in floor), then p = kappa * w
-            survived = np.empty((len(kappas), n), dtype=bool)
+            survived = np.empty((len(group), n), dtype=bool)
             first = services[0] if sojourn else 0.0  # W_0 of the empty queue
-            for row, kappa in zip(survived, kappas):
+            for row, kappa in zip(survived, group):
                 row[0] = kappa * first <= marks[0]
             buffers, floor = np.empty((2, SWEEP_BLOCK)), 0.0
             for lo in range(1, n, SWEEP_BLOCK):
@@ -380,13 +378,15 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
                 floor = waits_from_prefix_sums(p, w, floor)
                 if sojourn:
                     w += services[lo:hi]
-                for row, kappa in zip(survived, kappas):
+                for row, kappa in zip(survived, group):
                     np.less_equal(np.multiply(kappa, w, out=p), marks[lo:hi],
                                   out=row[lo:hi])
-            return [(est.value, est.std_error) for est in
+            return [(est.bits_per_sec, est.std_error) for est in
                     (_score_survival(row, lam, alphabet) for row in survived)]
 
-        columns = list(fork_map(mc_column, kept))
+        columns = list(fork_map(lambda lam: [
+            cell for lo in range(0, len(kappas), SWEEP_KAPPAS)
+            for cell in mc_column(lam, kappas[lo: lo + SWEEP_KAPPAS])], kept))
         # columns[i][j] is (lambda i, kappa j); rows run kappas outer
         cells = [cell for by_kappa in zip(*columns) for cell in by_kappa]
         for row, (value, stderr) in zip(rows, cells):

@@ -44,27 +44,20 @@ class ValidationReport:
 
 def _sigma(*errors):
     """The joint standard error hypot(*errors) of independent estimates, NaN
-    if one has none (None): every sigma gate then fails, and its line prints."""
-    return math.hypot(*(math.nan if se is None else se for se in errors))
+    if one has none (None, or a 0.0 that batch_error never gives): every
+    sigma gate then fails, and its line prints."""
+    return math.hypot(*(se or math.nan for se in errors))
 
 
-def validate_formula(formula_value, estimate):
-    """Compare a closed-form value against a Monte Carlo EstimateWithError.
-
-    Passes when |estimate - formula| <= SIGMA_GATE * std_error; a std_error
-    of 0.0 demands an exact match, and a std_error of None fails.
-    """
-    value, se = float(estimate.value), _sigma(estimate.std_error)
-    diff = abs(value - formula_value)
-    if se == 0.0:
-        passed = diff == 0.0
-        sigma = 0.0 if passed else math.inf
-    else:
-        sigma = diff / se
-        passed = sigma <= SIGMA_GATE
+def validate_formula(formula_value, estimate, std_error):
+    """Compare a closed-form value against a Monte Carlo estimate: pass when
+    |estimate - formula| <= SIGMA_GATE * std_error, fail when std_error is
+    None or 0.0."""
+    value, se = float(estimate), _sigma(std_error)
+    sigma = abs(value - formula_value) / se
     return ValidationReport(formula_value=float(formula_value), estimate=value,
                             std_error=se, sigma_distance=sigma, gate=SIGMA_GATE,
-                            passed=passed)
+                            passed=sigma <= SIGMA_GATE)
 
 
 @dataclass
@@ -170,9 +163,9 @@ def check_mm1_erasure_formula(seed=None):
     for kappa in (0.1, 1.0):
         for lam in (0.3, 0.5, 0.7):
             formula = capacity.mm1_capacity_closed_form(lam, kappa).bits_per_sec
-            tr = simulate.simulate_transmission(_erasure_spec(lam, kappa),
-                                                N_DEFAULT, seed=next(children))
-            rep = validate_formula(formula, simulate.estimate_capacity(tr)[0])
+            est, _ = simulate.estimate_capacity(simulate.simulate_transmission(
+                _erasure_spec(lam, kappa), N_DEFAULT, seed=next(children)))
+            rep = validate_formula(formula, est.bits_per_sec, est.std_error)
             out.note(rep.passed, f"lam={lam:g} kappa={kappa:g}: {rep}")
     return out
 
@@ -189,8 +182,7 @@ def check_wait_transform(seed=None):
                 waits = stationary_wait_samples(lam, service,
                                                 N_DEFAULT, seed=next(children))
                 mean, se, _ = batch_means(np.exp(-kappa * waits.samples))
-                rep = validate_formula(formula, simulate.EstimateWithError(
-                    mean, se, N_DEFAULT))
+                rep = validate_formula(formula, mean, se)
                 out.note(rep.passed,
                          f"{service.kind} lam={lam:g} kappa={kappa:g}: {rep}")
     return out
@@ -276,8 +268,7 @@ def check_bsc_service_dominance(seed=None):
                 sigmas.append(f"{alt.kind} {margin / se:.1f}")
                 ok = ok and margin > SIGMA_GATE * se
                 closed = lam * (_flip_entropy(lam, alt, kappa) - closed_det)
-                rep = validate_formula(closed, simulate.EstimateWithError(
-                    margin, se, paired.size))
+                rep = validate_formula(closed, margin, se)
                 out.note(rep.passed, f"witness lam={lam:g} kappa={kappa:g} {alt.kind} "
                                      f"margin: {rep}")
             out.note(ok, f"witness lam={lam:g} kappa={kappa:g}: paired margins over "
@@ -317,7 +308,7 @@ def check_csir_ordering(seed=None):
     spec = _bsc_spec(1e-4, 1.0, Deterministic(1.0), DelayConvention.SOJOURN)
     tr = simulate.simulate_transmission(spec, N_DEFAULT, seed=_seed_for(seed, 66))
     with_t, without = _bsc_pair(spec, tr.w)
-    joint = _sigma(with_t.diagnostics["std_error"], without.diagnostics["std_error"])
+    joint = _sigma(with_t.std_error, without.std_error)
     diff = abs(with_t.bits_per_sec - without.bits_per_sec)
     out.note(diff <= SIGMA_GATE * joint,
              f"deterministic service, lam=1e-4, sojourn: |csir - blind| = {diff:.2e}"
@@ -348,8 +339,7 @@ def check_bijective_bounds(seed=None):
         # an independent replicate of the exact unpredictable-queue value
         exact = capacity.evaluate_capacity(
             spec, n, seed=int(rng.integers(2 ** 63)), assume_unpredictable=True)
-        se_lower, se_upper, se_exact = (r.diagnostics["std_error"]
-                                        for r in (lower, upper, exact))
+        se_lower, se_upper, se_exact = (r.std_error for r in (lower, upper, exact))
         ordered = lower.bits_per_sec <= upper.bits_per_sec + 1e-12
         lo_gap = (exact.bits_per_sec - lower.bits_per_sec) / _sigma(se_lower, se_exact)
         hi_gap = (upper.bits_per_sec - exact.bits_per_sec) / _sigma(se_upper, se_exact)
@@ -363,8 +353,8 @@ def check_bijective_bounds(seed=None):
     stationary = capacity.evaluate_capacity(xor_spec, n, seed=_seed_for(seed, 77))
     transcript, _ = simulate.estimate_capacity(
         simulate.simulate_transmission(xor_spec, n, seed=_seed_for(seed, 78)))
-    joint = _sigma(stationary.diagnostics["std_error"], transcript.std_error)
-    diff = abs(stationary.bits_per_sec - transcript.value)
+    joint = _sigma(stationary.std_error, transcript.std_error)
+    diff = abs(stationary.bits_per_sec - transcript.bits_per_sec)
     out.note(diff <= SIGMA_GATE * joint,
              f"XOR/Bernoulli stationary vs transcript route: |diff| = {diff:.2e} "
              f"= {diff / joint:.2f} joint sigma")
@@ -461,11 +451,11 @@ def check_optimizer_route_discrepancy(seed=None):
         tr = simulate.simulate_transmission(_erasure_spec(lam, kappa), N_DEFAULT,
                                             seed=next(children))
         estimates[label] = simulate.estimate_capacity(tr)[0]
-    margin = estimates["transform"].value - estimates["premise"].value
+    margin = estimates["transform"].bits_per_sec - estimates["premise"].bits_per_sec
     joint = _sigma(estimates["transform"].std_error, estimates["premise"].std_error)
     out.note(margin > SIGMA_GATE * joint,
-             f"measured capacity {estimates['transform'].value:.6f} vs "
-             f"{estimates['premise'].value:.6f}: margin {margin / joint:.1f} "
+             f"measured capacity {estimates['transform'].bits_per_sec:.6f} vs "
+             f"{estimates['premise'].bits_per_sec:.6f}: margin {margin / joint:.1f} "
              f"joint sigma in favor of the transform route")
     return out
 

@@ -178,9 +178,9 @@ def test_bsc_capacity_accepts_estimates_and_checks_keys():
     blind = bijective_capacity(_bsc_spec(0.5), {H_MEAN_NOISE: est},
                                assume_unpredictable=True)
     assert blind.bits_per_sec == pytest.approx(0.17498878917582289, abs=1e-12)
-    assert blind.diagnostics["std_error"] == pytest.approx(0.5 * 1e-4)
+    assert blind.std_error == pytest.approx(0.5 * 1e-4)
     assert blind.diagnostics["expectation_std_error"] == 1e-4
-    assert blind.diagnostics["n"] == 100
+    assert blind.n == 100
     with pytest.raises(ValueError, match="E_H_noise"):
         bijective_capacity(_bsc_spec(0.5, csir=True), {H_MEAN_NOISE: _h(0.1)})
     with pytest.raises(ValueError, match="H_mean_noise"):

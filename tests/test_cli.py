@@ -376,6 +376,18 @@ def test_cli_capacity_zero_rate(capsys):
     assert payload["method"] == "ZeroRate"
 
 
+def test_cli_zero_rate_is_a_result_with_no_standard_error(capsys, monkeypatch):
+    # no arrivals: a closed form, so neither a std_error nor an n is printed
+    seen, payload = [], cli._capacity_payload
+    monkeypatch.setattr(cli, "_capacity_payload",
+                        lambda result: seen.append(result) or payload(result))
+    code, out, _ = _run(capsys, "capacity", "--lambda", "0")
+    assert code == 0
+    [result] = seen
+    assert (result.method, result.std_error, result.n) == ("ZeroRate", None, None)
+    assert _payload(out)["diagnostics"] == {"note": "no arrivals, no throughput"}
+
+
 @pytest.mark.parametrize("rate", ["0", "0.5"])
 def test_cli_capacity_rejects_a_bad_channel_at_every_rate(capsys, tmp_path, rate):
     cfg = tmp_path / "bij.json"
@@ -906,7 +918,7 @@ def test_cli_simulate_bijective_scores_its_own_transcript(capsys, tmp_path, timi
                                  "csir_exact": exact.bits_per_sec}
     scored = exact if timing else lower
     assert payload["estimate"]["bits_per_sec"] == scored.bits_per_sec
-    assert payload["estimate"]["std_error"] == scored.diagnostics["std_error"]
+    assert payload["estimate"]["std_error"] == scored.std_error
 
 
 def test_cli_env_seed(capsys, tmp_path, monkeypatch):

@@ -308,3 +308,5 @@ def test_cli_output_is_pinned(name, tmp_path, capsys):
         assert {k: got["diagnostics"].get(k) for k in pinned} == pinned
         expected = {**expected, "diagnostics": got["diagnostics"]}
     assert got == expected
+    # and in the same key order
+    assert json.dumps(got) == json.dumps(expected)

@@ -82,7 +82,7 @@ def test_one_rule_decides_every_standard_error(values):
         scored = simulate._score_survival(x, 0.5, 2)
         assert scored.std_error is None or scored.std_error > 0.0
         assert (scored.std_error is None) == (se is None)
-        assert (scored.details["binomial_std_error"] is None) == (se is None)
+        assert (scored.diagnostics["binomial_std_error"] is None) == (se is None)
     elif x.size >= 2:
         for est in simulate.estimate_bijective_bounds(_K3, np.abs(x)).values():
             assert est.std_error is None or est.std_error > 0.0

@@ -15,7 +15,8 @@ import pytest
 
 from qcl import channels, simulate
 from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                          erasure_capacity, evaluate_capacity)
+                          bijective_capacity, erasure_capacity, evaluate_capacity,
+                          mm1_capacity_closed_form)
 from qcl.channels import (ERASED, BernoulliNoise, DecoherenceModel, Erasure,
                           RandomBijective, WaitGeometricNoise, apply_channel,
                           discrete_entropy, xor_table)
@@ -116,11 +117,11 @@ def test_erasure_estimate_matches_closed_form():
     assert bounds is None
     target = erasure_capacity(spec).bits_per_sec
     assert target == pytest.approx(1.0 / 3.0)
-    assert abs(est.value - target) <= 4.0 * est.std_error
+    assert abs(est.bits_per_sec - target) <= 4.0 * est.std_error
     assert est.std_error < 0.01
-    assert {"erased_fraction", "binomial_std_error", "batches"} <= set(est.details)
+    assert {"erased_fraction", "binomial_std_error", "batches"} <= set(est.diagnostics)
     # batch-means error should not undercut the iid binomial error
-    assert est.std_error >= 0.5 * est.details["binomial_std_error"]
+    assert est.std_error >= 0.5 * est.diagnostics["binomial_std_error"]
 
 
 def test_erasure_estimator_input_checks():
@@ -136,8 +137,8 @@ def test_bsc_estimates_and_timing_gain():
     blind, aware = bounds["lower"], bounds["csir_exact"]
     assert est is blind
     # concavity of entropy makes the timing-aware plug-in >= blind
-    assert aware.value >= blind.value - 1e-12
-    assert abs(blind.value - 0.17498878917582289) <= 4.0 * blind.std_error
+    assert aware.bits_per_sec >= blind.bits_per_sec - 1e-12
+    assert abs(blind.bits_per_sec - 0.17498878917582289) <= 4.0 * blind.std_error
     assert estimate_capacity(simulate_transmission(
         _bsc_spec(0.5, csir=True), 1000, seed=1))[0] is not None
     assert estimate_capacity(simulate_transmission(_bsc_spec(), 1, seed=1)) == \
@@ -274,16 +275,17 @@ def test_one_decoherence_law_read_by_every_consumer():
 
 
 def test_validate_formula_reports():
-    good = validate_formula(1.0, EstimateWithError(1.001, 0.001, 100))
+    good = validate_formula(1.0, 1.001, 0.001)
     assert good.passed and good.sigma_distance == pytest.approx(1.0)
-    bad = validate_formula(1.0, EstimateWithError(1.01, 0.001, 100))
+    bad = validate_formula(1.0, 1.01, 0.001)
     assert not bad.passed and bad.sigma_distance == pytest.approx(10.0)
     assert "FAIL" in str(bad) and "pass" in str(good)
-    exact = validate_formula(2.0, EstimateWithError(2.0, 0.0, 1))
-    assert exact.passed
-    off = validate_formula(2.0, EstimateWithError(2.1, 0.0, 1))
-    assert not off.passed and math.isinf(off.sigma_distance)
-    assert validate_formula(0.5, EstimateWithError(0.5, 0.0, 1)).passed
+    # batch_error never gives 0.0, so a 0.0 error fails like a missing one
+    exact = validate_formula(2.0, 2.0, 0.0)
+    assert not exact.passed
+    off = validate_formula(2.0, 2.1, 0.0)
+    assert not off.passed and math.isnan(off.sigma_distance)
+    assert not validate_formula(0.5, 0.5, 0.0).passed
 
 
 def test_sweep_rows_analytic_only():
@@ -441,6 +443,21 @@ def test_sweep_column_holds_no_float_temporary_of_n(monkeypatch):
     assert peak <= 3 * 8 * n + len(kappas) * n + 4 * n
 
 
+def test_sweep_column_memory_does_not_grow_with_the_kappas(monkeypatch):
+    # 48 kappas are scored SWEEP_KAPPAS at a time, so a column holds one
+    # group's survival booleans: the bound of a SWEEP_KAPPAS-kappa sweep
+    n, kappas = 200_000, [0.02 * (i + 1) for i in range(48)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    sweep_rows([0.3], [1.0], n=n, seed=1)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        sweep_rows([0.3, 0.6], kappas, n=n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + simulate.SWEEP_KAPPAS * n + 4 * n
+
+
 def _whole_array_cells(lambdas, kappas, n, seed, convention):
     """sweep_rows' (capacity_mc, mc_stderr) cells, kappas outer, from whole
     arrays: the draws split from seed, each lambda's waits from
@@ -458,7 +475,7 @@ def _whole_array_cells(lambdas, kappas, n, seed, convention):
             if convention is DelayConvention.SOJOURN:
                 w = w + services
             est = simulate._score_survival(kappa * w <= marks, lam, 2)
-            cells.append((est.value, est.std_error))
+            cells.append((est.bits_per_sec, est.std_error))
     return cells
 
 
@@ -488,12 +505,50 @@ def test_score_survival_counts_have_batch_means_bits(survived):
     # 2 batches or for a constant series there is no standard error on
     # either side, and no binomial error either
     est = simulate._score_survival(survived, 0.7, 2)
-    got = (est.value, est.std_error, est.details["batches"])
+    got = (est.bits_per_sec, est.std_error, est.diagnostics["batches"])
     mean, se, m = batch_means(survived.astype(float))
     assert (se is None) == (m < 2 or survived.all() or not survived.any())
     assert got == (0.7 * mean, None if se is None else 0.7 * se, m)
-    assert (est.details["binomial_std_error"] is None) == (se is None)
+    assert (est.diagnostics["binomial_std_error"] is None) == (se is None)
     assert all(type(x) in (float, int, type(None)) for x in got)
+
+
+@pytest.mark.parametrize("convention", list(DelayConvention))
+def test_sweep_rows_kappa_groups_give_the_whole_array_bits(monkeypatch, convention):
+    # 17 kappas make two groups, and kappa 0.5 is in both: its cells repeat
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    kappas = [0.5] + [0.2 * (i + 1) for i in range(15)] + [0.5]
+    assert len(kappas) == simulate.SWEEP_KAPPAS + 1
+    lambdas, n = [0.0, 0.4, 0.9], simulate.SWEEP_BLOCK + 2
+    rows = sweep_rows(lambdas, kappas, n=n, seed=5, convention=convention)
+    got = [repr((r["capacity_mc"], r["mc_stderr"])) for r in rows]
+    assert got == list(map(repr, _whole_array_cells(lambdas, kappas, n, 5, convention)))
+    assert got[: len(lambdas)] == got[-len(lambdas):]
+
+
+def test_a_standard_error_only_where_a_value_was_sampled():
+    # every sampled CapacityResult carries its std_error and n, an interval
+    # only n (each bound has its own std_error), and a closed form neither
+    bsc = _bsc_spec(0.5)
+    h = estimate_bijective_bounds(bsc, np.random.default_rng(0).exponential(1.0, 1000))
+    blind = bijective_capacity(bsc, h)
+    evaluated = evaluate_capacity(_bijective_spec(), 1000, seed=1)
+    est, bounds = estimate_capacity(simulate_transmission(bsc, 1000, seed=2))
+    sampled = [bijective_capacity(replace(bsc, receiver_knows_timing=True), h),
+               *blind.bounds, *evaluated.bounds, est, *bounds.values(),
+               evaluate_capacity(replace(bsc, receiver_knows_timing=True), 1000, seed=3),
+               estimate_capacity(simulate_transmission(_spec(0.5), 1000, seed=4))[0],
+               simulate._score_survival(np.random.default_rng(5).random(1000) < 0.7,
+                                        0.5, 2)]
+    for result in sampled:
+        assert result.std_error > 0.0 and result.n in (999, 1000)
+        assert "std_error" not in result.diagnostics and "n" not in result.diagnostics
+    for interval in (blind, evaluated):
+        assert interval.bits_per_sec is None
+        assert interval.std_error is None and interval.n == 999
+    for closed in (erasure_capacity(_spec(0.5)), mm1_capacity_closed_form(0.5, 1.0),
+                   evaluate_capacity(_spec(0.5), 1000, seed=1)):
+        assert closed.std_error is None and closed.n is None
 
 
 def test_sweep_rows_repeated_kappa_repeats_its_cells():

@@ -14,7 +14,6 @@ from qcl import validation
 from qcl.capacity import alpha_mg1, pk_wait_transform
 from qcl.channels import binary_entropy
 from qcl.queueing import Deterministic, Exponential, Gamma, Uniform
-from qcl.simulate import EstimateWithError
 from qcl.validation import validate_formula
 
 ALPHA_LINES = [
@@ -40,10 +39,11 @@ def test_bsc_dominance_fails_when_an_alternative_ties(monkeypatch):
 
 
 def test_a_missing_standard_error_fails_its_gate(monkeypatch):
-    # None is a FAIL line, never a traceback; 0.0 still demands an exact match
-    report = validate_formula(1.0, EstimateWithError(1.0, None, 3))
+    # None is a FAIL line, never a traceback; so is 0.0, which batch_error
+    # never gives
+    report = validate_formula(1.0, 1.0, None)
     assert not report.passed and str(report).startswith("FAIL: ")
-    assert validate_formula(1.0, EstimateWithError(1.0, 0.0, 3)).passed
+    assert not validate_formula(1.0, 1.0, 0.0).passed
     monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
     monkeypatch.setattr(validation, "batch_error", lambda means: None)
     witness = [line for line in validation.check_bsc_service_dominance(seed=0).lines
@@ -54,8 +54,7 @@ def test_a_missing_standard_error_fails_its_gate(monkeypatch):
 
     def blind_without_error(spec, w):
         with_t, without = pair(spec, w)
-        return with_t, replace(without, diagnostics={**without.diagnostics,
-                                                     "std_error": None})
+        return with_t, replace(without, std_error=None)
 
     monkeypatch.setattr(validation, "_bsc_pair", blind_without_error)
     last = validation.check_csir_ordering(seed=0).lines[-1]
