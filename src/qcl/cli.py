@@ -168,9 +168,8 @@ def cmd_simulate(cfg):
         payload["bounds"] = {name: b.bits_per_sec for name, b in bounds.items()}
     if est is not None:
         payload["estimate"] = {"bits_per_sec": est.bits_per_sec,
-                               "std_error": est.std_error,
-                               "method": capacity.METHOD_MC,
-                               "details": {} if bounds else dict(est.diagnostics)}
+                               "std_error": est.std_error, "method": est.method,
+                               "details": dict(est.diagnostics)}
     emit(payload)
     return EXIT_OK
 

@@ -143,7 +143,7 @@ def quadrature_laplace(p, u):
     """
     if u <= 0:
         raise ValueError("u must be positive")
-    from scipy import integrate  # only validate needs scipy; keep it off import qcl
+    from scipy import integrate  # only validate needs scipy, so only validate loads it
 
     def g(t):
         return p(-math.log(t) / u)

@@ -88,7 +88,7 @@ def fork_map(fn, items):
     module state of this process is written. With one worker, no "fork"
     start method or another thread running (forking a threaded process can
     deadlock) the items are mapped here. multiprocessing is imported only
-    on the pool path: it would add about 13 ms to `import qcl`."""
+    on the pool path: it would add about 13 ms to loading this module."""
     items = list(items)
     workers = min(os.cpu_count() or 1, len(items))
     if workers > 1 and threading.active_count() == 1:
@@ -155,15 +155,12 @@ def _score_survival(survived, lam, alphabet):
     The fraction and its standard error are batch_means' on the booleans
     (the indicators inherit the delay autocorrelation), so the error is None
     below 2 batches or when every symbol survived or every one was erased.
-    The i.i.d. binomial error is kept in the diagnostics, None with it.
     """
     frac, se, m = batch_means(survived)
     n = survived.size
     scale = lam * math.log2(alphabet)
-    binomial_se = None if se is None else scale * math.sqrt(frac * (1.0 - frac) / n)
     return CapacityResult(bits_per_sec=scale * frac, method=METHOD_MC,
                           diagnostics={"erased_fraction": 1.0 - frac,
-                                       "binomial_std_error": binomial_se,
                                        "batches": m},
                           std_error=None if se is None else scale * se, n=n)
 

@@ -478,14 +478,13 @@ def test_cli_capacity_too_few_batches_prints_no_error(capsys, tmp_path, timing):
 
 def test_cli_simulate_constant_sample_prints_no_error(capsys, tmp_path):
     # at lambda = 1e-4 every wait is 0 and every symbol survives: the sample
-    # cannot show its spread, so neither error is 0.0
+    # cannot show its spread, so its error is null, not 0.0
     code, out, _ = _run(capsys, "simulate", "--lambda", "0.0001", "--n", "1000",
                         "--seed", "1", "--out", str(tmp_path / "t.csv"))
     assert code == 0
     estimate = _payload(out)["estimate"]
     assert estimate["bits_per_sec"] == 0.0001
     assert estimate["std_error"] is None
-    assert estimate["details"]["binomial_std_error"] is None
     assert estimate["details"]["erased_fraction"] == 0.0
 
 
@@ -917,8 +916,12 @@ def test_cli_simulate_bijective_scores_its_own_transcript(capsys, tmp_path, timi
                                  "upper": upper.bits_per_sec,
                                  "csir_exact": exact.bits_per_sec}
     scored = exact if timing else lower
-    assert payload["estimate"]["bits_per_sec"] == scored.bits_per_sec
-    assert payload["estimate"]["std_error"] == scored.std_error
+    # without timing the estimate is the lower bound, and says so
+    assert f'"method": "{"MonteCarlo" if timing else "Bound-Lower"}"' in text
+    assert payload["estimate"] == {"bits_per_sec": scored.bits_per_sec,
+                                   "std_error": scored.std_error,
+                                   "method": scored.method,
+                                   "details": dict(scored.diagnostics)}
 
 
 def test_cli_env_seed(capsys, tmp_path, monkeypatch):

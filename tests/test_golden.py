@@ -236,7 +236,6 @@ GOLDEN = {
                 "method": "MonteCarlo",
                 "details": {
                     "erased_fraction": 0.31599999999999995,
-                    "binomial_std_error": 0.010395768369870502,
                     "batches": 21
                 }
             }
@@ -257,7 +256,11 @@ GOLDEN = {
                 "bits_per_sec": 0.25071234587141233,
                 "std_error": 0.021869737120763334,
                 "method": "MonteCarlo",
-                "details": {}
+                "details": {
+                    "csir": True,
+                    "E_H_noise": 0.49857530825717533,
+                    "expectation_std_error": 0.04373947424152667
+                }
             }
         },
         "sha256": "b930ca0cd09e4bc22fd6ab59a36a744b207a30b3fbf621679491193d7bf9a536"
@@ -275,8 +278,12 @@ GOLDEN = {
             "estimate": {
                 "bits_per_sec": 0.2768544111687321,
                 "std_error": 0.031974121764890964,
-                "method": "MonteCarlo",
-                "details": {}
+                "method": "Bound-Lower",
+                "details": {
+                    "csir": False,
+                    "H_mean_noise": 1.0312536783836919,
+                    "expectation_std_error": 0.06394824352978193
+                }
             }
         },
         "sha256": "67c7b5e9cf7145823e5907b062e7e3b90298d7f796f8c6d2c032ded97e12cc63"

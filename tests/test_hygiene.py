@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package is used, none of
 them is scipy, which only `qcl validate` needs, none of the modules the
 closed forms run on imports numpy when it loads, no function but fork_map's
-worker hook rebinds a module global, and no module but numerics computes a
-standard error."""
+worker hook rebinds a module global, no module but numerics computes a
+standard error, and README's Library example runs as written."""
 
 import ast
 from pathlib import Path
@@ -132,3 +132,13 @@ def test_scan_flags_a_ddof_keyword():
     assert _ddof_lines(
         "import numpy as np\nx = np.ones(3)\nse = x.std(ddof=1)\n"
         "v = np.var(x, ddof=0)\nm = x.std()\n# x.std(ddof=1) in a comment\n") == [3, 4]
+
+
+def test_readme_library_example_runs():
+    # the example imports every name from its module; at a small n it runs in
+    # well under a second, so a renamed or moved name fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    assert "10**6" in code
+    exec(compile(code.replace("10**6", "2000"), "README.md", "exec"), {})

@@ -119,9 +119,11 @@ def test_erasure_estimate_matches_closed_form():
     assert target == pytest.approx(1.0 / 3.0)
     assert abs(est.bits_per_sec - target) <= 4.0 * est.std_error
     assert est.std_error < 0.01
-    assert {"erased_fraction", "binomial_std_error", "batches"} <= set(est.diagnostics)
+    assert {"erased_fraction", "batches"} <= set(est.diagnostics)
     # batch-means error should not undercut the iid binomial error
-    assert est.std_error >= 0.5 * est.diagnostics["binomial_std_error"]
+    frac = 1.0 - est.diagnostics["erased_fraction"]
+    binomial = math.sqrt(frac * (1.0 - frac) / est.n)
+    assert est.std_error >= 0.5 * spec.lam * math.log2(spec.channel.size) * binomial
 
 
 def test_erasure_estimator_input_checks():
@@ -503,13 +505,12 @@ def test_sweep_rows_blocks_give_the_whole_array_bits(monkeypatch, n, convention)
 def test_score_survival_counts_have_batch_means_bits(survived):
     # the same bits as batch_means on the 0/1 floats, as Python numbers; below
     # 2 batches or for a constant series there is no standard error on
-    # either side, and no binomial error either
+    # either side
     est = simulate._score_survival(survived, 0.7, 2)
     got = (est.bits_per_sec, est.std_error, est.diagnostics["batches"])
     mean, se, m = batch_means(survived.astype(float))
     assert (se is None) == (m < 2 or survived.all() or not survived.any())
     assert got == (0.7 * mean, None if se is None else 0.7 * se, m)
-    assert (est.diagnostics["binomial_std_error"] is None) == (se is None)
     assert all(type(x) in (float, int, type(None)) for x in got)
 
 
