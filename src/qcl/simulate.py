@@ -313,8 +313,8 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     mc_stderr or None, are correlated across lambda and kappa: at a fixed
     lambda capacity_mc cannot rise with kappa, and a repeated kappa repeats
     its cells. The lambdas are mapped by
-    fork_map, whose workers inherit the one draw; lambda = 0 scores 0
-    without running the queue, and alone draws nothing.
+    fork_map, whose workers inherit the one draw; lambda = 0 scores 0,
+    with no mc_stderr, without running the queue, and alone draws nothing.
 
     These waits differ from lindley_waits(S, G / lambda) in their last bits,
     within sqrt(n) * eps * (CS[-1] + CG[-1] / lambda), eps the float64
@@ -358,7 +358,7 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
 
         def mc_column(lam, group):
             if lam == 0.0:
-                return [(0.0, 0.0)] * len(group)
+                return [(0.0, None)] * len(group)
             # one pass over the running sums in cache-resident blocks: per
             # block the prefix sums P = CS - CG / lambda (in p), their waits
             # (the running minimum carried in floor), then p = kappa * w

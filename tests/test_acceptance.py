@@ -43,7 +43,7 @@ EVIDENCE_SHA256 = {
     "noiseless-limit-and-instability":
         "c79c3ada107e10992233c73b4adf87c76151172b661a2204f9304a18cd61ebf3",
     "numerics-gates":
-        "382a26207b635598174c2a8d0f64f8083fc49afe9c5e8bb388ac7ee294f61825",
+        "3ae467ec56d196ef530ff9cb3a7466edd70fdf115dcba5fec84513f1e2bf2279",
     "optimal-rate-route-discrepancy":
         "a9af3a403d51ff7332bde50eaa1e52f36d865b32b7b0bd4b64eb050f126814ec",
 }

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcl import capacity, cli, config, simulate, validation
@@ -186,6 +186,9 @@ _SERVICE_LAWS = st.one_of(
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(_SERVICE_LAWS, st.floats(-300.0, 3.0), st.floats(0.01, 0.99),
        st.sampled_from([2, 8, 256]), st.sampled_from(["waiting", "sojourn"]))
+# near the float limit: the optimizer's midpoint of the bracket (0, mu) must
+# not overflow to an infinite arrival rate
+@example({"kind": "exponential", "rate": 1.7e308}, 300.0, 0.5, 2, "waiting")
 def test_closed_forms_stay_in_range_over_laws_and_kappa(service_doc, log_kappa,
                                                         load, k, convention):
     kappa = 10.0 ** log_kappa

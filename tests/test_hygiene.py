@@ -1,10 +1,12 @@
-"""Source hygiene: every module-level import in the package is used, none of
-them is scipy, which only `qcl validate` needs, none of the modules the
-closed forms run on imports numpy when it loads, no function but fork_map's
-worker hook rebinds a module global, no module but numerics computes a
-standard error, and README's Library example runs as written."""
+"""Source hygiene: every module-level import in the package is used, no
+module imports scipy at any depth and pyproject.toml declares numpy as the
+only dependency, none of the modules the closed forms run on imports numpy
+when it loads, no function but fork_map's worker hook rebinds a module
+global, no module but numerics computes a standard error, and README's
+Library example runs as written."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -37,9 +39,10 @@ def test_scan_flags_an_unused_import():
                            "print(sys.argv, pi)\n") == ["e", "os"]
 
 
-def _module_level_imports(source, package):
+def _imports(source, package, anywhere=False):
     """The modules of package that source imports when it loads: every import
-    outside a function body, under an `if`, `try` or class body too."""
+    outside a function body, under an `if`, `try` or class body too; with
+    anywhere, every import inside a function body as well."""
     modules = []
 
     def visit(node):
@@ -48,7 +51,7 @@ def _module_level_imports(source, package):
                 modules.extend(alias.name for alias in child.names)
             elif isinstance(child, ast.ImportFrom) and child.module and not child.level:
                 modules.append(child.module)
-            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            elif anywhere or not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child)
 
     visit(ast.parse(source))
@@ -57,23 +60,33 @@ def _module_level_imports(source, package):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    assert _module_level_imports(path.read_text(), "scipy") == []
+    # numpy is the only dependency: no import of scipy, in a function body either
+    assert _imports(path.read_text(), "scipy", anywhere=True) == []
 
 
 def test_scan_flags_a_module_level_scipy_import():
-    assert _module_level_imports(
+    assert _imports(
         "import numpy\nimport scipy.special\nfrom scipy import integrate\n"
         "from .numerics import spawn_rngs\n"
-        "def f():\n    import scipy.linalg\n", "scipy") == ["scipy", "scipy.special"]
+        "def f():\n    import scipy.linalg\n", "scipy", anywhere=True) == [
+            "scipy", "scipy.linalg", "scipy.special"]
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 @pytest.mark.parametrize("path", NUMPY_FREE, ids=lambda p: p.name)
 def test_no_module_level_numpy_import(path):
-    assert _module_level_imports(path.read_text(), "numpy") == []
+    assert _imports(path.read_text(), "numpy") == []
 
 
 def test_scan_flags_a_module_level_numpy_import():
-    assert _module_level_imports(
+    assert _imports(
         "import numpy as np\nfrom numpy.random import default_rng\n"
         "from . import numerics\n"
         "try:\n    import numpy.linalg\nexcept ImportError:\n    pass\n"

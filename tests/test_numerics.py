@@ -107,6 +107,13 @@ def test_golden_section_reports_monotone_objective_at_boundary():
     assert res.value == 1.0
 
 
+def test_golden_section_midpoint_of_a_bracket_near_the_float_max_is_finite():
+    # a + b overflows here; the bracket's midpoint must not
+    res = golden_section_extremize(lambda x: -(x / 1e308 - 1.6) ** 2, 1e308, 1.7e308)
+    assert res.argopt == pytest.approx(1.6e308, rel=1e-9)
+    assert not res.boundary
+
+
 def test_golden_section_rejects_bad_bracket():
     with pytest.raises(ValueError):
         golden_section_extremize(lambda x: x, 1.0, 0.0)
@@ -136,6 +143,11 @@ def test_quadrature_raises_when_target_unreachable():
         quadrature_laplace(lambda w: math.cos(w * w), 0.05)
     assert excinfo.value.error_estimate > 1e-9
     assert math.isfinite(excinfo.value.value)
+
+
+def test_quadrature_raises_on_a_nan_integrand():
+    with pytest.raises(QuadratureError):
+        quadrature_laplace(lambda w: float("nan"), 1.0)
 
 
 def test_quadrature_rejects_nonpositive_u():

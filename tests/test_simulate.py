@@ -470,7 +470,7 @@ def _whole_array_cells(lambdas, kappas, n, seed, convention):
     for kappa in kappas:
         for lam in lambdas:
             if lam == 0.0:
-                cells.append((0.0, 0.0))
+                cells.append((0.0, None))
                 continue
             p = cum_services - cum_gaps / lam
             w = np.concatenate([[0.0], np.maximum(p, p - np.minimum.accumulate(p))])
@@ -565,11 +565,11 @@ def test_sweep_rows_zero_rate_draws_no_queue(monkeypatch):
     rows = sweep_rows([0.0, 0.4], [0.5, 2.0], n=500, seed=1)
     zero = [r for r in rows if r["lambda"] == 0.0]
     assert len(zero) == 2
-    assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, 0.0) for r in zero)
+    assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, None) for r in zero)
     assert len(streams) == 1 and len(passes) == 1
     # a sweep of lambda = 0 alone scores its cells without drawing
     rows = sweep_rows([0.0], [0.5, 2.0], n=500, seed=1)
-    assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, 0.0) for r in rows)
+    assert all((r["capacity_mc"], r["mc_stderr"]) == (0.0, None) for r in rows)
     assert len(streams) == 1 and len(passes) == 1
 
 

@@ -1,10 +1,10 @@
-"""Start-up cost: scipy is loaded only by the quadrature line of `validate`'s
-numerics gates, so `import qcl`, every other command and every other check
-skip its import; numpy is loaded only by the commands that draw samples, and
-multiprocessing only by their worker pools, so `import qcl`, every --help, the
-erasure closed forms of `capacity` and `optimize`, and a config error skip
-both imports. `import qcl` loads no qcl module at all: its `__init__` binds
-`__version__` and imports nothing."""
+"""Start-up cost: numpy is the only dependency, so no command loads scipy, not
+even `validate`'s numerics gates, whose quadrature is a numpy rule; numpy is
+loaded only by the commands that draw samples, and multiprocessing only by
+their worker pools, so `import qcl`, every --help, the erasure closed forms
+of `capacity` and `optimize`, and a config error skip both imports.
+`import qcl` loads no qcl module at all: its `__init__` binds `__version__`
+and imports nothing."""
 
 import ast
 import os
@@ -17,9 +17,11 @@ import qcl
 SRC = str(Path(qcl.__file__).parent.parent)
 
 _NO_SCIPY = """
+import os
 import sys
 
 import qcl
+from qcl import validation
 from qcl.cli import main
 
 tmp, bsc = sys.argv[1:]
@@ -29,6 +31,11 @@ for argv in (["capacity"],
              ["sweep", "--n", "0", "--out", tmp + "/sweep.csv"],
              ["simulate", "--n", "1000", "--seed", "1", "--out", tmp + "/t.csv"]):
     assert main(argv) == 0, argv
+# the suite that holds the quadrature; one worker, so its checks run here,
+# where sys.modules is read; 4 is the known red of sweep-curve-shape
+validation.N_DEFAULT = 10_000
+os.cpu_count = lambda: 1
+assert main(["validate", "erasure", "--seed", "0"]) in (0, 4)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -76,60 +83,6 @@ loaded = sorted(m for m in sys.modules
 assert not loaded, loaded
 """
 
-_VALIDATE = """
-import os
-import sys
-
-from qcl import cli, validation
-
-reached = set()
-loaded_after_quantile = []
-quadrature, quantile = validation.quadrature_laplace, validation._service_quantile
-
-
-def counting_quantile(service, u, v):
-    draws = quantile(service, u, v)
-    reached.add(service.kind)
-    loaded_after_quantile.append(
-        sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    return draws
-
-
-def counting_quadrature(p, u):
-    reached.add("quadrature_laplace")
-    return quadrature(p, u)
-
-
-validation.quadrature_laplace = counting_quadrature
-validation._service_quantile = counting_quantile
-validation.N_DEFAULT = 10_000
-# one worker: the checks run here, in suite order, so the witness's quantiles
-# all come before scipy's import and the counters see every call
-os.cpu_count = lambda: 1
-validation.SUITES["pool"] = (validation.check_bsc_service_dominance,
-                             validation.check_numerics_gates)
-assert cli.main(["validate", "pool", "--seed", "0"]) in (0, 4)
-assert {"quadrature_laplace", "gamma"} <= reached, reached
-assert loaded_after_quantile == 8 * [[]], loaded_after_quantile  # 4 laws x 2 rates
-assert "scipy.integrate" in sys.modules
-"""
-
-
-_VALIDATE_NO_SCIPY = """
-import os
-import sys
-
-from qcl import cli, validation
-
-validation.N_DEFAULT = 10_000
-os.cpu_count = lambda: 1  # one worker: the checks run here, where sys.modules is read
-for suite in ("bsc", "bijective", "service-optimality"):
-    assert cli.main(["validate", suite, "--seed", "0"]) in (0, 4), suite
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-"""
-
-
 def _python(code, *args):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
@@ -141,6 +94,7 @@ def test_closed_form_and_simulation_commands_load_no_scipy(tmp_path):
     bsc.write_text('{"channel": "bsc"}')
     done = _python(_NO_SCIPY, str(tmp_path), str(bsc))
     assert done.returncode == 0, done.stderr
+    assert "[PASS] numerics-gates" in done.stdout
 
 
 def test_closed_form_commands_and_help_load_no_numpy(tmp_path):
@@ -163,17 +117,3 @@ def test_init_imports_nothing_and_binds_only_the_version():
              for target in node.targets}
     assert bound == {"__version__"}
     assert all(isinstance(node, (ast.Expr, ast.Assign)) for node in tree.body)
-
-
-def test_validate_reaches_scipy_only_through_the_quadrature():
-    # a fresh process, so the checks meet scipy's first import
-    done = _python(_VALIDATE)
-    assert done.returncode == 0, done.stderr
-    assert "[PASS] numerics-gates" in done.stdout
-    assert "/2 checks passed" in done.stdout
-
-
-def test_validate_suites_without_scipy_callers_load_no_scipy():
-    done = _python(_VALIDATE_NO_SCIPY)
-    assert done.returncode == 0, done.stderr
-    assert "[PASS] bsc-csir-ordering" in done.stdout
