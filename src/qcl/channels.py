@@ -16,7 +16,7 @@ from dataclasses import dataclass
 ERASED = -1
 
 _PROB_SLACK = 1e-12
-CHUNK_CELLS = 1 << 15  # noise-matrix cells held at once (256 KB of float64)
+CHUNK_CELLS = 1 << 16  # noise-law cells held at once (512 KB of float64)
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ class BernoulliNoise:
     size = 2
 
     def __call__(self, w):
+        """The law at wait(s) w, laid out like WaitGeometricNoise's."""
         import numpy as np
         q = self.decoherence.error_prob(w)
         q *= 0.5
-        return np.stack([1.0 - q, q], axis=-1)
+        return np.moveaxis(np.stack([1.0 - q, q]), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,21 @@ class WaitGeometricNoise:
             raise ValueError("need at least two noise symbols")
 
     def __call__(self, w):
+        """The law at wait(s) w: shape w.shape + (size,), one law per wait,
+        built symbol-major (size contiguous rows, one per noise symbol) and
+        returned as the transposed view, so a reduction over the symbols is
+        one vector op per symbol. Symbol j weighs q**j, q = p(w), taken as a
+        running product: within size ULP of np.power(q, j) / sum, and
+        exactly the point mass on symbol 0 at w = 0.
+        """
         import numpy as np
-        q = self.decoherence.error_prob(w)
-        weights = np.power(q[..., None], np.arange(int(self.size)))
-        return weights / weights.sum(axis=-1, keepdims=True)
+        q = np.ravel(self.decoherence.error_prob(w))
+        weights = np.empty((int(self.size), q.size))
+        weights[0] = 1.0
+        for prev, row in zip(weights, weights[1:]):
+            np.multiply(prev, q, out=row)
+        weights /= _symbol_sum(weights)
+        return np.moveaxis(weights.reshape(weights.shape[:1] + np.shape(w)), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +165,7 @@ class RandomBijective:
         and neither the outputs nor the rng state depend on the chunk size.
         """
         import numpy as np
-        u = rng.random(x.shape + (1,)).reshape(-1, 1)
+        u = rng.random(x.size)
         w = np.ravel(w)
         noise = np.empty(x.size, dtype=np.intp)
         for rows in row_chunks(x.size, self.size):
@@ -161,7 +173,8 @@ class RandomBijective:
         return self._table_arr[x, noise.reshape(x.shape)]
 
     def noise_dist(self, w):
-        """Noise distribution(s) at wait(s) w >= 0, one row per wait."""
+        """Noise distribution(s) at wait(s) w >= 0, one row per wait: for m
+        waits, the (m, k) transposed view of a symbol-major buffer."""
         return self.noise_law(w)
 
 
@@ -180,12 +193,16 @@ def row_chunks(rows, k, unit=1):
 
 def _sample_categorical(probs, u):
     """One draw per row of an (m, k) probability matrix, by inversion of the
-    (m, 1) uniforms u."""
+    m uniforms u: the number of normalized running sums below u, counted
+    over the first k - 1 symbols, so it is at most k - 1. The running sums
+    are taken over the symbol-major rows, one vector add per symbol, in the
+    order a cumsum along each law takes: the draws do not depend on the
+    layout of probs or the number of rows."""
     import numpy as np
-    cum = np.cumsum(probs, axis=-1)
-    cum /= cum[..., -1:]
-    idx = (u > cum).sum(axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1)
+    cum = np.moveaxis(probs, -1, 0).copy()
+    for prev, row in zip(cum, cum[1:]):
+        row += prev
+    return np.count_nonzero(u > cum[:-1] / cum[-1], axis=0)
 
 
 def apply_channel(channel, x, w, rng):
@@ -223,18 +240,32 @@ def binary_entropy(q):
 
 
 def discrete_entropy(dist):
-    """Shannon entropy in bits of a probability vector (or rows of vectors)."""
+    """Shannon entropy in bits of a probability vector (or rows of vectors).
+
+    The sums over the last (symbol) axis add one symbol at a time, in symbol
+    order, so an entropy has the same bits however many rows come with it;
+    a noise law's symbol-major layout makes each add one contiguous pass.
+    """
     import numpy as np
-    p = np.asarray(dist, dtype=float)
+    p = np.moveaxis(np.asarray(dist, dtype=float), -1, 0)
     if np.any(p < -_PROB_SLACK):
         raise ValueError("probabilities must be nonnegative")
-    sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if np.any(np.abs(_symbol_sum(p) - 1.0) > 1e-9):
         raise ValueError("probabilities must sum to 1")
     p = np.clip(p, 0.0, None)
     safe = np.where(p > 0.0, p, 1.0)
-    h = -(p * np.log2(safe)).sum(axis=-1)
+    h = -_symbol_sum(p * np.log2(safe))
     return float(h) if np.ndim(h) == 0 else h
+
+
+def _symbol_sum(rows):
+    """Sum over the leading (symbol) axis, one add per symbol in symbol
+    order: numpy's axis-0 sum takes a pairwise order when only one law
+    remains, which would tie the bits to the chunk size."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def load_bijection(source):

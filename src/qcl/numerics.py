@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio, the section step
-SECTION_TOL = 1e-8  # golden-section search stops below this bracket width
+SECTION_TOL = 1e-8  # golden-section stop: bracket width, relative beyond 1
 QUAD_TARGET = 1e-9  # absolute error target of quadrature_laplace
 
 
@@ -89,8 +89,10 @@ def golden_section_extremize(f, lo, hi):
         f: scalar function, evaluable on the closed bracket.
         lo, hi: bracket endpoints, lo < hi.
 
-    Returns an OptimizationResult. If an endpoint value beats the interior
-    optimum (monotone f), the endpoint is reported with boundary=True.
+    Stops once the bracket is SECTION_TOL wide, times its largest endpoint
+    magnitude when that exceeds 1. Returns an OptimizationResult. If an
+    endpoint value beats the interior optimum (monotone f), the endpoint is
+    reported with boundary=True.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
@@ -101,12 +103,15 @@ def golden_section_extremize(f, lo, hi):
             raise ValueError(f"objective returned a non-finite value at x={x!r}")
         return v
 
+    def wide():  # relative beyond 1: near the float max 1e-8 is below one ULP
+        return b - a > SECTION_TOL * max(1.0, abs(a), abs(b))
+
     a, b = float(lo), float(hi)
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
     gc, gd = g(c), g(d)
     iterations = 2
-    while (b - a) > SECTION_TOL and iterations < 10_000:
+    while wide() and iterations < 10_000:
         if gc > gd:
             b, d, gd = d, c, gc
             c = b - INVPHI * (b - a)
@@ -128,7 +133,7 @@ def golden_section_extremize(f, lo, hi):
         argopt=float(x),
         value=gx,
         iterations=iterations,
-        converged=(b - a) <= SECTION_TOL,
+        converged=not wide(),
         boundary=boundary,
     )
 

@@ -191,9 +191,14 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     successor delays w[1:], so by entropy concavity the lower bound stays
     below the upper bound sample by sample, not just in expectation.
 
-    The noise laws are built channels.row_chunks at a time and never held as
-    one (n, k) matrix, so memory is O(n + chunk). Every sum runs in the same
-    order whatever the chunk size, so the output bits do not depend on it.
+    The noise laws are built channels.row_chunks at a time, each chunk
+    symbol-major (k contiguous rows of its delays), and never held as one
+    (n, k) matrix, so memory is O(n + chunk). Every sum runs along those
+    rows: a per-delay entropy adds one symbol at a time, a batch's law sums
+    its delays per symbol, the delay-averaged law sums the batch sums and
+    the last partial batch, and each symbol's bucket sums are one bincount
+    seeded with the running sums. So the output bits do not depend on the
+    chunk size.
     """
     if spec.channel.kind != "bijective":
         raise TypeError("estimate_bijective_bounds needs a RandomBijective channel")
@@ -207,35 +212,31 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     noise_dist, k = spec.channel.noise_dist, spec.channel.size
     h_rows = np.empty(w.size) if E_H_NOISE in keys else None
     if kernel:  # W_0 enters only the per-delay entropies
-        head = noise_dist(w[:1])
         if h_rows is not None:
-            h_rows[:1] = discrete_entropy(head)
+            h_rows[:1] = discrete_entropy(noise_dist(w[:1]))
         idx = _quantile_buckets(w[:-1])
-        sums = np.zeros(BUCKETS * k)  # (bucket, noise symbol) cells, flat
-        labels, cols = np.arange(BUCKETS * k), np.arange(k)
+        sums = np.zeros((k, BUCKETS))  # (noise symbol, bucket) cells
+        labels = np.arange(BUCKETS)
     # beside the kernel, only the successors W_1..W_{n-1} it averages over;
     # chunks hold whole batches of their batch means
     rows = w.size - first
     m = max(2, math.isqrt(rows))
-    total, batch_dists = None, []
+    batch_sums = []
     for chunk in row_chunks(rows, k, m):
         lo, hi = first + chunk.start, first + chunk.stop
         probs = noise_dist(w[lo:hi])
+        laws = probs.T  # (k, hi - lo), C-contiguous
         if h_rows is not None:
             h_rows[lo:hi] = discrete_entropy(probs)
         if kernel:
             # bincount adds in index order: the running bucket sums go first
-            at = np.concatenate([labels, (idx[chunk, None] * k + cols).ravel()])
-            sums = np.bincount(at, weights=np.concatenate([sums, probs.ravel()]),
-                               minlength=BUCKETS * k)
+            at = np.concatenate([labels, idx[chunk]])
+            sums = np.array([np.bincount(at, weights=row, minlength=BUCKETS)
+                             for row in np.concatenate([sums, laws], axis=1)])
         if H_MEAN_NOISE in keys:
-            full = probs.shape[0] // m
-            batch_dists.append(probs[: full * m].reshape(full, m, k).mean(axis=1))
-            # an axis-0 reduce adds row by row, so the running total goes in
-            # first (last use of probs: its first row is overwritten)
-            if total is not None:
-                probs[0] += total
-            total = np.add.reduce(probs)
+            full = laws.shape[1] // m * m
+            batch_sums.append(laws[:, :full].reshape(k, -1, m).sum(axis=-1))
+            tail = laws[:, full:].sum(axis=-1)  # only the last chunk has a partial batch
     out = {}
 
     if h_rows is not None:
@@ -243,19 +244,17 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
         out[E_H_NOISE] = EstimateWithError(value=mean_h, std_error=se_h, n=w.size)
 
     if H_MEAN_NOISE in keys:
-        h_mean = discrete_entropy(total / rows)
-        se_mean = batch_error(discrete_entropy(np.concatenate(batch_dists)))
+        batch_sums = np.concatenate(batch_sums, axis=1)  # (k, batches)
+        h_mean = discrete_entropy((batch_sums.sum(axis=1) + tail) / rows)
+        se_mean = batch_error(discrete_entropy((batch_sums / m).T))
         out[H_MEAN_NOISE] = EstimateWithError(value=h_mean, std_error=se_mean, n=rows)
 
     if kernel:
         # one-step kernel: average successor noise laws within delay buckets
         counts = np.bincount(idx, minlength=BUCKETS).astype(float)
-        sums = sums.reshape(BUCKETS, k)
         occupied = counts > 0
-        kernel_dists = np.zeros_like(sums)
-        kernel_dists[occupied] = sums[occupied] / counts[occupied, None]
         h_bucket = np.zeros(BUCKETS)
-        h_bucket[occupied] = discrete_entropy(kernel_dists[occupied])
+        h_bucket[occupied] = discrete_entropy((sums[:, occupied] / counts[occupied]).T)
         mean_hk, se_hk, _ = batch_means(h_bucket[idx])
         out[E_H_KERNEL_NOISE] = EstimateWithError(value=mean_hk, std_error=se_hk,
                                                   n=w.size - 1)

@@ -94,6 +94,18 @@ def test_noise_laws_return_simplex_rows(w, kappa, size, geometric):
     assert np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-12)
 
 
+@pytest.mark.parametrize("k", [8, 32])
+def test_a_law_and_its_entropy_keep_their_bits_alone(k):
+    # the estimator builds laws a chunk at a time, one wait in the smallest
+    law = WaitGeometricNoise(DecoherenceModel(0.7), k)
+    w = np.linspace(0.01, 5.0, 50)
+    rows, h = law(w), discrete_entropy(law(w))
+    for i, wait in enumerate(w):
+        assert np.array_equal(law(w[i:i + 1])[0], rows[i])
+        assert np.array_equal(law(wait), rows[i])
+        assert discrete_entropy(rows[i:i + 1])[0] == h[i] == discrete_entropy(rows[i])
+
+
 def test_channels_compare_and_hash_by_value():
     def wide():
         return RandomBijective(xor_table(4), WaitGeometricNoise(DecoherenceModel(0.5), 4))
@@ -136,6 +148,21 @@ def test_wait_geometric_noise_limits():
     assert rows[0, 0] > rows[2, 0]
     with pytest.raises(ValueError):
         WaitGeometricNoise(DecoherenceModel(1.0), 1)
+
+
+@pytest.mark.parametrize("k", [2, 8, 32, 64])
+def test_wait_geometric_law_is_the_power_law_within_k_ulp(k):
+    model = DecoherenceModel(0.7)
+    w = np.concatenate([[0.0], np.geomspace(1e-9, 50.0, 500), np.linspace(0.0, 50.0, 501)])
+    rows = WaitGeometricNoise(model, k)(w)
+    assert rows.shape == (w.size, k)
+    assert np.array_equal(rows[0], np.eye(k)[0])  # w = 0: the point mass on 0
+    assert np.all(np.abs(rows.sum(axis=-1) - 1.0) <= k * np.finfo(float).eps)
+    # the running product rounds j - 1 times and the sum k - 1 times, against
+    # one rounding of np.power: k ULP is well above their random walk
+    weights = np.power(model.error_prob(w)[:, None], np.arange(k))
+    want = weights / weights.sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(rows - want) <= k * np.spacing(want))
 
 
 def test_erasure_never_outputs_wrong_symbol():

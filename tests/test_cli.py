@@ -523,6 +523,17 @@ def test_cli_optimize_extreme_kappa_prints_the_closed_form(capsys, tmp_path, ser
     assert payload["lambda_star"] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_cli_optimize_near_the_float_max_converges(capsys, tmp_path):
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"service": {"kind": "exponential", "rate": 1.7e308},
+                               "kappa": 1e300}))
+    code, out, _ = _run(capsys, "optimize", "--config", str(cfg))
+    assert code == 0
+    check = _payload(out)["numeric_check"]
+    assert check["iterations"] < 200
+    assert check["gap"] <= 1e-8 * 1.7e308
+
+
 def test_cli_optimize_rejects_zero_kappa(capsys):
     code, out, _ = _run(capsys, "optimize", "--kappa", "0")
     assert code == 2

@@ -93,14 +93,14 @@ GOLDEN = {
             "bits_per_sec": None,
             "method": "Bounds",
             "lower": {
-                "bits_per_sec": 0.6487466529632048,
+                "bits_per_sec": 0.6487466529632047,
                 "method": "Bound-Lower",
-                "std_error": 0.020000427114424235
+                "std_error": 0.02000042711442424
             },
             "upper": {
-                "bits_per_sec": 0.7286646832465117,
+                "bits_per_sec": 0.7286646832465118,
                 "method": "Bound-Upper",
-                "std_error": 0.009858660849105551
+                "std_error": 0.009858660849105557
             },
             "diagnostics": {
                 "csir": False,
@@ -121,13 +121,13 @@ GOLDEN = {
     },
     "capacity-bsc-blind": {
         "stdout": {
-            "bits_per_sec": 0.17816894252679116,
+            "bits_per_sec": 0.1781689425267905,
             "method": "MonteCarlo",
             "diagnostics": {
                 "csir": False,
                 "assumption": "no-timing-information value assumes the queue "
                               "state is unpredictable from past noise alone",
-                "H_mean_noise": 0.6436621149464177,
+                "H_mean_noise": 0.643662114946419,
                 "std_error": 0.006492664263312615,
                 "expectation_std_error": 0.01298532852662523,
                 "n": 5000
@@ -139,9 +139,9 @@ GOLDEN = {
             "bits_per_sec": None,
             "method": "Bounds",
             "lower": {
-                "bits_per_sec": 0.2785056816409128,
+                "bits_per_sec": 0.27850568164091216,
                 "method": "Bound-Lower",
-                "std_error": 0.006571532834247991
+                "std_error": 0.006571532834247992
             },
             "upper": {
                 "bits_per_sec": 0.30582087796034285,
@@ -159,14 +159,14 @@ GOLDEN = {
             "bits_per_sec": None,
             "method": "Bounds",
             "lower": {
-                "bits_per_sec": 0.27386271711790044,
+                "bits_per_sec": 0.27386271711789956,
                 "method": "Bound-Lower",
-                "std_error": 0.009907259160140798
+                "std_error": 0.009907259160140796
             },
             "upper": {
                 "bits_per_sec": 0.3208747379508656,
                 "method": "Bound-Upper",
-                "std_error": 0.004592889478783961
+                "std_error": 0.00459288947878396
             },
             "diagnostics": {
                 "csir": False,
@@ -271,18 +271,18 @@ GOLDEN = {
             "n": 500,
             "seed": 11,
             "bounds": {
-                "lower": 0.2768544111687321,
+                "lower": 0.276854411168732,
                 "upper": 0.32910292008565456,
                 "csir_exact": 0.4629139958440344
             },
             "estimate": {
-                "bits_per_sec": 0.2768544111687321,
-                "std_error": 0.031974121764890964,
+                "bits_per_sec": 0.276854411168732,
+                "std_error": 0.03197412176489097,
                 "method": "Bound-Lower",
                 "details": {
                     "csir": False,
-                    "H_mean_noise": 1.0312536783836919,
-                    "expectation_std_error": 0.06394824352978193
+                    "H_mean_noise": 1.031253678383692,
+                    "expectation_std_error": 0.06394824352978194
                 }
             }
         },

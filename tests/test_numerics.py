@@ -112,6 +112,8 @@ def test_golden_section_midpoint_of_a_bracket_near_the_float_max_is_finite():
     res = golden_section_extremize(lambda x: -(x / 1e308 - 1.6) ** 2, 1e308, 1.7e308)
     assert res.argopt == pytest.approx(1.6e308, rel=1e-9)
     assert not res.boundary
+    # no step makes this bracket 1e-8 wide: the stop is relative beyond 1
+    assert res.converged and res.iterations < 200
 
 
 def test_golden_section_rejects_bad_bracket():

@@ -181,34 +181,70 @@ def _geometric_spec(k, kappa=0.7):
 
 
 def _whole_matrix_bounds(spec, w, keys):
-    """estimate_bijective_bounds computed over the whole (n, k) noise matrix."""
+    """estimate_bijective_bounds computed over the whole symbol-major (k, n)
+    noise law, in its summation order: per symbol, each batch's delays are
+    summed alone, and the delay-averaged law adds the batch sums and the
+    partial batch left over."""
     kernel = E_H_KERNEL_NOISE in keys
-    probs = spec.channel.noise_dist(w)
+    laws = spec.channel.noise_dist(w).T
     out = {}
     if E_H_NOISE in keys:
-        mean_h, se_h, _ = batch_means(discrete_entropy(probs))
+        mean_h, se_h, _ = batch_means(discrete_entropy(laws.T))
         out[E_H_NOISE] = (mean_h, se_h, w.size)
-    mixed = probs[1:] if kernel else probs
+    mixed = laws[:, 1:] if kernel else laws
     if H_MEAN_NOISE in keys:
-        m = max(2, math.isqrt(mixed.shape[0]))
-        nb = mixed.shape[0] // m
+        rows = mixed.shape[1]
+        m = max(2, math.isqrt(rows))
+        nb = rows // m
+        batch_sums = mixed[:, : nb * m].reshape(len(laws), nb, m).sum(axis=-1)
+        total = batch_sums.sum(axis=1) + mixed[:, nb * m:].sum(axis=1)
         se = None
         if nb >= 2:
-            batch_dists = mixed[: nb * m].reshape(nb, m, -1).mean(axis=1)
-            se = float(discrete_entropy(batch_dists).std(ddof=1) / math.sqrt(nb))
-        out[H_MEAN_NOISE] = (discrete_entropy(mixed.mean(axis=0)), se, mixed.shape[0])
+            se = float(discrete_entropy((batch_sums / m).T).std(ddof=1) / math.sqrt(nb))
+        out[H_MEAN_NOISE] = (discrete_entropy(total / rows), se, rows)
     if kernel:
         idx = simulate._quantile_buckets(w[:-1])
         counts = np.bincount(idx, minlength=simulate.BUCKETS).astype(float)
-        sums = np.stack([np.bincount(idx, weights=mixed[:, j], minlength=simulate.BUCKETS)
-                         for j in range(probs.shape[1])], axis=1)
+        sums = np.stack([np.bincount(idx, weights=law, minlength=simulate.BUCKETS)
+                         for law in mixed])
         occupied = counts > 0
-        dists = np.zeros_like(sums)
-        dists[occupied] = sums[occupied] / counts[occupied, None]
         h_bucket = np.zeros(simulate.BUCKETS)
-        h_bucket[occupied] = discrete_entropy(dists[occupied])
+        h_bucket[occupied] = discrete_entropy((sums[:, occupied] / counts[occupied]).T)
         mean_hk, se_hk, _ = batch_means(h_bucket[idx])
         out[E_H_KERNEL_NOISE] = (mean_hk, se_hk, w.size - 1)
+    return out
+
+
+def _row_major_power_bounds(kappa, k, w, keys):
+    """The same expectations from one row-major (n, k) matrix of the
+    np.power law q**j / sum, reduced along its rows."""
+    q = DecoherenceModel(kappa).error_prob(w)
+    weights = np.power(q[:, None], np.arange(k))
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+
+    def entropy(p):
+        safe = np.where(p > 0.0, p, 1.0)
+        return -(p * np.log2(safe)).sum(axis=-1)
+
+    out = {}
+    if E_H_NOISE in keys:
+        mean_h, se_h, _ = batch_means(entropy(probs))
+        out[E_H_NOISE] = (mean_h, se_h)
+    mixed = probs[1:] if E_H_KERNEL_NOISE in keys else probs
+    if H_MEAN_NOISE in keys:
+        m = max(2, math.isqrt(len(mixed)))
+        nb = len(mixed) // m
+        batch_h = entropy(mixed[: nb * m].reshape(nb, m, k).mean(axis=1))
+        out[H_MEAN_NOISE] = (entropy(mixed.mean(axis=0)),
+                             batch_h.std(ddof=1) / math.sqrt(nb))
+    if E_H_KERNEL_NOISE in keys:
+        idx = simulate._quantile_buckets(w[:-1])
+        dists = np.zeros((simulate.BUCKETS, k))
+        for b in range(simulate.BUCKETS):
+            if np.any(idx == b):
+                dists[b] = mixed[idx == b].mean(axis=0)
+        mean_hk, se_hk, _ = batch_means(entropy(dists)[idx])
+        out[E_H_KERNEL_NOISE] = (mean_hk, se_hk)
     return out
 
 
@@ -218,7 +254,7 @@ _KEY_SETS = ((E_H_NOISE,), (H_MEAN_NOISE,), (H_MEAN_NOISE, E_H_KERNEL_NOISE),
 
 
 @pytest.mark.parametrize("k", [2, 5, 8])
-@pytest.mark.parametrize("cells", [1, 1000])
+@pytest.mark.parametrize("cells", [1, 1000, channels.CHUNK_CELLS])
 def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
     # 4971 = 71 * 70 + 1 delays: with every key set some chunk holds one row
     # (the remainder after whole batches, or W_0 beside the kernel)
@@ -229,6 +265,20 @@ def test_chunked_bijective_bounds_match_whole_matrix(monkeypatch, k, cells):
         got = estimate_bijective_bounds(spec, w, keys)
         want = _whole_matrix_bounds(spec, w, keys)
         assert {key: (e.value, e.std_error, e.n) for key, e in got.items()} == want
+
+
+@pytest.mark.parametrize("k", [2, 5, 8, 32])
+@pytest.mark.parametrize("convention", list(DelayConvention))
+def test_bijective_bounds_match_the_row_major_power_law(k, convention):
+    spec = replace(_geometric_spec(k), delay_convention=convention)
+    w = stationary_wait_samples(spec.lam, spec.service, 4971, seed=k,
+                                convention=convention).samples
+    for keys in _KEY_SETS:
+        got = estimate_bijective_bounds(spec, w, keys)
+        want = _row_major_power_bounds(0.7, k, w, keys)
+        for key, (value, std_error) in want.items():
+            assert got[key].value == pytest.approx(value, rel=1e-12, abs=0)
+            assert got[key].std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("k", [2, 5, 8])
@@ -263,10 +313,11 @@ def test_one_decoherence_law_read_by_every_consumer():
     m = DecoherenceModel(0.7)
     w = np.array([0.0, 0.05, 0.3, 1.0, 2.5, 40.0])
     p = m.error_prob(w)
-    assert np.array_equal(BernoulliNoise(m)(w)[..., 1], 0.5 * p)
-    weights = p[:, None] ** np.arange(5)
-    assert np.array_equal(WaitGeometricNoise(m, 5)(w),
-                          weights / weights.sum(axis=-1, keepdims=True))
+    assert np.array_equal(BernoulliNoise(m)(w), np.stack([1.0 - 0.5 * p, 0.5 * p], axis=-1))
+    # symbol j is the running product of p, normalized by the sum in symbol order
+    weights = np.cumprod(np.stack([np.ones_like(p)] + [p] * 4, axis=-1), axis=-1)
+    total = weights[:, 0] + weights[:, 1] + weights[:, 2] + weights[:, 3] + weights[:, 4]
+    assert np.array_equal(WaitGeometricNoise(m, 5)(w), weights / total[:, None])
     # a negative or NaN delay would give a negative or NaN p: the bounds'
     # wait check rejects it before any noise law is built
     for law in (BernoulliNoise(m), WaitGeometricNoise(m, 2)):
