@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import MISSING, fields
 
+from . import queueing
 from .channels import (BernoulliNoise, DecoherenceModel, Erasure, RandomBijective,
                        WaitGeometricNoise, load_bijection, xor_table)
 from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
@@ -18,7 +19,6 @@ from .queueing import (DelayConvention, Deterministic, Empirical, Exponential,
 
 SEED_ENV_VAR = "QCL_SEED"
 MAX_GRID_POINTS = 10 ** 5
-MAX_N = 10 ** 9  # symbols per run; one float64 column of 10**9 takes 8 GB
 MAX_ALPHABET = 256  # build_channel's XOR table costs k^2 Python steps
 
 
@@ -113,8 +113,8 @@ def validate_config(doc):
         # h(E phi(W)) is the binary symmetric channel's no-timing capacity
         cfg["assume_unpredictable"] = True
     cfg["n"] = _require_int(cfg, "n", minimum=0)
-    if cfg["n"] > MAX_N:
-        raise ConfigError(f"n must be at most {MAX_N}, got {cfg['n']}")
+    if cfg["n"] > queueing.MAX_N:
+        raise ConfigError(f"n must be at most {queueing.MAX_N}, got {cfg['n']}")
     if cfg["seed"] is not None:
         cfg["seed"] = _require_int(cfg, "seed", minimum=0)
     cfg["grid"] = grid_values(cfg["grid"])

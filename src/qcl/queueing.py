@@ -1,15 +1,20 @@
 """Single-server FIFO queue primitives.
 
 The experiment description QueueChannelSpec and its stability rule, service
-laws, Poisson arrival sampling, the Lindley waiting-time recursion, and
-stationary waiting-time sample sets with burn-in. Everything here is about
-the delay process; what the delay does to a transmitted symbol lives in
-qcl.channels.
+laws, the Lindley waiting-time recursion, the one queue path queue_blocks
+(Poisson arrivals and service draws, run block by block), and stationary
+waiting-time sample sets with burn-in. Everything here is about the delay
+process; what the delay does to a transmitted symbol lives in qcl.channels.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+MAX_N = 10 ** 9  # symbols per run; one float64 column of 10**9 takes 8 GB
+# symbols per queue_blocks step: blocks of 2**12 to 2**16 time alike at
+# n = 10**6, and both 2**10 and 2**18 are slower
+QUEUE_BLOCK = 1 << 14
 
 
 class InstabilityError(ValueError):
@@ -295,22 +300,40 @@ class WaitSampleSet:
         return self.samples.size
 
 
-def queue_path(lam, service, n, rng, convention):
-    """Run n symbols through the queue from empty, drawing the Poisson(lam)
-    interarrival gaps and then the service times from rng. Returns (gaps,
-    services, waits before service, delays), each delay under the given
-    DelayConvention."""
+def queue_blocks(lam, service, n, rng, convention):
+    """Run n symbols through the queue from empty, QUEUE_BLOCK at a time.
+
+    The Poisson(lam) interarrival gaps and the service times are drawn from
+    two generators spawned from rng, one block of each per step. Yields
+    (gaps, services, waits before service, delays) per block, each delay
+    under the given DelayConvention; the consumer owns the arrays. Between
+    blocks it carries the last prefix sum, the running minimum and the last
+    service time, so the waits have the bits of lindley_waits over the
+    concatenated draws.
+    """
     import numpy as np
-    t = rng.exponential(1.0 / lam, size=n)
-    s = np.asarray(service.sample(rng, size=n), dtype=float)
-    wq = lindley_waits(s, t)
-    return t, s, wq, (wq + s if convention is DelayConvention.SOJOURN else wq)
+    gap_rng, service_rng = rng.spawn(2)
+    prefix = floor = last_service = 0.0  # P_0 = 0: the queue starts empty
+    for lo in range(0, n, QUEUE_BLOCK):
+        size = min(QUEUE_BLOCK, n - lo)
+        t = gap_rng.exponential(1.0 / lam, size=size)
+        s = np.asarray(service.sample(service_rng, size=size), dtype=float)
+        p = np.empty(size)  # P_lo .. P_hi-1, summed in lindley_waits' order
+        p[0] = prefix + (last_service - t[0]) if lo else 0.0
+        np.subtract(s[:-1], t[1:], out=p[1:])
+        np.cumsum(p, out=p)
+        w = np.empty(size)
+        floor = waits_from_prefix_sums(p, w, floor)
+        prefix, last_service = p[-1], s[-1]
+        del p  # not held while the consumer runs
+        yield t, s, w, (w + s if convention is DelayConvention.SOJOURN else w)
 
 
 def stationary_wait_samples(lam, service, n, seed=None,
                             convention=DelayConvention.WAITING_BEFORE_SERVICE):
     """Sample n stationary delays: run the queue from empty and discard the
-    first default_burn_in(lambda, mu) of them.
+    first default_burn_in(lambda, mu) of them. Only the n kept delays are
+    held; the burn-in passes through queue_blocks a block at a time.
 
     Args:
         lam: Poisson arrival rate, 0 < lambda < 1/service.mean.
@@ -320,7 +343,8 @@ def stationary_wait_samples(lam, service, n, seed=None,
         convention: with SOJOURN, each emitted sample is the queue wait plus
             the symbol's own service time.
 
-    Raises check_stability's errors for a bad lambda.
+    Raises check_stability's errors for a bad lambda, and ValueError, before
+    drawing anything, when n + burn-in exceeds MAX_N.
     """
     import numpy as np
     mu = 1.0 / service.mean
@@ -328,6 +352,14 @@ def stationary_wait_samples(lam, service, n, seed=None,
     if n < 1:
         raise ValueError("need n >= 1 samples")
     burn_in = default_burn_in(lam, mu)
-    *_, w = queue_path(lam, service, n + burn_in, np.random.default_rng(seed),
-                       convention)
-    return WaitSampleSet(samples=w[burn_in:], burn_in=burn_in)
+    if n + burn_in > MAX_N:
+        raise ValueError(f"n + burn-in must be at most {MAX_N}, got {n} + {burn_in}")
+    samples = np.empty(n)
+    lo = -burn_in  # where the block's first delay lands in samples
+    for *_, delays in queue_blocks(lam, service, n + burn_in,
+                                   np.random.default_rng(seed), convention):
+        hi = lo + delays.size
+        if hi > 0:
+            samples[max(lo, 0):hi] = delays[max(-lo, 0):]
+        lo = hi
+    return WaitSampleSet(samples=samples, burn_in=burn_in)

@@ -20,7 +20,7 @@ from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_error, batch_means, spawn_rngs
 from .queueing import (DelayConvention, Exponential, QueueChannelSpec,
-                       queue_path, waits_from_prefix_sums)
+                       queue_blocks, waits_from_prefix_sums)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
@@ -133,19 +133,29 @@ def simulate_transmission(spec, n, seed=None):
     The queue starts empty; waits follow the Lindley recursion, and each
     output is drawn by the channel at that symbol's realized delay. Three
     independent substreams (queue, inputs, channel noise) are split from the
-    seed, so the draw order is stable across versions.
+    seed, and queue_blocks splits the queue's into gaps and services, so the
+    draw order is stable across versions. The columns are filled block by
+    block, the arrival times a running sum carried across blocks, and no
+    n-length array but the six columns is held.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     queue_rng, input_rng, noise_rng = spawn_rngs(seed, 3)
-    t, s, wq, w = queue_path(spec.lam, spec.service, n, queue_rng,
-                             spec.delay_convention)
-    a = np.cumsum(t)
-    d = a + wq + s
     x = input_rng.integers(0, spec.channel.size, size=n)
-    y = apply_channel(spec.channel, x, w, noise_rng)
-    return Transcript(x=x, a=a, d=d, s=s, w=w, y=np.asarray(y, dtype=int),
-                      spec=spec)
+    a, d, s, w = (np.empty(n) for _ in range(4))
+    y = np.empty(n, dtype=int)
+    lo, arrived = 0, 0.0
+    for gaps, services, wq, delays in queue_blocks(spec.lam, spec.service, n, queue_rng,
+                                                   spec.delay_convention):
+        block = slice(lo, lo + gaps.size)
+        gaps[0] += arrived
+        np.cumsum(gaps, out=a[block])
+        np.add(a[block], wq, out=d[block])
+        d[block] += services
+        s[block], w[block] = services, delays
+        y[block] = apply_channel(spec.channel, x[block], delays, noise_rng)
+        lo, arrived = block.stop, a[block.stop - 1]
+    return Transcript(x=x, a=a, d=d, s=s, w=w, y=y, spec=spec)
 
 
 def _score_survival(survived, lam, alphabet):

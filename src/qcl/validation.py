@@ -448,9 +448,9 @@ def check_optimizer_route_discrepancy(seed=None):
     children = iter(_seed_for(seed, 11).spawn(2))
     estimates = {}
     for label, lam in (("transform", lam_pk), ("premise", lam_premise)):
-        tr = simulate.simulate_transmission(_erasure_spec(lam, kappa), N_DEFAULT,
-                                            seed=next(children))
-        estimates[label] = simulate.estimate_capacity(tr)[0]
+        # one transcript alive at a time: each is dropped once scored
+        estimates[label] = simulate.estimate_capacity(simulate.simulate_transmission(
+            _erasure_spec(lam, kappa), N_DEFAULT, seed=next(children)))[0]
     margin = estimates["transform"].bits_per_sec - estimates["premise"].bits_per_sec
     joint = _sigma(estimates["transform"].std_error, estimates["premise"].std_error)
     out.note(margin > SIGMA_GATE * joint,

@@ -25,9 +25,9 @@ SEED = 0
 
 EVIDENCE_SHA256 = {
     "erasure-mm1-formula-vs-simulation":
-        "c80477ce9f392f5766e1528b29807f36b9fa2d0229418d21a62e03ff972555a9",
+        "d643a54609f29167efb7c2f0ddc4f688452626e8c85c0d27bc766c2baaff8d13",
     "wait-transform-vs-simulation":
-        "aff7e01c999b8db097abc529b9a09d8445fae70fdfdc9aa1bdb314128a604ecc",
+        "c3e49eb53246852e298c3d6ec5e7c08725281bb6ec8ea3b9144671ab0474d28e",
     "optimal-rate-closed-form-vs-numeric":
         "421e9a092262153c511419d4490cc9107c0db7bd8d97ecfe54438de49001e69a",
     "erasure-deterministic-service-dominance":
@@ -35,9 +35,9 @@ EVIDENCE_SHA256 = {
     "bsc-deterministic-service-dominance":
         "adc0c61241e37a484f0016072de367e28342f165125f485657e113e48641a0c9",
     "bsc-csir-ordering-and-degenerate-equality":
-        "6f1ef17deb0a5e5ea8c62989168122fa6211a43a6a7f3611cfa8311ddafc5dc7",
+        "f302011601680959544be6d1cd2ca71b653130af2208b63b4e796bb86092b4dc",
     "bijective-bound-sandwich":
-        "92f3374eeda7ac34d4e1a9ae475e9658d78bceffade54a670a1bfdb97271b583",
+        "fbe8310b5d9491bbd53ad56eeca7126b504a78d34018e30992537d1eed431227",
     "sweep-curve-shape":
         "2a738a100c51a615632158b40ae49375582a96eaee9adda1643a10f12ce19b11",
     "noiseless-limit-and-instability":
@@ -45,7 +45,7 @@ EVIDENCE_SHA256 = {
     "numerics-gates":
         "3ae467ec56d196ef530ff9cb3a7466edd70fdf115dcba5fec84513f1e2bf2279",
     "optimal-rate-route-discrepancy":
-        "a9af3a403d51ff7332bde50eaa1e52f36d865b32b7b0bd4b64eb050f126814ec",
+        "24ba91db7007b32cacbd808bbebbccdb5d7898246fd97ff49d69f52a4e146eef",
 }
 
 

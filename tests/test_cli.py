@@ -16,13 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcl import capacity, cli, config, simulate, validation
+from qcl import capacity, cli, config, queueing, simulate, validation
 from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
-from qcl.config import (MAX_N, ConfigError, build_channel, build_service,
-                        build_spec, grid_values, load_config, validate_config)
-from qcl.queueing import Deterministic, Exponential, Gamma, Uniform
+from qcl.config import (ConfigError, build_channel, build_service, build_spec,
+                        grid_values, load_config, validate_config)
+from qcl.queueing import MAX_N, Deterministic, Exponential, Gamma, Uniform
 from qcl.simulate import estimate_bijective_bounds
 
 
@@ -699,9 +699,22 @@ def test_cli_rejects_n_beyond_cap(capsys, tmp_path, command, n):
     assert not target.exists()
 
 
+def test_cli_refuses_a_burn_in_beyond_the_cap(capsys, tmp_path):
+    # lambda this close to mu asks for a burn-in of about 10**12 delays
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"channel": "bsc"}))
+    code, out, _ = _run(capsys, "capacity", "--config", str(cfg),
+                        "--lambda", "0.99999999999")
+    assert code == 2
+    assert _payload(out) == {
+        "error": "config",
+        "message": f"cannot estimate capacity: n + burn-in must be at most {MAX_N}, "
+                   f"got 1000000 + 999999917260"}
+
+
 @pytest.mark.parametrize("command", sorted(_HUGE_RUNS))
 def test_cli_out_of_memory_is_a_config_error(capsys, tmp_path, monkeypatch, command):
-    monkeypatch.setattr(config, "MAX_N", 2 ** 60)
+    monkeypatch.setattr(queueing, "MAX_N", 2 ** 60)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(_HUGE_RUNS[command]))
     code, out, _ = _run(capsys, command, "--config", str(cfg), "--n", str(2 ** 56),

@@ -93,14 +93,14 @@ GOLDEN = {
             "bits_per_sec": None,
             "method": "Bounds",
             "lower": {
-                "bits_per_sec": 0.6487466529632047,
+                "bits_per_sec": 0.6780836262390004,
                 "method": "Bound-Lower",
-                "std_error": 0.02000042711442424
+                "std_error": 0.02416069114002188
             },
             "upper": {
-                "bits_per_sec": 0.7286646832465118,
+                "bits_per_sec": 0.7487653998677871,
                 "method": "Bound-Upper",
-                "std_error": 0.009858660849105557
+                "std_error": 0.010320812191666317
             },
             "diagnostics": {
                 "csir": False,
@@ -110,26 +110,26 @@ GOLDEN = {
     },
     "capacity-bijective-k8-timing": {
         "stdout": {
-            "bits_per_sec": 0.9365533358735241,
+            "bits_per_sec": 0.9564270729919033,
             "method": "MonteCarlo",
             "diagnostics": {
                 "csir": True,
-                "std_error": 0.01608301110070556,
+                "std_error": 0.01721109701682125,
                 "n": 5000
             }
         }
     },
     "capacity-bsc-blind": {
         "stdout": {
-            "bits_per_sec": 0.1781689425267905,
+            "bits_per_sec": 0.18742801886063953,
             "method": "MonteCarlo",
             "diagnostics": {
                 "csir": False,
                 "assumption": "no-timing-information value assumes the queue "
                               "state is unpredictable from past noise alone",
-                "H_mean_noise": 0.643662114946419,
-                "std_error": 0.006492664263312615,
-                "expectation_std_error": 0.01298532852662523,
+                "H_mean_noise": 0.6251439622787209,
+                "std_error": 0.007874705289976615,
+                "expectation_std_error": 0.01574941057995323,
                 "n": 5000
             }
         }
@@ -139,14 +139,14 @@ GOLDEN = {
             "bits_per_sec": None,
             "method": "Bounds",
             "lower": {
-                "bits_per_sec": 0.27850568164091216,
+                "bits_per_sec": 0.2898239909073696,
                 "method": "Bound-Lower",
-                "std_error": 0.006571532834247992
+                "std_error": 0.007930436619444543
             },
             "upper": {
-                "bits_per_sec": 0.30582087796034285,
+                "bits_per_sec": 0.3140602786605378,
                 "method": "Bound-Upper",
-                "std_error": 0.0033436708800658878
+                "std_error": 0.003484341822534844
             },
             "diagnostics": {
                 "csir": False,
@@ -159,14 +159,14 @@ GOLDEN = {
             "bits_per_sec": None,
             "method": "Bounds",
             "lower": {
-                "bits_per_sec": 0.27386271711789956,
+                "bits_per_sec": 0.2858145473659356,
                 "method": "Bound-Lower",
-                "std_error": 0.009907259160140796
+                "std_error": 0.01202624468395162
             },
             "upper": {
-                "bits_per_sec": 0.3208747379508656,
+                "bits_per_sec": 0.32675622580844055,
                 "method": "Bound-Upper",
-                "std_error": 0.00459288947878396
+                "std_error": 0.004776262332357201
             },
             "diagnostics": {
                 "csir": False,
@@ -231,16 +231,16 @@ GOLDEN = {
             "n": 500,
             "seed": 3,
             "estimate": {
-                "bits_per_sec": 0.342,
-                "std_error": 0.016669559822446323,
+                "bits_per_sec": 0.308,
+                "std_error": 0.01932798433582541,
                 "method": "MonteCarlo",
                 "details": {
-                    "erased_fraction": 0.31599999999999995,
+                    "erased_fraction": 0.384,
                     "batches": 21
                 }
             }
         },
-        "sha256": "dd1a6a95a3aa082643979d0dfe4fa7fcbfbc7887f5595e3480cf4809c77108bc"
+        "sha256": "7ad2ec2d4845018fc1a9965e571d4a87599fc74e58a5a54024deb409498dbbc0"
     },
     "simulate-bsc-timing": {
         "stdout": {
@@ -248,22 +248,22 @@ GOLDEN = {
             "n": 500,
             "seed": 5,
             "bounds": {
-                "lower": 0.1292257451775708,
-                "upper": 0.18044113151540508,
-                "csir_exact": 0.25071234587141233
+                "lower": 0.17695939555173268,
+                "upper": 0.21686145812387403,
+                "csir_exact": 0.29386941071970374
             },
             "estimate": {
-                "bits_per_sec": 0.25071234587141233,
-                "std_error": 0.021869737120763334,
+                "bits_per_sec": 0.29386941071970374,
+                "std_error": 0.02177344887126655,
                 "method": "MonteCarlo",
                 "details": {
                     "csir": True,
-                    "E_H_noise": 0.49857530825717533,
-                    "expectation_std_error": 0.04373947424152667
+                    "E_H_noise": 0.4122611785605925,
+                    "expectation_std_error": 0.0435468977425331
                 }
             }
         },
-        "sha256": "b930ca0cd09e4bc22fd6ab59a36a744b207a30b3fbf621679491193d7bf9a536"
+        "sha256": "a934b778a57cc126e9c4dfe77e4ef4c39476b055efdb7ad09cb4ae7445e0a1d7"
     },
     "simulate-bijective-named": {
         "stdout": {
@@ -271,22 +271,22 @@ GOLDEN = {
             "n": 500,
             "seed": 11,
             "bounds": {
-                "lower": 0.276854411168732,
-                "upper": 0.32910292008565456,
-                "csir_exact": 0.4629139958440344
+                "lower": 0.3049707530324108,
+                "upper": 0.3580058320349207,
+                "csir_exact": 0.48726298688266734
             },
             "estimate": {
-                "bits_per_sec": 0.276854411168732,
-                "std_error": 0.03197412176489097,
+                "bits_per_sec": 0.3049707530324108,
+                "std_error": 0.037117734125803006,
                 "method": "Bound-Lower",
                 "details": {
                     "csir": False,
-                    "H_mean_noise": 1.031253678383692,
-                    "expectation_std_error": 0.06394824352978194
+                    "H_mean_noise": 0.9750209946563345,
+                    "expectation_std_error": 0.07423546825160601
                 }
             }
         },
-        "sha256": "67c7b5e9cf7145823e5907b062e7e3b90298d7f796f8c6d2c032ded97e12cc63"
+        "sha256": "00de0e688b2ae474f66ca378b13bf04f0a9d8018e671d5f6510ea07ed0dfcbc6"
     }
 }
 

@@ -78,6 +78,9 @@ def test_numpy_is_the_only_dependency():
     with pyproject.open("rb") as fh:
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
+    # spawn_rngs and queue_blocks call Generator.spawn, new in numpy 1.25.0
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)?", dependencies[0].replace(" ", ""))
+    assert floor and tuple(map(int, floor.groups())) >= (1, 25)
 
 
 @pytest.mark.parametrize("path", NUMPY_FREE, ids=lambda p: p.name)

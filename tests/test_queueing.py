@@ -2,19 +2,27 @@
 service laws, the Lindley recursion, and stationary wait sampling."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qcl import queueing
 from qcl.capacity import mm1_capacity_closed_form, pk_wait_transform
 from qcl.channels import DecoherenceModel, Erasure
 from qcl.numerics import batch_means
-from qcl.queueing import (DelayConvention, Deterministic, Empirical,
-                          Exponential, Gamma, InstabilityError,
+from qcl.queueing import (MAX_N, QUEUE_BLOCK, DelayConvention, Deterministic,
+                          Empirical, Exponential, Gamma, InstabilityError,
                           QueueChannelSpec, Uniform, check_stability,
-                          default_burn_in, lindley_waits, queue_path,
+                          default_burn_in, lindley_waits, queue_blocks,
                           stationary_wait_samples, waits_from_prefix_sums)
+
+LAWS = (Exponential(1.0), Deterministic(1.0), Gamma(2.0, 0.5), Uniform(0.5, 1.5),
+        Empirical((0.2, 1.0, 1.8)))
+# every way a path of n symbols can meet the block edges
+BLOCK_EDGES = (0, 1, 2, QUEUE_BLOCK - 1, QUEUE_BLOCK, QUEUE_BLOCK + 1,
+               3 * QUEUE_BLOCK + 7)
 
 
 def test_check_stability_message_and_threshold():
@@ -27,8 +35,9 @@ def test_check_stability_message_and_threshold():
 
 
 def test_poisson_arrivals_gap_moments():
-    gaps, *_ = queue_path(2.0, Exponential(4.0), 200_000, np.random.default_rng(3),
-                          DelayConvention.WAITING_BEFORE_SERVICE)
+    gaps = np.concatenate([t for t, *_ in queue_blocks(
+        2.0, Exponential(4.0), 200_000, np.random.default_rng(3),
+        DelayConvention.WAITING_BEFORE_SERVICE)])
     assert gaps.min() >= 0.0
     # exponential(1/2): mean 0.5, sd 0.5
     assert gaps.mean() == pytest.approx(0.5, abs=4 * 0.5 / math.sqrt(gaps.size))
@@ -225,7 +234,6 @@ def test_waits_running_minimum_has_minimum_accumulate_bits(rho):
 
 def test_lindley_waits_holds_one_temporary():
     # the output and one n-sized temporary; the inputs exist beforehand
-    import tracemalloc
     n = 100_000
     rng = np.random.default_rng(25)
     s, t = rng.exponential(1.0, n), rng.exponential(1.2, n)
@@ -304,3 +312,60 @@ def test_stationary_wait_samples_rejects_unstable_and_empty():
     with pytest.raises(ValueError):
         stationary_wait_samples(0.5, Exponential(1.0), 0)
 
+
+def _joined(blocks):
+    """The (gaps, services, waits, delays) of queue_blocks' blocks, joined."""
+    return [np.concatenate([block[i] for block in blocks] or [np.empty(0)])
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("convention", list(DelayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("service", LAWS, ids=lambda s: s.kind)
+def test_queue_blocks_have_the_bits_of_lindley_waits(service, convention):
+    # held to the generator's own draws: Empirical resamples through numpy's
+    # buffered integers, so its stream depends on the block sizes
+    for n in BLOCK_EDGES:
+        blocks = list(queue_blocks(0.7, service, n, np.random.default_rng(n),
+                                   convention))
+        assert all(t.size <= QUEUE_BLOCK for t, *_ in blocks)
+        gaps, services, waits, delays = _joined(blocks)
+        assert gaps.size == services.size == n
+        expected = lindley_waits(services, gaps)
+        assert np.array_equal(waits.view(np.int64), expected.view(np.int64))
+        if convention is DelayConvention.SOJOURN:
+            expected += services
+        assert np.array_equal(delays.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("convention", list(DelayConvention), ids=lambda c: c.value)
+def test_stationary_wait_samples_holds_only_its_samples(convention):
+    # the n kept delays and a few blocks: no burn-in and no n-length gaps,
+    # services or prefix sums (the whole-path draw peaked at 4.4 * 8n)
+    n = 100_000
+    stationary_wait_samples(0.5, Exponential(1.0), 10, seed=1)  # warm
+    tracemalloc.start()
+    try:
+        stationary_wait_samples(0.5, Exponential(1.0), n, seed=1, convention=convention)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 10 * 8 * QUEUE_BLOCK
+
+
+def test_burn_in_beyond_the_sample_cap_is_refused_before_any_draw(monkeypatch):
+    # the cap counts the burn-in (10**4 here) with the kept samples
+    monkeypatch.setattr(queueing, "MAX_N", 10_005)
+    assert len(stationary_wait_samples(0.5, Exponential(1.0), 5, seed=1)) == 5
+
+    def no_draw(*args):
+        raise AssertionError("drew a queue path")
+
+    monkeypatch.setattr(queueing, "queue_blocks", no_draw)
+    with pytest.raises(ValueError, match=r"^n \+ burn-in must be at most 10005, "
+                                         r"got 6 \+ 10000$"):
+        stationary_wait_samples(0.5, Exponential(1.0), 6)
+    # a burn-in of about 10**12 delays
+    monkeypatch.setattr(queueing, "MAX_N", MAX_N)
+    with pytest.raises(ValueError, match=rf"^n \+ burn-in must be at most {MAX_N}, "
+                                         r"got 10 \+ 999999917260$"):
+        stationary_wait_samples(0.99999999999, Exponential(1.0), 10)

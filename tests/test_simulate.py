@@ -21,8 +21,9 @@ from qcl.channels import (ERASED, BernoulliNoise, DecoherenceModel, Erasure,
                           RandomBijective, WaitGeometricNoise, apply_channel,
                           discrete_entropy, xor_table)
 from qcl.numerics import batch_means, spawn_rngs
-from qcl.queueing import (DelayConvention, Deterministic, Exponential,
-                          InstabilityError, QueueChannelSpec, lindley_waits,
+from qcl.queueing import (QUEUE_BLOCK, DelayConvention, Deterministic, Empirical,
+                          Exponential, Gamma, InstabilityError, QueueChannelSpec,
+                          Uniform, lindley_waits, queue_blocks,
                           stationary_wait_samples, waits_from_prefix_sums)
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, simulate_transmission, sweep_rows)
@@ -93,6 +94,47 @@ def test_generator_seed_reaches_both_entry_points():
     rows = sweep_rows([0.5], [1.0], n=500, seed=g)
     assert rows == sweep_rows([0.5], [1.0], n=500, seed=5)
     assert rows != sweep_rows([0.5], [1.0], n=500, seed=g)
+
+
+@pytest.mark.parametrize("convention", list(DelayConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("service", [Exponential(1.0), Deterministic(1.0), Gamma(2.0, 0.5),
+                                     Uniform(0.5, 1.5), Empirical((0.2, 1.0, 1.8))],
+                         ids=lambda s: s.kind)
+def test_transcript_columns_are_the_queue_blocks_joined(service, convention):
+    # the columns, filled block by block, have the bits of whole-array sums
+    # and Lindley waits over the queue's own draws, and the outputs those of
+    # one channel call
+    channels = (Erasure(DecoherenceModel(1.0), 2),
+                RandomBijective(xor_table(3), WaitGeometricNoise(DecoherenceModel(1.0), 3)))
+    for n in (0, 1, 2, QUEUE_BLOCK - 1, QUEUE_BLOCK, QUEUE_BLOCK + 1, 3 * QUEUE_BLOCK + 7):
+        spec = _spec(0.7, channel=channels[n % 2], service=service, convention=convention)
+        t = simulate_transmission(spec, n, seed=n)
+        queue_rng, _, noise_rng = spawn_rngs(n, 3)
+        blocks = list(queue_blocks(0.7, service, n, queue_rng, convention))
+        gaps, services = (np.concatenate([block[i] for block in blocks] or [np.empty(0)])
+                          for i in range(2))
+        arrivals, waits = np.cumsum(gaps), lindley_waits(services, gaps)
+        sojourn = convention is DelayConvention.SOJOURN
+        for got, want in ((t.a, arrivals), (t.d, arrivals + waits + services),
+                          (t.s, services), (t.w, waits + services if sojourn else waits)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(t.y, apply_channel(spec.channel, t.x, t.w, noise_rng))
+
+
+def test_transcript_holds_only_its_six_columns():
+    # x, a, d, s, w and y, and a few blocks (the whole-path draw peaked at
+    # 9.1 * 8n, and 10.1 * 8n with sojourn delays)
+    n = 100_000
+    for convention in DelayConvention:
+        spec = _spec(convention=convention)
+        simulate_transmission(spec, 10, seed=1)  # warm
+        tracemalloc.start()
+        try:
+            simulate_transmission(spec, n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n + 10 * 8 * QUEUE_BLOCK
 
 
 def test_zero_length_and_unstable_transmission():
@@ -432,7 +474,7 @@ def _record_draws(monkeypatch, n):
 
 def test_sweep_rows_draws_once_and_runs_one_lindley_pass_per_lambda(monkeypatch):
     streams, passes = _record_draws(monkeypatch, 200)
-    monkeypatch.setattr(simulate, "queue_path", None)  # not on this path
+    monkeypatch.setattr(simulate, "queue_blocks", None)  # not on this path
     rows = sweep_rows([0.2, 0.5, 0.8], [0.1, 1.0, 3.0], n=200, seed=4)
     assert len(rows) == 9 and all(r["capacity_mc"] is not None for r in rows)
     # one split of the seed, and each stream advanced by exactly one draw of n

@@ -3,6 +3,7 @@ standard error fails them, the flip-channel dominance check keeps its
 common-random-numbers design, and the alpha criterion of the dominance checks
 orders the capacities it stands for."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -120,3 +121,18 @@ def test_unseeded_checks_run_at_seed_zero(monkeypatch):
     monkeypatch.setattr(validation, "N_DEFAULT", 10_000)
     assert (validation.check_mm1_erasure_formula(seed=None).lines
             == validation.check_mm1_erasure_formula(seed=0).lines)
+
+
+def test_route_discrepancy_holds_one_transcript_at_a_time(monkeypatch):
+    # six 8-byte columns per symbol; holding the first transcript while the
+    # second was drawn peaked at 2.5 transcripts
+    n = 100_000
+    monkeypatch.setattr(validation, "N_DEFAULT", n)
+    validation.check_optimizer_route_discrepancy(seed=0)  # warm
+    tracemalloc.start()
+    try:
+        validation.check_optimizer_route_discrepancy(seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 6 * 8 * n
