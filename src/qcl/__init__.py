@@ -9,9 +9,9 @@ the binary symmetric channel, the two-symbol permutation channel with XOR
 table (RandomBijective.binary_symmetric), flips with probability p(w)/2, the
 depolarizing flip. The package pairs closed-form capacity expressions with a
 discrete-event Monte Carlo simulator and a check suite that holds the two
-against each other; evaluate_capacity and estimate_capacity are the one
-evaluation path per channel that the command line renders. Both return a
-CapacityResult, which carries a sampled value's std_error and n with it.
+against each other; each channel's capacity and score methods are the one
+evaluation path per channel that the command line renders. Both return
+CapacityResults, which carry a sampled value's std_error and n with them.
 
 Every name is imported from the module that defines it: the closed forms
 and the optimal arrival rate from qcl.capacity, the queue from qcl.queueing,

@@ -3,18 +3,17 @@
 Everything routes through two quantities: the service Laplace transform
 F(s) = E[exp(-s*S)] and the stationary-wait transform E[exp(-kappa*W)] given by
 the Pollaczek-Khinchin formula. Expectations with no transform expression
-(the entropy functionals of the permutation channels) are supplied by the
-caller, normally evaluate_capacity's sampling branch, the one place here that
-reaches qcl.simulate (and numpy). A queue comes either as a QueueChannelSpec,
-stable by construction (qcl.queueing), or as a bare arrival rate lam, which
-pk_wait_transform and mm1_capacity_closed_form check with check_stability.
+(the entropy functionals of the permutation channels) are the channel's
+to estimate (qcl.channels): nothing here samples. A queue comes either as a
+QueueChannelSpec, stable by construction (qcl.queueing), or as a bare arrival
+rate lam, which pk_wait_transform and mm1_capacity_closed_form check with
+check_stability.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .queueing import (DelayConvention, Exponential, check_stability,
-                       stationary_wait_samples)
+from .queueing import DelayConvention, check_stability
 
 METHOD_CLOSED_FORM_MM1 = "ClosedFormMM1"
 METHOD_PK = "PKTransform"
@@ -97,28 +96,6 @@ def mean_survival(spec):
     return value
 
 
-def erasure_capacity(spec):
-    """Erasure-channel capacity lam * log2(k) * E[1 - p(W)] in bits/sec.
-
-    E[1 - p(W)] is mean_survival, the transform closed form of the
-    decoherence law. The result does not depend on receiver_knows_timing.
-    """
-    if spec.channel.kind != "erasure":
-        raise TypeError("erasure_capacity needs an Erasure channel")
-    k = spec.channel.size
-    diagnostics = {"alphabet_size": k, "receiver_knows_timing_irrelevant": True}
-    surv = mean_survival(spec)
-    is_mm1 = (isinstance(spec.service, Exponential)
-              and spec.delay_convention is DelayConvention.WAITING_BEFORE_SERVICE)
-    kappa = spec.channel.decoherence.kappa
-    if kappa > 0:
-        diagnostics["alpha"] = alpha_mg1(spec.service, kappa)
-    diagnostics["mean_survival"] = surv
-    return CapacityResult(bits_per_sec=spec.lam * math.log2(k) * surv,
-                          method=METHOD_CLOSED_FORM_MM1 if is_mm1 else METHOD_PK,
-                          diagnostics=diagnostics)
-
-
 def mm1_capacity_closed_form(lam, kappa):
     """Binary erasure capacity of the unit-rate exponential-service queue:
     lam*(1-lam)/(1 - alpha*lam) with alpha = 1/(1+kappa)."""
@@ -151,73 +128,3 @@ def optimal_lambda_mg1(service, kappa):
 E_H_NOISE = "E_H_noise"
 H_MEAN_NOISE = "H_mean_noise"
 E_H_KERNEL_NOISE = "E_H_kernel_noise"
-
-
-def bijective_capacity(spec, noise_entropy_expectations, assume_unpredictable=False):
-    """Capacity of a noise-permutation channel from noise-entropy expectations.
-
-    Expectations (estimated over delays by
-    qcl.simulate.estimate_bijective_bounds), in bits per symbol:
-      - "E_H_noise": E[H(N(W))], per-delay noise entropy;
-      - "H_mean_noise": H(E[N(W)]), entropy of the delay-averaged noise law;
-      - "E_H_kernel_noise": E[H(one-step-ahead averaged noise law)].
-
-    Returns the exact value lam*(log2 k - E_H_noise) when the receiver knows
-    the timing. Otherwise: the exact value lam*(log2 k - H_mean_noise) if the
-    caller asserts the queue is unpredictable from past noise, else a result
-    with bits_per_sec None and the bound pair
-    lam*(log2 k - H_mean_noise) <= C <= lam*(log2 k - E_H_kernel_noise).
-    Each expectation is an EstimateWithError: its .value sets the rate and,
-    with its .std_error, goes to the diagnostics; the result's std_error is
-    that scaled to bits/sec (None stays None), and its n is .n.
-    """
-    if spec.channel.kind != "bijective":
-        raise TypeError("bijective_capacity needs a RandomBijective channel")
-    log_k = math.log2(spec.channel.size)
-
-    def rate(key, method, **diagnostics):
-        try:
-            expectation = noise_entropy_expectations[key]
-        except (KeyError, TypeError):
-            raise ValueError(f"missing noise entropy expectation {key!r}") from None
-        h, se = float(expectation.value), expectation.std_error
-        return CapacityResult(spec.lam * (log_k - h), method,
-                              {**diagnostics, key: h, "expectation_std_error": se},
-                              std_error=None if se is None else spec.lam * se,
-                              n=expectation.n)
-
-    if spec.receiver_knows_timing:
-        return rate(E_H_NOISE, METHOD_MC, csir=True)
-    if assume_unpredictable:
-        return rate(H_MEAN_NOISE, METHOD_MC, csir=False,
-                    assumption=UNPREDICTABILITY_NOTE)
-    lower = rate(H_MEAN_NOISE, METHOD_BOUND_LOWER, csir=False)
-    upper = rate(E_H_KERNEL_NOISE, METHOD_BOUND_UPPER, csir=False)
-    return CapacityResult(None, METHOD_BOUNDS, {"csir": False}, n=lower.n,
-                          bounds=(lower, upper))
-
-
-def evaluate_capacity(spec, n=0, seed=None, assume_unpredictable=False):
-    """The capacity of spec's channel as a CapacityResult.
-
-    An erasure channel has a transform closed form and draws nothing. A
-    noise-permutation channel is estimated over n stationary delays drawn
-    from seed (see stationary_wait_samples), computing only the expectations
-    bijective_capacity reads for this spec. Raises ValueError for n < 2, as
-    one delay gives no standard error, before drawing any.
-    """
-    if spec.channel.kind == "erasure":
-        return erasure_capacity(spec)
-    if spec.receiver_knows_timing:
-        keys = (E_H_NOISE,)
-    elif assume_unpredictable:
-        keys = (H_MEAN_NOISE,)
-    else:
-        keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
-    if n < 2:
-        raise ValueError(f"need at least 2 delays, got {n}")
-    from .simulate import estimate_bijective_bounds
-    waits = stationary_wait_samples(spec.lam, spec.service, n, seed=seed,
-                                    convention=spec.delay_convention)
-    expectations = estimate_bijective_bounds(spec, waits.samples, keys)
-    return bijective_capacity(spec, expectations, assume_unpredictable)

@@ -7,11 +7,21 @@ from a noise law of w, a value: BernoulliNoise, the depolarizing flip
 Bernoulli(p(w)/2) that the XOR table makes the binary symmetric channel,
 or WaitGeometricNoise. Symbols are integer indices 0..k-1; erasure output
 uses the ERASED sentinel (rendered "?" in transcripts).
+
+Each channel answers for itself, so no caller branches on its kind: its
+alphabet size, apply (outputs at waits), capacity (a spec's CapacityResult)
+and score (a transcript's estimate). Only sampling imports qcl.simulate.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE, METHOD_BOUND_LOWER,
+                       METHOD_BOUND_UPPER, METHOD_BOUNDS, METHOD_CLOSED_FORM_MM1,
+                       METHOD_MC, METHOD_PK, UNPREDICTABILITY_NOTE, CapacityResult,
+                       alpha_mg1, mean_survival)
+from .queueing import DelayConvention, Exponential, stationary_wait_samples
 
 ERASED = -1
 
@@ -51,7 +61,6 @@ class Erasure:
 
     decoherence: DecoherenceModel
     alphabet_size: int = 2
-    kind = "erasure"
 
     def __post_init__(self):
         if int(self.alphabet_size) < 2:
@@ -68,6 +77,32 @@ class Erasure:
         p = self.decoherence.error_prob(w)
         u = rng.random(x.shape)
         return np.where(u < p, ERASED, x)
+
+    def capacity(self, spec, n=0, seed=None, assume_unpredictable=False):
+        """Capacity lam * log2(k) * E[1 - p(W)] in bits/sec, drawing nothing.
+
+        E[1 - p(W)] is mean_survival, the transform closed form of the
+        decoherence law. The result ignores receiver_knows_timing and the
+        sampling arguments.
+        """
+        diagnostics = {"alphabet_size": self.size,
+                       "receiver_knows_timing_irrelevant": True}
+        surv = mean_survival(spec)
+        is_mm1 = (isinstance(spec.service, Exponential)
+                  and spec.delay_convention is DelayConvention.WAITING_BEFORE_SERVICE)
+        kappa = self.decoherence.kappa
+        if kappa > 0:
+            diagnostics["alpha"] = alpha_mg1(spec.service, kappa)
+        diagnostics["mean_survival"] = surv
+        return CapacityResult(bits_per_sec=spec.lam * math.log2(self.size) * surv,
+                              method=METHOD_CLOSED_FORM_MM1 if is_mm1 else METHOD_PK,
+                              diagnostics=diagnostics)
+
+    def score(self, transcript):
+        """(lam * log2(k) * (1 - erased fraction), None): no bounds."""
+        from .simulate import _score_survival
+        survived = transcript.y != ERASED
+        return _score_survival(survived, transcript.spec.lam, self.size), None
 
 
 @dataclass(frozen=True)
@@ -129,7 +164,6 @@ class RandomBijective:
 
     table: tuple
     noise_law: object
-    kind = "bijective"
 
     def __post_init__(self):
         import numpy as np
@@ -177,6 +211,79 @@ class RandomBijective:
         waits, the (m, k) transposed view of a symbol-major buffer."""
         return self.noise_law(w)
 
+    def capacity(self, spec, n=0, seed=None, assume_unpredictable=False):
+        """The capacity estimated over n stationary delays drawn from seed
+        (see stationary_wait_samples), computing only the expectations
+        capacity_from reads for this spec. Raises ValueError for n < 2, as
+        one delay gives no standard error, before drawing any.
+        """
+        if spec.receiver_knows_timing:
+            keys = (E_H_NOISE,)
+        elif assume_unpredictable:
+            keys = (H_MEAN_NOISE,)
+        else:
+            keys = (H_MEAN_NOISE, E_H_KERNEL_NOISE)
+        if n < 2:
+            raise ValueError(f"need at least 2 delays, got {n}")
+        from .simulate import estimate_bijective_bounds
+        waits = stationary_wait_samples(spec.lam, spec.service, n, seed=seed,
+                                        convention=spec.delay_convention)
+        expectations = estimate_bijective_bounds(spec, waits.samples, keys)
+        return self.capacity_from(spec, expectations, assume_unpredictable)
+
+    def capacity_from(self, spec, noise_entropy_expectations,
+                      assume_unpredictable=False):
+        """The capacity from noise-entropy expectations (estimated over delays by
+        qcl.simulate.estimate_bijective_bounds), in bits per symbol:
+          - "E_H_noise": E[H(N(W))], per-delay noise entropy;
+          - "H_mean_noise": H(E[N(W)]), entropy of the delay-averaged noise law;
+          - "E_H_kernel_noise": E[H(one-step-ahead averaged noise law)].
+
+        Returns the exact value lam*(log2 k - E_H_noise) when the receiver
+        knows the timing. Otherwise: the exact value lam*(log2 k -
+        H_mean_noise) if the caller asserts the queue is unpredictable from
+        past noise, else a result with bits_per_sec None and the bound pair
+        lam*(log2 k - H_mean_noise) <= C <= lam*(log2 k - E_H_kernel_noise).
+        Each expectation is an EstimateWithError: its value sets the rate and
+        goes to the diagnostics with its std_error; the result carries that
+        std_error in bits/sec (None stays None) and its n.
+        """
+        log_k = math.log2(self.size)
+
+        def rate(key, method, **diagnostics):
+            try:
+                expectation = noise_entropy_expectations[key]
+            except (KeyError, TypeError):
+                raise ValueError(f"missing noise entropy expectation {key!r}") from None
+            h, se = float(expectation.value), expectation.std_error
+            return CapacityResult(spec.lam * (log_k - h), method,
+                                  {**diagnostics, key: h, "expectation_std_error": se},
+                                  std_error=None if se is None else spec.lam * se,
+                                  n=expectation.n)
+
+        if spec.receiver_knows_timing:
+            return rate(E_H_NOISE, METHOD_MC, csir=True)
+        if assume_unpredictable:
+            return rate(H_MEAN_NOISE, METHOD_MC, csir=False,
+                        assumption=UNPREDICTABILITY_NOTE)
+        lower = rate(H_MEAN_NOISE, METHOD_BOUND_LOWER, csir=False)
+        upper = rate(E_H_KERNEL_NOISE, METHOD_BOUND_UPPER, csir=False)
+        return CapacityResult(None, METHOD_BOUNDS, {"csir": False}, n=lower.n,
+                              bounds=(lower, upper))
+
+    def score(self, transcript):
+        """(estimate, bounds) from the transcript's own delay column: bounds
+        maps lower, upper and csir_exact to their results, and the estimate
+        is csir_exact when the receiver knows the timing, else lower."""
+        from .simulate import estimate_bijective_bounds
+        spec = transcript.spec
+        h = estimate_bijective_bounds(spec, transcript.w)
+        lower, upper = self.capacity_from(replace(spec, receiver_knows_timing=False),
+                                          h).bounds
+        exact = self.capacity_from(replace(spec, receiver_knows_timing=True), h)
+        bounds = {"lower": lower, "upper": upper, "csir_exact": exact}
+        return exact if spec.receiver_knows_timing else lower, bounds
+
 
 def xor_table(k=2):
     """The modular-shift table g(x, n) = (x + n) mod k; XOR for k=2."""
@@ -208,8 +315,10 @@ def _sample_categorical(probs, u):
 def apply_channel(channel, x, w, rng):
     """Send symbol(s) x through the channel at wait(s) w; rng is a Generator.
 
-    Accepts scalars or aligned arrays; returns the same shape. Erasure outputs
-    ERASED where the symbol is lost and never a wrong symbol.
+    Accepts scalars or aligned arrays; returns the same shape. The channel
+    is any object with an alphabet size and apply(x, w, rng); one without
+    them fails before any draw. Erasure outputs ERASED where the symbol is
+    lost and never a wrong symbol.
     """
     import numpy as np
     scalar = np.isscalar(x) or (np.ndim(x) == 0)
@@ -217,8 +326,6 @@ def apply_channel(channel, x, w, rng):
     ws = np.broadcast_to(np.asarray(w, dtype=float), xs.shape)
     if not np.all(ws >= 0):  # NaN fails this too
         raise ValueError("waits must be nonnegative")
-    if not isinstance(channel, (Erasure, RandomBijective)):
-        raise TypeError(f"unknown channel kind: {type(channel).__name__}")
     k = channel.size
     if np.any(xs < 0) or np.any(xs >= k):
         raise ValueError(f"input symbol outside alphabet of size {k}")

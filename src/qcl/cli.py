@@ -80,7 +80,7 @@ def cmd_capacity(cfg):
         return EXIT_OK
     spec = build_spec(cfg)
     try:
-        result = capacity.evaluate_capacity(
+        result = spec.channel.capacity(
             spec, cfg["n"], seed=cfg["seed"],
             assume_unpredictable=cfg["assume_unpredictable"])
     except ValueError as err:  # too few samples for a Monte Carlo expectation
@@ -110,12 +110,11 @@ def cmd_optimize(cfg):
     spec = build_spec({**cfg, "lambda": lam_star})
 
     def capacity_at(lam):
-        spec_at = replace(spec, lam=lam)
-        return capacity.erasure_capacity(spec_at).bits_per_sec
+        return spec.channel.capacity(replace(spec, lam=lam)).bits_per_sec
 
     mu = 1.0 / service.mean
     numeric = golden_section_extremize(capacity_at, 1e-9 * mu, (1.0 - 1e-9) * mu)
-    best = capacity.erasure_capacity(spec)
+    best = spec.channel.capacity(spec)
     emit({"lambda_star": lam_star,
           "capacity_at_lambda_star": best.bits_per_sec,
           "method": best.method,

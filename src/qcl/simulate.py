@@ -10,21 +10,20 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE, METHOD_MC,
-                       CapacityResult, bijective_capacity, erasure_capacity)
+                       CapacityResult)
 from .channels import (ERASED, DecoherenceModel, Erasure, apply_channel,
                        discrete_entropy, row_chunks)
 from .numerics import batch_error, batch_means, spawn_rngs
-from .queueing import (DelayConvention, Exponential, QueueChannelSpec,
+from .queueing import (QUEUE_BLOCK, DelayConvention, Exponential, QueueChannelSpec,
                        queue_blocks, waits_from_prefix_sums)
 
 BUCKETS = 64  # delay-quantile buckets of the one-step kernel estimate
 CSV_BLOCK_ROWS = 1 << 16  # transcript rows formatted per write
-SWEEP_BLOCK = 1 << 14  # waits per block of a sweep column, fastest at n = 10**6
 SWEEP_KAPPAS = 16  # survival rows a sweep column holds, one per kappa
 
 
@@ -183,7 +182,7 @@ def _quantile_buckets(w):
 
 def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE)):
     """Estimate, from the delays w in time order, the noise-entropy
-    expectations that qcl.capacity.bijective_capacity turns into the
+    expectations that RandomBijective.capacity_from turns into the
     timing-aware value, the unpredictable-queue value and the no-timing bounds.
 
     w may be stationary samples or a transcript's delay column, at least 2 of
@@ -210,8 +209,6 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
     seeded with the running sums. So the output bits do not depend on the
     chunk size.
     """
-    if spec.channel.kind != "bijective":
-        raise TypeError("estimate_bijective_bounds needs a RandomBijective channel")
     w = np.asarray(w, dtype=float)
     if w.size < 2:
         raise ValueError(f"need at least 2 delays, got {w.size}")
@@ -273,28 +270,15 @@ def estimate_bijective_bounds(spec, w, keys=(E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL
 
 def estimate_capacity(transcript):
     """Capacity estimated from one transcript, as (estimate, bounds) of
-    sampled CapacityResults.
-
-    An erasure transcript is scored as lam * log2(k) * (1 - erased fraction)
-    by _score_survival and has no bounds.
-    A noise-permutation transcript is scored from its own delay column by
-    bijective_capacity: bounds maps lower, upper and csir_exact to its
-    results, and the estimate is csir_exact when the receiver knows the
-    timing, else lower. Both are None for a transcript of fewer than 2
-    symbols, whose estimate would have no standard error.
+    sampled CapacityResults, by the channel's own score: an erasure
+    transcript has no bounds; a noise-permutation transcript's bounds map
+    lower, upper and csir_exact to its results. Both are None for a
+    transcript of fewer than 2 symbols, whose estimate would have no
+    standard error.
     """
-    spec = transcript.spec
     if len(transcript) < 2:
         return None, None
-    if spec.channel.kind == "erasure":
-        return _score_survival(transcript.y != ERASED, spec.lam,
-                               spec.channel.size), None
-    h = estimate_bijective_bounds(spec, transcript.w)
-    lower, upper = bijective_capacity(replace(spec, receiver_knows_timing=False),
-                                      h).bounds
-    exact = bijective_capacity(replace(spec, receiver_knows_timing=True), h)
-    bounds = {"lower": lower, "upper": upper, "csir_exact": exact}
-    return exact if spec.receiver_knows_timing else lower, bounds
+    return transcript.spec.channel.score(transcript)
 
 
 def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
@@ -313,7 +297,7 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
     standard exponential survival marks E. The running sums CG of G and CS
     of S are taken once, in place (SOJOURN keeps S apart, to add it to the
     waits). Each lambda walks them once per SWEEP_KAPPAS kappas, in blocks
-    of SWEEP_BLOCK that stay in a core's L2 cache: per block the prefix sums
+    of QUEUE_BLOCK that stay in a core's L2 cache: per block the prefix sums
     CS - CG / lambda, their waits by waits_from_prefix_sums (the running
     minimum carried from block to block, so the bits are those of one whole
     pass), and for each kappa of the walk the survivals kappa * w <= E
@@ -345,11 +329,10 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
             if lam == 0.0:
                 analytic = 0.0
             else:
-                spec = QueueChannelSpec(
-                    lam=lam, service=service,
-                    channel=Erasure(DecoherenceModel(kappa), alphabet),
-                    delay_convention=convention)
-                analytic = erasure_capacity(spec).bits_per_sec
+                channel = Erasure(DecoherenceModel(kappa), alphabet)
+                analytic = channel.capacity(QueueChannelSpec(
+                    lam=lam, service=service, channel=channel,
+                    delay_convention=convention)).bits_per_sec
             rows.append({"lambda": lam, "kappa": float(kappa),
                          "capacity_analytic": analytic, "capacity_mc": None,
                          "mc_stderr": None})
@@ -375,9 +358,9 @@ def sweep_rows(lambdas, kappas, n=0, seed=None, service=None, alphabet=2,
             first = services[0] if sojourn else 0.0  # W_0 of the empty queue
             for row, kappa in zip(survived, group):
                 row[0] = kappa * first <= marks[0]
-            buffers, floor = np.empty((2, SWEEP_BLOCK)), 0.0
-            for lo in range(1, n, SWEEP_BLOCK):
-                hi = min(lo + SWEEP_BLOCK, n)
+            buffers, floor = np.empty((2, QUEUE_BLOCK)), 0.0
+            for lo in range(1, n, QUEUE_BLOCK):
+                hi = min(lo + QUEUE_BLOCK, n)
                 p, w = buffers[:, : hi - lo]
                 np.divide(cum_gaps[lo - 1: hi - 1], lam, out=p)
                 np.subtract(cum_services[lo - 1: hi - 1], p, out=p)

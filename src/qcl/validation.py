@@ -106,8 +106,8 @@ def _bsc_pair(spec, w):
     spec, both estimated over the same delays w."""
     h = simulate.estimate_bijective_bounds(
         spec, w, keys=(capacity.E_H_NOISE, capacity.H_MEAN_NOISE))
-    with_t = capacity.bijective_capacity(replace(spec, receiver_knows_timing=True), h)
-    without = capacity.bijective_capacity(spec, h, assume_unpredictable=True)
+    with_t = spec.channel.capacity_from(replace(spec, receiver_knows_timing=True), h)
+    without = spec.channel.capacity_from(spec, h, assume_unpredictable=True)
     return with_t, without
 
 
@@ -334,10 +334,9 @@ def check_bijective_bounds(seed=None):
         service = services[rng.integers(len(services))]
         channel = RandomBijective(table, WaitGeometricNoise(DecoherenceModel(kappa), k))
         spec = QueueChannelSpec(lam=lam, service=service, channel=channel)
-        lower, upper = capacity.evaluate_capacity(
-            spec, n, seed=int(rng.integers(2 ** 63))).bounds
+        lower, upper = channel.capacity(spec, n, seed=int(rng.integers(2 ** 63))).bounds
         # an independent replicate of the exact unpredictable-queue value
-        exact = capacity.evaluate_capacity(
+        exact = channel.capacity(
             spec, n, seed=int(rng.integers(2 ** 63)), assume_unpredictable=True)
         se_lower, se_upper, se_exact = (r.std_error for r in (lower, upper, exact))
         ordered = lower.bits_per_sec <= upper.bits_per_sec + 1e-12
@@ -350,7 +349,7 @@ def check_bijective_bounds(seed=None):
                      f"(slacks {lo_gap:+.1f}, {hi_gap:+.1f} sigma)")
     # XOR/Bernoulli: stationary samples against an independent transcript
     xor_spec = _bsc_spec(0.5, 1.0, csir=True)
-    stationary = capacity.evaluate_capacity(xor_spec, n, seed=_seed_for(seed, 77))
+    stationary = xor_spec.channel.capacity(xor_spec, n, seed=_seed_for(seed, 77))
     transcript, _ = simulate.estimate_capacity(
         simulate.simulate_transmission(xor_spec, n, seed=_seed_for(seed, 78)))
     joint = _sigma(stationary.std_error, transcript.std_error)

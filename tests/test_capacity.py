@@ -8,7 +8,7 @@ import pytest
 from qcl.capacity import (METHOD_BOUND_LOWER, METHOD_BOUND_UPPER,
                           METHOD_CLOSED_FORM_MM1, METHOD_BOUNDS, METHOD_MC,
                           METHOD_PK, E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE,
-                          alpha_mg1, bijective_capacity, erasure_capacity, mean_survival,
+                          alpha_mg1, mean_survival,
                           mm1_capacity_closed_form, optimal_lambda_mg1,
                           pk_wait_transform)
 from qcl.channels import (BernoulliNoise, DecoherenceModel, Erasure,
@@ -23,6 +23,14 @@ def _erasure_spec(lam, kappa, service=None, k=2, convention=None):
         lam=lam, service=service or Exponential(1.0),
         channel=Erasure(DecoherenceModel(kappa), k),
         delay_convention=convention or DelayConvention.WAITING_BEFORE_SERVICE)
+
+
+def _closed_form(spec):
+    return spec.channel.capacity(spec)
+
+
+def _capacity_from(spec, expectations, **kwargs):
+    return spec.channel.capacity_from(spec, expectations, **kwargs)
 
 
 def test_spec_properties_and_decoherence_routing():
@@ -80,27 +88,22 @@ def test_mean_survival_conventions():
 
 
 def test_erasure_capacity_mm1_closed_form():
-    result = erasure_capacity(_erasure_spec(0.5, 1.0))
+    result = _closed_form(_erasure_spec(0.5, 1.0))
     assert result.bits_per_sec == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert result.method == METHOD_CLOSED_FORM_MM1
     assert result.diagnostics["alpha"] == pytest.approx(0.5)
 
 
 def test_erasure_capacity_md1_uses_transform_method():
-    result = erasure_capacity(_erasure_spec(0.5, 1.0, service=Deterministic(1.0)))
+    result = _closed_form(_erasure_spec(0.5, 1.0, service=Deterministic(1.0)))
     assert result.bits_per_sec == pytest.approx(0.3655292893150024, abs=1e-12)
     assert result.method == METHOD_PK
 
 
 def test_erasure_capacity_scales_with_alphabet():
-    two = erasure_capacity(_erasure_spec(0.5, 1.0, k=2))
-    four = erasure_capacity(_erasure_spec(0.5, 1.0, k=4))
+    two = _closed_form(_erasure_spec(0.5, 1.0, k=2))
+    four = _closed_form(_erasure_spec(0.5, 1.0, k=4))
     assert four.bits_per_sec == pytest.approx(2.0 * two.bits_per_sec)
-
-
-def test_erasure_capacity_rejects_wrong_channel():
-    with pytest.raises(TypeError):
-        erasure_capacity(_bsc_spec(0.5))
 
 
 def test_mm1_closed_form_values_and_guards():
@@ -148,7 +151,7 @@ def test_optimal_lambda_scales_with_service_rate():
 
 
 def _h(value):
-    """A noise-entropy expectation as bijective_capacity takes it."""
+    """A noise-entropy expectation as RandomBijective.capacity_from takes it."""
     return EstimateWithError(value=value, std_error=0.0, n=2)
 
 
@@ -162,11 +165,11 @@ def _bsc_spec(lam, csir=False):
 def test_bsc_capacity_routes_on_timing_knowledge():
     # the binary symmetric channel is the k=2 bijective channel:
     # H(N(W)) = h(phi(W)) and H(E N(W)) = h(E phi(W))
-    with_timing = bijective_capacity(_bsc_spec(0.5, csir=True), {E_H_NOISE: _h(0.65)})
+    with_timing = _capacity_from(_bsc_spec(0.5, csir=True), {E_H_NOISE: _h(0.65)})
     assert with_timing.bits_per_sec == pytest.approx(0.5 * 0.35)
     assert with_timing.diagnostics["csir"] is True
     # E[phi(W)] = (1 - E[e^-W])/2 = 1/6 at lam=0.5, kappa=1
-    blind = bijective_capacity(_bsc_spec(0.5),
+    blind = _capacity_from(_bsc_spec(0.5),
                                {H_MEAN_NOISE: _h(binary_entropy(1.0 / 6.0))},
                                assume_unpredictable=True)
     assert blind.bits_per_sec == pytest.approx(0.17498878917582289, abs=1e-12)
@@ -175,21 +178,19 @@ def test_bsc_capacity_routes_on_timing_knowledge():
 
 def test_bsc_capacity_accepts_estimates_and_checks_keys():
     est = EstimateWithError(value=binary_entropy(1.0 / 6.0), std_error=1e-4, n=100)
-    blind = bijective_capacity(_bsc_spec(0.5), {H_MEAN_NOISE: est},
+    blind = _capacity_from(_bsc_spec(0.5), {H_MEAN_NOISE: est},
                                assume_unpredictable=True)
     assert blind.bits_per_sec == pytest.approx(0.17498878917582289, abs=1e-12)
     assert blind.std_error == pytest.approx(0.5 * 1e-4)
     assert blind.diagnostics["expectation_std_error"] == 1e-4
     assert blind.n == 100
     with pytest.raises(ValueError, match="E_H_noise"):
-        bijective_capacity(_bsc_spec(0.5, csir=True), {H_MEAN_NOISE: _h(0.1)})
+        _capacity_from(_bsc_spec(0.5, csir=True), {H_MEAN_NOISE: _h(0.1)})
     with pytest.raises(ValueError, match="H_mean_noise"):
-        bijective_capacity(_bsc_spec(0.5), {E_H_NOISE: _h(0.1)},
+        _capacity_from(_bsc_spec(0.5), {E_H_NOISE: _h(0.1)},
                            assume_unpredictable=True)
-    with pytest.raises(TypeError):
-        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: _h(0.1)})
     with pytest.raises(InstabilityError):
-        bijective_capacity(_bsc_spec(1.2), {H_MEAN_NOISE: _h(0.1)},
+        _capacity_from(_bsc_spec(1.2), {H_MEAN_NOISE: _h(0.1)},
                            assume_unpredictable=True)
 
 
@@ -200,21 +201,21 @@ def _bijective_spec(lam, csir=False):
 
 
 def test_bijective_capacity_timing_aware_value():
-    result = bijective_capacity(_bijective_spec(0.5, csir=True),
+    result = _capacity_from(_bijective_spec(0.5, csir=True),
                                 {E_H_NOISE: _h(0.4)})
     assert result.bits_per_sec == pytest.approx(0.5 * 0.6)
     assert result.method == METHOD_MC
 
 
 def test_bijective_capacity_unpredictable_route():
-    result = bijective_capacity(_bijective_spec(0.5), {H_MEAN_NOISE: _h(0.65)},
+    result = _capacity_from(_bijective_spec(0.5), {H_MEAN_NOISE: _h(0.65)},
                                 assume_unpredictable=True)
     assert result.bits_per_sec == pytest.approx(0.5 * 0.35)
     assert "assumption" in result.diagnostics
 
 
 def test_bijective_capacity_bound_pair():
-    result = bijective_capacity(
+    result = _capacity_from(
         _bijective_spec(0.5), {H_MEAN_NOISE: _h(0.9), E_H_KERNEL_NOISE: _h(0.7)})
     assert result.bits_per_sec is None
     assert result.method == METHOD_BOUNDS
@@ -228,11 +229,9 @@ def test_bijective_capacity_bound_pair():
 
 def test_bijective_capacity_checks_inputs():
     with pytest.raises(ValueError, match="H_mean_noise"):
-        bijective_capacity(_bijective_spec(0.5), {E_H_KERNEL_NOISE: _h(0.7)})
-    with pytest.raises(TypeError):
-        bijective_capacity(_erasure_spec(0.5, 1.0), {H_MEAN_NOISE: _h(0.5)})
+        _capacity_from(_bijective_spec(0.5), {E_H_KERNEL_NOISE: _h(0.7)})
     with pytest.raises(InstabilityError):
-        bijective_capacity(_bijective_spec(1.2), {H_MEAN_NOISE: _h(0.5)},
+        _capacity_from(_bijective_spec(1.2), {H_MEAN_NOISE: _h(0.5)},
                            assume_unpredictable=True)
 
 

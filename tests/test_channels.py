@@ -237,7 +237,7 @@ def test_apply_channel_input_validation():
         for bad in (-1.0, math.nan, [1.0, math.nan, 2.0]):
             with pytest.raises(ValueError, match="waits must be nonnegative"):
                 apply_channel(channel, np.zeros(np.size(bad), dtype=int), bad, rng)
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError, match="size"):  # not a channel: no draw
         apply_channel(object(), 0, 1.0, rng)
 
 

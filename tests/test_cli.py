@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcl import capacity, cli, config, queueing, simulate, validation
-from qcl.capacity import bijective_capacity
 from qcl.channels import Erasure, RandomBijective, xor_table
 from qcl.cli import main
 from qcl.config import (ConfigError, build_channel, build_service, build_spec,
@@ -170,6 +169,28 @@ def test_config_documents_validate_or_raise_config_error(doc):
         pass
 
 
+@pytest.mark.parametrize("command", ["capacity", "optimize", "simulate"])
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(doc=_DOCUMENTS)
+@example(doc={})  # the defaults: every command's success path
+@example(doc={"channel": "bijective", "alphabet_size": 4, "noise": {"kind": "wait_geometric"}})
+def test_every_document_ends_in_a_documented_exit(command, doc):
+    # n is capped at 64 so a sampling command stays small; a bad n stays bad
+    if type(doc.get("n", 0)) is int:
+        doc["n"] = min(doc.get("n", 64), 64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/doc.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, "--config", path]
+        if command == "simulate":
+            argv += ["--out", f"{tmp}/t.csv"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+
+
 _POSITIVE = st.floats(0.1, 10.0)
 _SERVICE_LAWS = st.one_of(
     st.builds(lambda rate: {"kind": "exponential", "rate": rate}, _POSITIVE),
@@ -198,7 +219,7 @@ def test_closed_forms_stay_in_range_over_laws_and_kappa(service_doc, log_kappa,
     mu = 1.0 / service.mean
     spec = build_spec(_cfg(service=service_doc, kappa=kappa, alphabet_size=k,
                            delay_convention=convention, **{"lambda": load * mu}))
-    bits = capacity.erasure_capacity(spec).bits_per_sec
+    bits = spec.channel.capacity(spec).bits_per_sec
     assert 0.0 <= bits <= spec.lam * math.log2(k)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/opt.json"
@@ -935,9 +956,9 @@ def test_cli_simulate_bijective_scores_its_own_transcript(capsys, tmp_path, timi
     assert w.size == 3000
     spec = build_spec(load_config(cfg, {}))
     h = estimate_bijective_bounds(spec, w)
-    lower, upper = bijective_capacity(
+    lower, upper = spec.channel.capacity_from(
         build_spec(load_config(cfg, {"receiver_knows_timing": False})), h).bounds
-    exact = bijective_capacity(
+    exact = spec.channel.capacity_from(
         build_spec(load_config(cfg, {"receiver_knows_timing": True})), h)
     assert payload["bounds"] == {"lower": lower.bits_per_sec,
                                  "upper": upper.bits_per_sec,

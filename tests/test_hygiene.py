@@ -1,17 +1,20 @@
 """Source hygiene: every module-level import in the package is used, no
 module imports scipy at any depth and pyproject.toml declares numpy as the
-only dependency, none of the modules the closed forms run on imports numpy
-when it loads, no function but fork_map's worker hook rebinds a module
-global, no module but numerics computes a standard error, and README's
-Library example runs as written."""
+only dependency and the tests' other imports as its test extra, none of the
+modules the closed forms run on imports numpy when it loads, no function but
+fork_map's worker hook rebinds a module global, no module but numerics
+computes a standard error, no module but the config layer decides a channel
+kind, and README's Library example runs as written."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import qcl
+from qcl.channels import Erasure, RandomBijective
 
 SOURCES = sorted(Path(qcl.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -72,15 +75,43 @@ def test_scan_flags_a_module_level_scipy_import():
             "scipy", "scipy.linalg", "scipy.special"]
 
 
-def test_numpy_is_the_only_dependency():
+def _pyproject():
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    with (Path(__file__).resolve().parent.parent / "pyproject.toml").open("rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
+def test_numpy_is_the_only_dependency():
+    dependencies = _pyproject()["dependencies"]
     assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
     # spawn_rngs and queue_blocks call Generator.spawn, new in numpy 1.25.0
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)?", dependencies[0].replace(" ", ""))
     assert floor and tuple(map(int, floor.groups())) >= (1, 25)
+
+
+def _top_level_imports(source):
+    """The top-level names of every absolute import in source, anywhere."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_test_extra_is_what_the_tests_import():
+    extra = {re.match(r"[\w.-]+", d).group() for d in
+             _pyproject()["optional-dependencies"]["test"]}
+    imported = set().union(*(_top_level_imports(p.read_text())
+                             for p in Path(__file__).resolve().parent.glob("*.py")))
+    assert imported - set(sys.stdlib_module_names) - {"qcl", "numpy"} == extra
+
+
+def test_scan_finds_imports_at_any_depth():
+    assert _top_level_imports(
+        "import os.path\nfrom hypothesis import given\nfrom . import helper\n"
+        "def f():\n    import pytest as pt\n") == {"os", "hypothesis", "pytest"}
 
 
 @pytest.mark.parametrize("path", NUMPY_FREE, ids=lambda p: p.name)
@@ -148,6 +179,48 @@ def test_scan_flags_a_ddof_keyword():
     assert _ddof_lines(
         "import numpy as np\nx = np.ones(3)\nse = x.std(ddof=1)\n"
         "v = np.var(x, ddof=0)\nm = x.std()\n# x.std(ddof=1) in a comment\n") == [3, 4]
+
+
+_CHANNEL_KINDS = {"erasure", "bsc", "bijective"}
+_CHANNEL_CLASSES = {"Erasure", "RandomBijective"}
+
+
+def _kind_decisions(source):
+    """Line numbers of the comparisons in source against a channel-kind
+    string, and of the isinstance calls that name a channel class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            # a == "bsc", and a in ("erasure", ...) too
+            values = {n.value for side in (node.left, *node.comparators)
+                      for n in ast.walk(side) if isinstance(n, ast.Constant)}
+            if values & _CHANNEL_KINDS:
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and len(node.args) == 2):
+            # isinstance(c, Erasure), (Erasure, ...) and channels.Erasure
+            named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(node.args[1])}
+            if named & _CHANNEL_CLASSES:
+                found.append(node.lineno)
+    return found
+
+
+def test_only_the_config_layer_decides_a_channel_kind():
+    # each channel answers for itself (size, apply, capacity, score); only
+    # config and cli read the config's channel string
+    assert not any(hasattr(cls, "kind") for cls in (Erasure, RandomBijective))
+    found = [(path.stem, line) for path in SOURCES if path.stem not in ("config", "cli")
+             for line in _kind_decisions(path.read_text())]
+    assert found == []
+
+
+def test_scan_flags_a_channel_kind_decision():
+    assert _kind_decisions(
+        'if spec.channel.kind == "erasure":\n    pass\nok = kind not in ("bsc", "x")\n'
+        "a = isinstance(c, (Erasure, RandomBijective))\n"
+        "b = isinstance(c, channels.RandomBijective)\nname = 'bijective'\n"
+        "c = isinstance(s, Exponential) and kind == 'gamma'\n") == [1, 3, 4, 5]
 
 
 def test_readme_library_example_runs():

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from qcl import channels, simulate
-from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE,
-                          bijective_capacity, erasure_capacity, evaluate_capacity,
-                          mm1_capacity_closed_form)
+from qcl.capacity import (E_H_KERNEL_NOISE, E_H_NOISE, H_MEAN_NOISE, CapacityResult,
+                          mm1_capacity_closed_form, pk_wait_transform)
 from qcl.channels import (ERASED, BernoulliNoise, DecoherenceModel, Erasure,
                           RandomBijective, WaitGeometricNoise, apply_channel,
                           discrete_entropy, xor_table)
-from qcl.numerics import batch_means, spawn_rngs
+from qcl.numerics import batch_means, quadrature_laplace, spawn_rngs
 from qcl.queueing import (QUEUE_BLOCK, DelayConvention, Deterministic, Empirical,
                           Exponential, Gamma, InstabilityError, QueueChannelSpec,
                           Uniform, lindley_waits, queue_blocks,
@@ -28,6 +27,14 @@ from qcl.queueing import (QUEUE_BLOCK, DelayConvention, Deterministic, Empirical
 from qcl.simulate import (EstimateWithError, Transcript, estimate_bijective_bounds,
                           estimate_capacity, simulate_transmission, sweep_rows)
 from qcl.validation import validate_formula
+
+
+def _capacity(spec, *args, **kwargs):
+    return spec.channel.capacity(spec, *args, **kwargs)
+
+
+def _capacity_from(spec, expectations, **kwargs):
+    return spec.channel.capacity_from(spec, expectations, **kwargs)
 
 
 def _spec(lam=0.5, kappa=1.0, channel=None, service=None, convention=None,
@@ -157,7 +164,7 @@ def test_erasure_estimate_matches_closed_form():
     spec = _spec(0.5, 1.0)
     est, bounds = estimate_capacity(simulate_transmission(spec, 200_000, seed=7))
     assert bounds is None
-    target = erasure_capacity(spec).bits_per_sec
+    target = _capacity(spec).bits_per_sec
     assert target == pytest.approx(1.0 / 3.0)
     assert abs(est.bits_per_sec - target) <= 4.0 * est.std_error
     assert est.std_error < 0.01
@@ -191,13 +198,13 @@ def test_bsc_estimates_and_timing_gain():
 
 def test_bijective_bounds_bracket_and_order():
     for seed in range(5):
-        lower, upper = evaluate_capacity(_bijective_spec(), 20_000,
+        lower, upper = _capacity(_bijective_spec(), 20_000,
                                          seed=seed).bounds
         assert lower.bits_per_sec <= upper.bits_per_sec + 1e-12
     w = np.random.default_rng(0).exponential(1.0, 1000)
     estimates = estimate_bijective_bounds(_bijective_spec(), w)
     assert all(isinstance(e, EstimateWithError) for e in estimates.values())
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError, match="noise_dist"):  # an erasure spec
         estimate_bijective_bounds(_spec(), w)
     # one delay gives no standard error, whichever expectations are asked for
     with pytest.raises(ValueError, match="need at least 2 delays, got 1"):
@@ -212,9 +219,83 @@ def test_bijective_bounds_bracket_and_order():
 def test_evaluate_capacity_needs_two_delays(timing, unpredictable, n):
     spec = replace(_bijective_spec(), receiver_knows_timing=timing)
     with pytest.raises(ValueError, match="at least 2 delays"):
-        evaluate_capacity(spec, n, seed=0, assume_unpredictable=unpredictable)
-    assert evaluate_capacity(spec, 2, seed=0,
+        _capacity(spec, n, seed=0, assume_unpredictable=unpredictable)
+    assert _capacity(spec, 2, seed=0,
                              assume_unpredictable=unpredictable).method
+
+
+class _Noiseless:
+    """A channel qcl does not know, with only the protocol: every symbol
+    arrives intact."""
+
+    size = 3
+
+    def apply(self, x, w, rng):
+        return x.copy()
+
+    def capacity(self, spec, n=0, seed=None, assume_unpredictable=False):
+        return CapacityResult(spec.lam * math.log2(self.size), "Noiseless")
+
+    def score(self, transcript):
+        intact = float(np.mean(transcript.y == transcript.x))
+        return CapacityResult(transcript.spec.lam * math.log2(self.size) * intact,
+                              "Noiseless", n=len(transcript)), None
+
+
+def test_any_object_with_the_channel_protocol_runs_end_to_end():
+    spec = _spec(0.5, channel=_Noiseless())
+    t = simulate_transmission(spec, 1000, seed=3)
+    np.testing.assert_array_equal(t.y, t.x)
+    assert set(np.unique(t.x).tolist()) == {0, 1, 2}
+    est, bounds = estimate_capacity(t)
+    assert bounds is None and est.method == "Noiseless" and est.n == 1000
+    assert est.bits_per_sec == spec.channel.capacity(spec).bits_per_sec == \
+        pytest.approx(0.5 * math.log2(3))
+    # the one rule estimate_capacity keeps for every channel
+    assert estimate_capacity(simulate_transmission(spec, 1, seed=3)) == (None, None)
+
+
+def _mm1_expectation(f, lam, mu=1.0):
+    """E f(W) for the M/M/1 stationary wait: an atom 1 - rho at 0 and the
+    density rho (mu - lam) exp(-(mu - lam) w) above it."""
+    rho, rate = lam / mu, mu - lam
+    return (1.0 - rho) * f(0.0) + rho * rate * quadrature_laplace(f, rate)
+
+
+def _mm1_noise_truth(noise_dist, lam):
+    """The exact E_H_noise and H_mean_noise, in bits per symbol, of a noise
+    law at the unit-rate M/M/1 stationary wait."""
+    e_h = _mm1_expectation(lambda w: discrete_entropy(noise_dist(w)), lam)
+    k = len(noise_dist(0.0))
+    mean_law = [_mm1_expectation(lambda w, j=j: float(noise_dist(w)[j]), lam)
+                for j in range(k)]
+    return e_h, discrete_entropy(mean_law)
+
+
+def test_mm1_expectation_matches_the_wait_transform():
+    for lam, kappa in ((0.1, 1.0), (0.5, 1.0), (0.9, 0.1), (0.5, 7.0)):
+        exact = _mm1_expectation(lambda w: math.exp(-kappa * w), lam)
+        assert abs(exact - pk_wait_transform(lam, Exponential(1.0), kappa)) <= 1e-9
+
+
+def test_bijective_capacity_meets_the_mm1_quadrature_truth():
+    # k = 4 geometric noise at three loads: the timing-aware value reads
+    # E_H_noise, the unpredictable-queue value H_mean_noise
+    worst = 0.0
+    for lam, kappa in ((0.1, 1.0), (0.5, 1.0), (0.9, 0.1)):
+        channel = RandomBijective(xor_table(4), WaitGeometricNoise(DecoherenceModel(kappa), 4))
+        e_h, h_mean = _mm1_noise_truth(channel.noise_dist, lam)
+        if (lam, kappa) == (0.5, 1.0):
+            assert (e_h, h_mean) == (pytest.approx(0.8347029575, abs=1e-9),
+                                     pytest.approx(1.2715862463, abs=1e-9))
+        for timing, h in ((True, e_h), (False, h_mean)):
+            spec = _spec(lam, channel=channel, csir=timing)
+            for seed in range(4):
+                got = channel.capacity(spec, 200_000, seed=seed,
+                                       assume_unpredictable=not timing)
+                z = (got.bits_per_sec - lam * (2.0 - h)) / got.std_error
+                worst = max(worst, abs(z))
+    assert worst <= 4.0
 
 
 def _geometric_spec(k, kappa=0.7):
@@ -290,7 +371,7 @@ def _row_major_power_bounds(kappa, k, w, keys):
     return out
 
 
-# the key sets evaluate_capacity requests, and the default of all three
+# the key sets RandomBijective.capacity requests, and the default of all three
 _KEY_SETS = ((E_H_NOISE,), (H_MEAN_NOISE,), (H_MEAN_NOISE, E_H_KERNEL_NOISE),
              (E_H_NOISE, H_MEAN_NOISE, E_H_KERNEL_NOISE))
 
@@ -388,7 +469,7 @@ def test_sweep_rows_analytic_only():
     assert len(rows) == 6
     assert [r["kappa"] for r in rows] == [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
     assert rows[0]["capacity_analytic"] == 0.0
-    expected = erasure_capacity(_spec(0.3, 0.5)).bits_per_sec
+    expected = _capacity(_spec(0.3, 0.5)).bits_per_sec
     assert rows[1]["capacity_analytic"] == pytest.approx(expected, abs=1e-15)
     assert all(r["capacity_mc"] is None and r["mc_stderr"] is None
                for r in rows)
@@ -454,7 +535,7 @@ def _record_draws(monkeypatch, n):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     streams, passes, blocks = [], [], []
     spawn, waits = simulate.spawn_rngs, simulate.waits_from_prefix_sums
-    per_pass = math.ceil((n - 1) / simulate.SWEEP_BLOCK)
+    per_pass = math.ceil((n - 1) / QUEUE_BLOCK)
 
     def record(p, w, floor):
         floor = waits(p, w, floor)
@@ -526,7 +607,7 @@ def test_sweep_column_holds_no_float_temporary_of_n(monkeypatch):
     # two float buffers of one block: a column that made an n-length float
     # array would pass the bound
     n, kappas = 200_000, [0.1, 1.0]
-    assert 2 * 8 * simulate.SWEEP_BLOCK < 4 * n
+    assert 2 * 8 * QUEUE_BLOCK < 4 * n
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     sweep_rows([0.3], [1.0], n=n, seed=1)  # numpy's first-call allocations
     tracemalloc.start()
@@ -575,8 +656,8 @@ def _whole_array_cells(lambdas, kappas, n, seed, convention):
 
 
 @pytest.mark.parametrize("convention", list(DelayConvention))
-@pytest.mark.parametrize("n", [2, 3, simulate.SWEEP_BLOCK, simulate.SWEEP_BLOCK + 1,
-                               simulate.SWEEP_BLOCK + 2, 2 * simulate.SWEEP_BLOCK + 1])
+@pytest.mark.parametrize("n", [2, 3, QUEUE_BLOCK, QUEUE_BLOCK + 1,
+                               QUEUE_BLOCK + 2, 2 * QUEUE_BLOCK + 1])
 def test_sweep_rows_blocks_give_the_whole_array_bits(monkeypatch, n, convention):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     lambdas, kappas = [0.0, 0.3, 0.8, 0.97], [0.5, 3.0, 0.5]
@@ -613,7 +694,7 @@ def test_sweep_rows_kappa_groups_give_the_whole_array_bits(monkeypatch, conventi
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     kappas = [0.5] + [0.2 * (i + 1) for i in range(15)] + [0.5]
     assert len(kappas) == simulate.SWEEP_KAPPAS + 1
-    lambdas, n = [0.0, 0.4, 0.9], simulate.SWEEP_BLOCK + 2
+    lambdas, n = [0.0, 0.4, 0.9], QUEUE_BLOCK + 2
     rows = sweep_rows(lambdas, kappas, n=n, seed=5, convention=convention)
     got = [repr((r["capacity_mc"], r["mc_stderr"])) for r in rows]
     assert got == list(map(repr, _whole_array_cells(lambdas, kappas, n, 5, convention)))
@@ -625,12 +706,12 @@ def test_a_standard_error_only_where_a_value_was_sampled():
     # only n (each bound has its own std_error), and a closed form neither
     bsc = _bsc_spec(0.5)
     h = estimate_bijective_bounds(bsc, np.random.default_rng(0).exponential(1.0, 1000))
-    blind = bijective_capacity(bsc, h)
-    evaluated = evaluate_capacity(_bijective_spec(), 1000, seed=1)
+    blind = _capacity_from(bsc, h)
+    evaluated = _capacity(_bijective_spec(), 1000, seed=1)
     est, bounds = estimate_capacity(simulate_transmission(bsc, 1000, seed=2))
-    sampled = [bijective_capacity(replace(bsc, receiver_knows_timing=True), h),
+    sampled = [_capacity_from(replace(bsc, receiver_knows_timing=True), h),
                *blind.bounds, *evaluated.bounds, est, *bounds.values(),
-               evaluate_capacity(replace(bsc, receiver_knows_timing=True), 1000, seed=3),
+               _capacity(replace(bsc, receiver_knows_timing=True), 1000, seed=3),
                estimate_capacity(simulate_transmission(_spec(0.5), 1000, seed=4))[0],
                simulate._score_survival(np.random.default_rng(5).random(1000) < 0.7,
                                         0.5, 2)]
@@ -640,8 +721,8 @@ def test_a_standard_error_only_where_a_value_was_sampled():
     for interval in (blind, evaluated):
         assert interval.bits_per_sec is None
         assert interval.std_error is None and interval.n == 999
-    for closed in (erasure_capacity(_spec(0.5)), mm1_capacity_closed_form(0.5, 1.0),
-                   evaluate_capacity(_spec(0.5), 1000, seed=1)):
+    for closed in (_capacity(_spec(0.5)), mm1_capacity_closed_form(0.5, 1.0),
+                   _capacity(_spec(0.5), 1000, seed=1)):
         assert closed.std_error is None and closed.n is None
 
 
@@ -693,7 +774,7 @@ def test_sweep_rows_deterministic_service_sojourn_matches_analytic():
 
 def test_sweep_rows_deterministic_service():
     rows = sweep_rows([0.4], [1.0], n=0, service=Deterministic(1.0))
-    expected = erasure_capacity(_spec(0.4, service=Deterministic(1.0))).bits_per_sec
+    expected = _capacity(_spec(0.4, service=Deterministic(1.0))).bits_per_sec
     assert rows[0]["capacity_analytic"] == pytest.approx(expected, abs=1e-15)
 
 
@@ -760,7 +841,7 @@ def test_to_csv_blocks_match_row_writer(tmp_path, monkeypatch, spec, n):
     monkeypatch.setattr(simulate, "CSV_BLOCK_ROWS", 7)
     t = simulate_transmission(spec, n, seed=11)
     expected = _csv_reference(t)
-    if spec.channel.kind == "erasure" and n:
+    if isinstance(spec.channel, Erasure) and n:
         assert ",?\r\n" in expected
     path = tmp_path / "t.csv"
     t.to_csv(path)
